@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 mathematical-verdict failure, 2 usage error,
-3 resource cap exceeded.  All machine output serializes rationals as "p/q"
-strings and uses canonical (sorted-key) JSON, so emitted JSON round-trips
-byte-identically.  Timings appear only in the human-readable text output.
+Exit codes: 0 success, 1 mathematical-verdict failure, 2 usage error or an
+output file that cannot be written, 3 resource cap exceeded.  All machine
+output serializes rationals as "p/q" strings and uses canonical (sorted-key)
+JSON, so emitted JSON round-trips byte-identically.  Timings appear only in
+the human-readable text output.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import sys
 import time
 from fractions import Fraction
 
-from . import catalog, fischer, groups, matsuo, virasoro
+from . import catalog, fischer, matsuo, virasoro
 from .catalog import CatalogError
 from .fischer import NotThreeTranspositionError
 from .groups import DEFAULT_MAX_ORDER, EnumerationCapError
@@ -185,9 +186,10 @@ def cmd_analyze(args):
     comps = fischer.components(system)
     witness = fischer.detect_H_triple(system)
     h_order = fischer.extract_H(system, witness).order if witness else None
-    group = system.group(max_order=args.max_order)
-    center_order = len(groups.center(group))
-    graph_seconds = time.perf_counter() - sys_t0
+    group_t0 = time.perf_counter()
+    graph_seconds = group_t0 - sys_t0
+    group_order, center_order = system.orders(max_order=args.max_order)
+    group_seconds = time.perf_counter() - group_t0
 
     alg_t0 = time.perf_counter()
     algebra = matsuo.MatsuoAlgebra(system, args.alpha, args.beta)
@@ -214,7 +216,7 @@ def cmd_analyze(args):
 
     report = {
         "descriptor": entry.descriptor,
-        "group_order": group.order,
+        "group_order": group_order,
         "center_order": center_order,
         "class_size": system.size,
         "connected": len(comps) == 1,
@@ -250,7 +252,10 @@ def cmd_analyze(args):
             fh.write(matsuo.export_gram_csv(algebra))
 
     total = time.perf_counter() - t_start
-    text = _analysis_text(report, graph_seconds, algebra_seconds, total)
+    text = _analysis_text(
+        report, {"graph": graph_seconds, "group": group_seconds,
+                 "algebra": algebra_seconds, "total": total}
+    )
     _emit(report, args.json, text)
     failed = any(
         section.get("verdict") == "fail"
@@ -283,7 +288,7 @@ def positive_definite(algebra):
     return True
 
 
-def _analysis_text(report, graph_seconds, algebra_seconds, total_seconds):
+def _analysis_text(report, seconds):
     lines = [f"descriptor        {report['descriptor']}"]
     lines.append(f"group order       {report['group_order']}")
     lines.append(f"center order      {report['center_order']}")
@@ -320,8 +325,8 @@ def _analysis_text(report, graph_seconds, algebra_seconds, total_seconds):
     lines.append(f"  miyamoto        {m['miyamoto']['verdict']}")
     lines.append(f"  form pos.def.   {m['form_positive_definite']}")
     lines.append(
-        f"timing            graph {graph_seconds:.2f}s, algebra "
-        f"{algebra_seconds:.2f}s, total {total_seconds:.2f}s"
+        "timing            "
+        + ", ".join(f"{phase} {value:.2f}s" for phase, value in seconds.items())
     )
     return "\n".join(lines) + "\n"
 
@@ -480,6 +485,9 @@ def main(argv=None):
     except MatsuoError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERDICT
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def run():

@@ -58,9 +58,36 @@ class TranspositionSystem:
         row = self.adjacency[i]
         return [j for j in range(self.size) if row >> j & 1]
 
-    def group(self, max_order=groups.DEFAULT_MAX_ORDER, cache_dir=None):
+    def conjugation(self, i):
+        """Conjugation by involution i as a permutation of the class indices:
+        j -> i o j for neighbours of i, j fixed otherwise."""
+        row = self.adjacency[i]
+        return tuple(
+            self.circ[i, j] if row >> j & 1 else j for j in range(self.size)
+        )
+
+    def group(self, max_order=groups.DEFAULT_MAX_ORDER):
         """Enumerate the generated group (may raise EnumerationCapError)."""
-        return groups.generate(self.generators, max_order=max_order, cache_dir=cache_dir)
+        return groups.generate(self.generators, max_order=max_order)
+
+    def orders(self, max_order=groups.DEFAULT_MAX_ORDER):
+        """(|G|, |Z(G)|) without enumerating G (may raise EnumerationCapError).
+
+        |G| comes from Schreier-Sims on a faithful permutation action.  Every
+        generator lies in the class D, so G = <D> and Z(G) is the kernel of
+        the conjugation action on D: |Z(G)| = |G| / |G acting on D|.
+        """
+        outside = [g for g in self.generators if g.key not in self._index]
+        if outside:
+            raise GroupError(
+                f"generator {outside[0]!r} is not in the transposition class; "
+                "the center is read off the class action only when G = <D>"
+            )
+        order = groups.group_order(self.generators, max_order)
+        on_class = groups.permutation_group_order(
+            self.conjugation(self.index_of(g)) for g in self.generators
+        )
+        return order, order // on_class
 
 
 def build_system(generators, seed, max_axes=DEFAULT_MAX_AXES, class_cap=100_000):

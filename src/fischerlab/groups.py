@@ -1,16 +1,12 @@
 """Concrete finite-group engine: permutations, matrices over small prime fields,
-and breadth-first closure enumeration.
+breadth-first closure enumeration, and group orders by Schreier–Sims.
 
 Composition convention (fixed globally): ``a * b`` means "apply b first, then a".
 Conjugation is written ``conjugate(x, g) == g^-1 * x * g``.
 """
 from __future__ import annotations
 
-import hashlib
-import json
 import math
-import os
-from pathlib import Path
 
 DEFAULT_MAX_ORDER = 2_000_000
 DEFAULT_ORDER_CAP = 512
@@ -31,8 +27,10 @@ class OrderOverflowError(GroupError):
 
 
 class EnumerationCapError(GroupError):
-    def __init__(self, cap, reached):
-        super().__init__(f"closure exceeded cap {cap} (reached {reached} elements)")
+    def __init__(self, cap, reached, message=None):
+        super().__init__(
+            message or f"closure exceeded cap {cap} (reached {reached} elements)"
+        )
         self.cap = cap
         self.reached = reached
 
@@ -87,10 +85,7 @@ class Permutation:
         return Permutation._raw(tuple(map(a.__getitem__, b)))
 
     def inverse(self):
-        inv = [0] * len(self.images)
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return Permutation._raw(tuple(inv))
+        return Permutation._raw(_perm_inverse(self.images))
 
     def is_identity(self):
         return all(i == j for i, j in enumerate(self.images))
@@ -149,6 +144,13 @@ class Permutation:
 
 def _perm_key_mul(a, b):
     return tuple(map(a.__getitem__, b))
+
+
+def _perm_inverse(images):
+    inv = [0] * len(images)
+    for i, j in enumerate(images):
+        inv[j] = i
+    return tuple(inv)
 
 
 def _row_decode(row, p, dim):
@@ -379,44 +381,13 @@ class GeneratedGroup:
         return len(self.element_keys)
 
 
-def _carrier_descriptor(template):
-    if isinstance(template, Permutation):
-        return {"kind": "permutation", "degree": template.degree}
-    return {"kind": "fpmatrix", "p": template.p, "dim": template.dim}
-
-
-def _cache_path(cache_dir, template, gen_keys):
-    desc = _carrier_descriptor(template)
-    desc["format"] = 1
-    desc["generators"] = sorted([list(k) for k in gen_keys])
-    blob = json.dumps(desc, sort_keys=True, separators=(",", ":")).encode()
-    digest = hashlib.sha256(blob).hexdigest()
-    return Path(cache_dir) / f"group-{digest}.json"
-
-
-def generate(generators, max_order=DEFAULT_MAX_ORDER, cache_dir=None):
-    """Breadth-first closure of the generators under multiplication.
-
-    Set ``cache_dir`` (or the FISCHER_LAB_CACHE_DIR environment variable) to
-    cache element lists on disk, keyed by a content hash of the generators.
-    """
+def generate(generators, max_order=DEFAULT_MAX_ORDER):
+    """Breadth-first closure of the generators under multiplication."""
     template = _check_compatible(generators)
     if isinstance(template, FpMatrix):
         for g in generators:
             g.inverse()  # raises if singular
     gen_keys = sorted({g.key for g in generators})
-
-    if cache_dir is None:
-        cache_dir = os.environ.get("FISCHER_LAB_CACHE_DIR") or None
-    cache_file = None
-    if cache_dir:
-        cache_file = _cache_path(cache_dir, template, gen_keys)
-        if cache_file.exists():
-            data = json.loads(cache_file.read_text())
-            keys = [tuple(k) for k in data["elements"]]
-            if len(keys) > max_order:
-                raise EnumerationCapError(max_order, len(keys))
-            return GeneratedGroup(generators, keys)
 
     mul = template.key_mul()
     id_key = template.identity_key()
@@ -436,18 +407,104 @@ def generate(generators, max_order=DEFAULT_MAX_ORDER, cache_dir=None):
         new.sort()
         elements.extend(new)
         frontier = new
-
-    if cache_file is not None:
-        cache_file.parent.mkdir(parents=True, exist_ok=True)
-        payload = _carrier_descriptor(template)
-        payload["format"] = 1
-        payload["order"] = len(elements)
-        payload["elements"] = [list(k) for k in elements]
-        tmp = cache_file.with_suffix(".tmp")
-        tmp.write_text(json.dumps(payload, separators=(",", ":")))
-        tmp.replace(cache_file)
-
     return GeneratedGroup(generators, elements)
+
+
+def permutation_images(g):
+    """Image tuple of g in a faithful permutation action: its own images for a
+    Permutation; for an FpMatrix, its action on the p^dim column vectors, each
+    vector packed base p like a matrix row."""
+    if isinstance(g, Permutation):
+        return g.images
+    import numpy as np
+
+    p, dim = g.p, g.dim
+    powers = p ** np.arange(dim)
+    vectors = np.arange(p**dim)[:, None] // powers % p
+    matrix = np.array([_row_decode(r, p, dim) for r in g.rows])
+    images = tuple((vectors @ matrix.T % p @ powers).tolist())
+    if len(set(images)) != len(images):
+        raise StructuralError("matrix not invertible")
+    return images
+
+
+def permutation_group_order(generators):
+    """Exact order of the group generated by permutations given as image
+    tuples, by deterministic Schreier–Sims (Sims 1970; Seress, *Permutation
+    Group Algorithms*, 2003, ch. 4).
+
+    Every Schreier generator is sifted; none is sampled.  A generator that
+    sifts to the identity is skipped, and a new base point is the first point
+    moved by the strong generator that needs it.  The order is the product of
+    the basic orbit lengths.
+    """
+    gens = [tuple(g) for g in generators]
+    if not gens:
+        return 1
+    identity = tuple(range(len(gens[0])))
+    base = []
+    strong = []  # strong[l]: (s, s^-1) for the strong generators fixing base[:l]
+    orbits = []  # orbits[l]: basic orbit of base[l] in discovery order
+    transversals = []  # transversals[l][x]: (u, u^-1) with u[base[l]] == x
+
+    def sift(g, level):
+        for lv in range(level, len(base)):
+            coset = transversals[lv].get(g[base[lv]])
+            if coset is None:
+                return g
+            g = _perm_key_mul(coset[1], g)
+        return g
+
+    def extend(level, g):
+        # g fixes base[:level]; make it a strong generator of this level and,
+        # through the sifted Schreier generators, of the levels below.
+        if level == len(base):
+            point = next(x for x, y in enumerate(g) if x != y)
+            base.append(point)
+            strong.append([])
+            orbits.append([point])
+            transversals.append({point: (identity, identity)})
+        gens_here, orbit = strong[level], orbits[level]
+        transversal = transversals[level]
+        added = (g, _perm_inverse(g))
+        gens_here.append(added)
+        known = len(orbit)
+        i = 0
+        while i < len(orbit):
+            x = orbit[i]
+            u, u_inv = transversal[x]
+            # Old points pair with the new generator only, new points with all.
+            for s, s_inv in gens_here if i >= known else (added,):
+                su = _perm_key_mul(s, u)
+                y = su[base[level]]
+                if y not in transversal:
+                    transversal[y] = (su, _perm_key_mul(u_inv, s_inv))
+                    orbit.append(y)
+                    continue
+                schreier = _perm_key_mul(transversal[y][1], su)
+                if schreier != identity:
+                    residue = sift(schreier, level + 1)
+                    if residue != identity:
+                        extend(level + 1, residue)
+            i += 1
+
+    for g in gens:
+        if sift(g, 0) != identity:
+            extend(0, g)
+    return math.prod(len(orbit) for orbit in orbits)
+
+
+def group_order(generators, max_order=DEFAULT_MAX_ORDER):
+    """Exact order of the generated group without enumerating it: Schreier–Sims
+    on a faithful permutation action.  Raises EnumerationCapError when the
+    order exceeds ``max_order``."""
+    _check_compatible(generators)
+    order = permutation_group_order(permutation_images(g) for g in generators)
+    if order > max_order:
+        raise EnumerationCapError(
+            max_order, order, f"group order {order} exceeds the order cap {max_order}"
+        )
+    return order
 
 
 def conjugacy_closure(seed, group_gens, cap=100_000):

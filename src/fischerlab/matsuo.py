@@ -282,10 +282,7 @@ class MatsuoAlgebra:
         """The Miyamoto involution of axis i as a basis permutation, verified
         to act by +1 on the {2, 0} eigenspaces and -1 on the alpha eigenspace,
         and to be a form-preserving algebra automorphism."""
-        sys = self.system
-        mapping = tuple(
-            sys.circ[i, j] if sys.adjacent(i, j) else j for j in range(self.n)
-        )
+        mapping = self.system.conjugation(i)
         pi = MiyamotoMap(i, mapping)
         if not verify:
             return pi
@@ -368,19 +365,26 @@ class MatsuoAlgebra:
     # -- integer-scaled tables for exhaustive checks ------------------------
 
     def integer_tables(self):
-        """Structure tensor and Gram matrix as int64 numpy arrays.
+        """Structure tensor and Gram matrix as integer numpy arrays.
 
         The product table is scaled by 2*den(alpha) and the Gram matrix by
         8*den(alpha)*den(beta), so identities that are homogeneous in both
-        tables can be checked in integer arithmetic.
+        tables can be checked in integer arithmetic.  The arrays are int64
+        when every entry of ``triple_table`` provably fits (n * max|T| *
+        max|G| < 2^63), and object arrays of Python ints otherwise, so no
+        product wraps.
         """
         import numpy as np
 
         n = self.n
         a_num, a_den = self.alpha.numerator, self.alpha.denominator
-        b_num, b_den = self.beta.numerator, self.beta.denominator
-        tensor = np.zeros((n, n, n), dtype=np.int64)
-        gram = np.zeros((n, n), dtype=np.int64)
+        b_num = self.beta.numerator
+        max_t = max(4 * a_den, abs(a_num))
+        max_g = max(abs(4 * a_den * b_num), abs(a_num * b_num))
+        fits = max(max_t, max_g, n * max_t * max_g) <= np.iinfo(np.int64).max
+        dtype = np.int64 if fits else object
+        tensor = np.zeros((n, n, n), dtype=dtype)
+        gram = np.zeros((n, n), dtype=dtype)
         for i in range(n):
             tensor[i, i, i] = 4 * a_den
             gram[i, i] = 4 * a_den * b_num
@@ -394,19 +398,24 @@ class MatsuoAlgebra:
                     gram[i, j] = a_num * b_num
         return tensor, gram
 
+    def triple_table(self, tensor, gram):
+        """t[i, j, k] = (x^i x^j | x^k) scaled by 16*den(alpha)^2*den(beta),
+        from the arrays of ``integer_tables``."""
+        n = self.n
+        return (tensor.reshape(n * n, n) @ gram).reshape(n, n, n)
+
     def verify_axioms(self):
         """Exhaustive exact check of commutativity, form symmetry and
         invariance (uv|w) = (u|vw) over all basis triples."""
         import numpy as np
 
         tensor, gram = self.integer_tables()
-        n = self.n
         if not np.array_equal(tensor, tensor.transpose(1, 0, 2)):
             raise VerificationError("product is not commutative")
         if not np.array_equal(gram, gram.T):
             raise VerificationError("form is not symmetric")
-        # t[i,j,k] = scaled (x^i x^j | x^k); invariance says t[i,j,k] = t[j,k,i]
-        t = (tensor.reshape(n * n, n) @ gram).reshape(n, n, n)
+        # invariance says t[i,j,k] = t[j,k,i]
+        t = self.triple_table(tensor, gram)
         if not np.array_equal(t, t.transpose(1, 2, 0)):
             raise VerificationError("form is not invariant")
         return True

@@ -1,15 +1,7 @@
-"""Shared fixtures: a persistent group cache and memoized system builders."""
-import os
-from pathlib import Path
-
+"""Shared fixtures: memoized system builders."""
 import pytest
 
-os.environ.setdefault(
-    "FISCHER_LAB_CACHE_DIR", str(Path.home() / ".cache" / "fischerlab")
-)
-Path(os.environ["FISCHER_LAB_CACHE_DIR"]).mkdir(parents=True, exist_ok=True)
-
-from fischerlab import catalog, fischer  # noqa: E402
+from fischerlab import catalog, fischer
 
 
 @pytest.fixture(scope="session")

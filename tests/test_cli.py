@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, including exit codes and JSON output."""
 import json
+import re
 
 import pytest
 
@@ -33,7 +34,10 @@ class TestAnalyze:
         assert "group order       24" in out
         assert "symplectic type" in out
         assert "axioms          pass" in out
-        assert "timing" in out
+        assert re.search(
+            r"timing +graph [0-9.]+s, group [0-9.]+s, algebra [0-9.]+s, total [0-9.]+s",
+            out,
+        )
 
     def test_json_report(self, capsys):
         code, out, _ = run(capsys, "analyze", "symmetric:n=4", "--json")
@@ -93,8 +97,27 @@ class TestAnalyze:
         assert "cap" in err
 
     def test_order_cap_exit_code(self, capsys):
-        code, _, _ = run(capsys, "analyze", "symmetric:n=6", "--max-order", "100")
+        code, _, err = run(capsys, "analyze", "symmetric:n=6", "--max-order", "100")
         assert code == 3
+        assert "group order 720 exceeds the order cap 100" in err
+
+    @pytest.mark.parametrize("flag", ["--json", "--dot", "--gram"])
+    def test_unwritable_output_is_usage_error(self, capsys, tmp_path, flag):
+        target = tmp_path / "missing" / "out.txt"
+        code, _, err = run(capsys, "analyze", "symmetric:n=3", flag, str(target))
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(target) in err
+
+    def test_huge_alpha_denominator(self, capsys):
+        code, out, _ = run(
+            capsys, "analyze", "symmetric:n=4", "--alpha", "3/1000000000000000000000",
+            "--json",
+        )
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["matsuo"]["alpha"] == "3/1000000000000000000000"
+        assert payload["matsuo"]["axioms"]["verdict"] == "pass"
 
     def test_threads_flag_accepted(self, capsys):
         baseline = run(capsys, "analyze", "symmetric:n=4", "--json")

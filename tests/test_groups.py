@@ -1,19 +1,29 @@
-"""Group-element arithmetic, closure enumeration, and center computation."""
+"""Group-element arithmetic, closure enumeration, center computation, and
+group orders by Schreier-Sims checked against independent oracles."""
+import subprocess
+import sys
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fischerlab import catalog, fischer
 from fischerlab.groups import (
     EnumerationCapError,
     FpMatrix,
     GroupError,
     Permutation,
+    StructuralError,
     center,
     compose,
     conjugacy_closure,
     conjugate,
     element_order,
     generate,
+    group_order,
+    permutation_group_order,
+    permutation_images,
 )
 
 
@@ -135,13 +145,6 @@ class TestGenerate:
         b = FpMatrix.from_entries(2, 2, [1, 1, 0, 1])
         assert generate([a, b]).order == 6
 
-    def test_cache_roundtrip(self, tmp_path):
-        gens = [transposition(4, i, i + 1) for i in range(3)]
-        first = generate(gens, cache_dir=tmp_path)
-        assert any(tmp_path.glob("group-*.json"))
-        second = generate(gens, cache_dir=tmp_path)
-        assert first.element_keys == second.element_keys
-
     def test_membership_and_index(self):
         g = generate([transposition(3, 0, 1), transposition(3, 1, 2)])
         x = transposition(3, 0, 2)
@@ -184,3 +187,106 @@ class TestCenter:
         a = FpMatrix.from_entries(3, 2, [2, 0, 0, 2])
         g = generate([a])
         assert len(center(g)) == g.order == 2
+
+
+# Every catalog descriptor whose group has order at most 51,840, so that the
+# brute-force oracle (full enumeration, then a center scan) stays affordable.
+SMALL_ROSTER = (
+    [f"symmetric:n={n}" for n in range(2, 9)]
+    + ["symplectic-f2:n=1", "symplectic-f2:n=2"]
+    + ["orthogonal-f2:dim=4,eps=+", "orthogonal-f2:dim=4,eps=-",
+       "orthogonal-f2:dim=6,eps=+", "orthogonal-f2:dim=6,eps=-"]
+    + ["orthogonal-f3:dim=3", "orthogonal-f3:dim=3,sign=-",
+       "orthogonal-f3:dim=4", "orthogonal-f3:dim=4,sign=-", "orthogonal-f3:dim=5"]
+    + [f"weyl:type=A,rank={r}" for r in range(1, 8)]
+    + [f"weyl:type=D,rank={r}" for r in range(4, 7)]
+    + ["weyl:type=E,rank=6"]
+)
+
+
+class TestSchreierSims:
+    def test_matrix_images_are_a_homomorphism(self):
+        a = FpMatrix.from_entries(3, 2, [1, 2, 1, 1])
+        b = FpMatrix.from_entries(3, 2, [0, 1, 2, 0])
+        ia, ib = permutation_images(a), permutation_images(b)
+        assert permutation_images(a * b) == tuple(ia[x] for x in ib)
+        assert sorted(ia) == list(range(9))
+
+    def test_singular_matrix_rejected(self):
+        with pytest.raises(StructuralError):
+            permutation_images(FpMatrix.from_entries(2, 2, [1, 1, 1, 1]))
+
+    def test_trivial_groups(self):
+        assert permutation_group_order([]) == 1
+        assert permutation_group_order([(0, 1, 2)]) == 1
+
+    def test_order_cap_names_order_and_cap(self):
+        gens = [transposition(6, i, i + 1) for i in range(5)]
+        with pytest.raises(EnumerationCapError, match="720 exceeds the order cap 100"):
+            group_order(gens, max_order=100)
+        assert group_order(gens, max_order=720) == 720
+
+    @pytest.mark.parametrize("descriptor", SMALL_ROSTER)
+    def test_matches_brute_force(self, system_factory, descriptor):
+        system = system_factory(descriptor)
+        group = system.group()
+        assert system.orders() == (group.order, len(center(group)))
+
+    def test_brute_force_roster_covers_abelian_and_central_cases(self, system_factory):
+        assert system_factory("orthogonal-f3:dim=3").orders() == (8, 8)
+        assert system_factory("weyl:type=D,rank=4").orders() == (192, 2)
+        assert system_factory("weyl:type=D,rank=6").orders() == (23040, 2)
+
+    @pytest.mark.parametrize("descriptor, order, center_order", [
+        ("symplectic-f2:n=3", 1_451_520, 1),
+        ("weyl:type=E,rank=7", 2_903_040, 2),
+        ("weyl:type=E,rank=8", 696_729_600, 2),
+        ("symmetric:n=12", 479_001_600, 1),
+    ])
+    def test_theory_values(self, system_factory, descriptor, order, center_order):
+        system = system_factory(descriptor)
+        assert system.orders(max_order=order) == (order, center_order)
+
+    @pytest.mark.parametrize("descriptor", [
+        "symmetric:n=9", "symplectic-f2:n=3", "orthogonal-f3:dim=5",
+        "orthogonal-f3:dim=3", "weyl:type=D,rank=6", "weyl:type=E,rank=7",
+    ])
+    def test_matches_sympy(self, system_factory, descriptor):
+        combinatorics = pytest.importorskip("sympy.combinatorics")
+        system = system_factory(descriptor)
+        oracle = combinatorics.PermutationGroup([
+            combinatorics.Permutation(list(permutation_images(g)))
+            for g in system.generators
+        ])
+        expected = (oracle.order(), oracle.center().order())
+        assert system.orders(max_order=expected[0]) == expected
+
+    @pytest.mark.parametrize("descriptor", [
+        "orthogonal-f2:dim=8,eps=+", "orthogonal-f2:dim=8,eps=-",
+    ])
+    def test_order_matches_sympy_on_256_points(self, descriptor):
+        combinatorics = pytest.importorskip("sympy.combinatorics")
+        gens = catalog.from_descriptor(descriptor).generators
+        images = [permutation_images(g) for g in gens]
+        oracle = combinatorics.PermutationGroup(
+            [combinatorics.Permutation(list(im)) for im in images]
+        )
+        assert permutation_group_order(images) == oracle.order()
+
+    def test_generator_outside_class_rejected(self):
+        gens = [transposition(5, 0, 1), transposition(5, 1, 2), transposition(5, 3, 4)]
+        system = fischer.build_system(gens, [gens[0]])
+        assert system.size == 3
+        with pytest.raises(GroupError, match="not in the transposition class"):
+            system.orders()
+
+    def test_capped_analyze_exits_without_enumerating(self):
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "fischerlab.cli", "analyze", "symmetric:n=12",
+             "--max-order", "1000"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 3
+        assert "479001600" in proc.stderr and "1000" in proc.stderr
+        assert time.perf_counter() - start < 20

@@ -81,6 +81,28 @@ class TestProductsAndForm:
     def test_axioms_exhaustive(self, B):
         assert B.verify_axioms()
 
+    def test_triple_table_exact_at_large_rationals(self, system_factory):
+        # n * max|T| * max|G| is about 2^89 here, so int64 would wrap.
+        alpha = Fraction(2**25 + 1, 2**26 + 3)
+        beta = Fraction(2**30 - 5, 2**29 + 7)
+        A = MatsuoAlgebra(system_factory("symmetric:n=5"), alpha, beta)
+        tensor, gram = A.integer_tables()
+        assert tensor.dtype == object and gram.dtype == object
+        table = A.triple_table(tensor, gram)
+        scale = 16 * alpha.denominator**2 * beta.denominator
+        for i in range(A.n):
+            for j in range(A.n):
+                product = A.multiply(A.axis(i), A.axis(j))
+                for k in range(A.n):
+                    assert table[i, j, k] == A.form(product, A.axis(k)) * scale
+        assert A.verify_axioms()
+
+    @pytest.mark.parametrize("alpha", [Fraction(1), HALF])
+    def test_e6_tables_stay_int64(self, system_factory, alpha):
+        A = MatsuoAlgebra(system_factory("weyl:type=E,rank=6"), alpha, alpha)
+        tensor, gram = A.integer_tables()
+        assert tensor.dtype == gram.dtype == "int64"
+
     def test_bilinearity_spot(self, B):
         u = [Fraction(1), Fraction(-2), Fraction(3)]
         v = [Fraction(0), Fraction(1, 3), Fraction(5)]
