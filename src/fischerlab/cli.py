@@ -14,7 +14,7 @@ import sys
 import time
 from fractions import Fraction
 
-from . import catalog, fischer, matsuo, virasoro
+from . import catalog, fischer, groups, matsuo, virasoro
 from .catalog import CatalogError
 from .fischer import NotThreeTranspositionError
 from .groups import DEFAULT_MAX_ORDER, EnumerationCapError
@@ -153,23 +153,18 @@ def _unity_section(algebra, components):
 def _spectra_section(algebra, components):
     if algebra.alpha in (0, 2):
         return {"per_component": [], **_verdict("not-run", "degenerate-alpha")}
-    per_component = []
-    for idx, comp in enumerate(components):
-        rep = comp[0]
-        spectrum = algebra.adjoint_spectrum(rep)
-        per_component.append(
-            {
-                "component": idx,
-                "axis": rep,
-                "dims": {
-                    "2": len(spectrum.basis_2),
-                    "0": len(spectrum.basis_0),
-                    "alpha": len(spectrum.basis_alpha),
-                },
-            }
-        )
+    dims = []
     for i in range(algebra.n):
-        algebra.adjoint_spectrum(i)  # raises VerificationError on any defect
+        spectrum = algebra.adjoint_spectrum(i)  # raises VerificationError on any defect
+        dims.append({
+            "2": len(spectrum.basis_2),
+            "0": len(spectrum.basis_0),
+            "alpha": len(spectrum.basis_alpha),
+        })
+    per_component = [
+        {"component": idx, "axis": comp[0], "dims": dims[comp[0]]}
+        for idx, comp in enumerate(components)
+    ]
     return {"per_component": per_component, **_verdict("pass")}
 
 
@@ -179,6 +174,10 @@ def cmd_analyze(args):
     if args.threads < 1:
         raise CatalogError("--threads must be >= 1")
 
+    # The order cap needs only the generators, so it is checked before the
+    # graph phase.
+    group_t0 = time.perf_counter()
+    group_order = groups.group_order(entry.generators, args.max_order)
     sys_t0 = time.perf_counter()
     system = fischer.build_system(
         entry.generators, entry.seed, max_axes=args.max_axes
@@ -186,10 +185,10 @@ def cmd_analyze(args):
     comps = fischer.components(system)
     witness = fischer.detect_H_triple(system)
     h_order = fischer.extract_H(system, witness).order if witness else None
-    group_t0 = time.perf_counter()
-    graph_seconds = group_t0 - sys_t0
-    group_order, center_order = system.orders(max_order=args.max_order)
-    group_seconds = time.perf_counter() - group_t0
+    center_t0 = time.perf_counter()
+    graph_seconds = center_t0 - sys_t0
+    center_order = group_order // system.class_action_order()
+    group_seconds = time.perf_counter() - center_t0 + (sys_t0 - group_t0)
 
     alg_t0 = time.perf_counter()
     algebra = matsuo.MatsuoAlgebra(system, args.alpha, args.beta)

@@ -1,9 +1,13 @@
 """Fischer graphs of 3-transposition systems: adjacency, components, valency,
 and detection of the order-54 critical subgroup that separates symplectic-type
-systems from the rest."""
-from __future__ import annotations
+systems from the rest.
 
-from dataclasses import dataclass, field
+A system is stored as one conjugation table: ``conj[i][j]`` is the index of
+t_i t_j t_i.  Adjacency, the common conjugate i o j of an adjacent pair, the
+product orders, the conjugacy orbits and the Miyamoto maps of the Matsuo
+layer are all read from it.
+"""
+from __future__ import annotations
 
 from . import groups
 from .groups import EnumerationCapError, GroupError
@@ -32,15 +36,17 @@ class UnexpectedSubgroupError(GroupError):
 
 
 class TranspositionSystem:
-    """A conjugation-closed involution set with its product-order matrix,
-    Fischer-graph adjacency (bitset rows) and the partial map
-    circ(i, j) = index of the common conjugate i^j = j^i for adjacent pairs."""
+    """A conjugation-closed involution set stored as one conjugation table.
 
-    def __init__(self, involutions, order_matrix, adjacency, circ, generators):
+    ``conj[i][j]`` is the index of t_i t_j t_i, so row i is conjugation by
+    t_i as a permutation of the class.  For i != j, t_i t_j has order 2 when
+    ``conj[i][j] == j`` and order 3 (i, j adjacent in the Fischer graph, with
+    common conjugate i o j = ``conj[i][j]``) when ``conj[i][j] == conj[j][i]``.
+    """
+
+    def __init__(self, involutions, conj, generators):
         self.involutions = involutions
-        self.order_matrix = order_matrix
-        self.adjacency = adjacency
-        self.circ = circ
+        self.conj = conj
         self.generators = generators
         self._index = {x.key: i for i, x in enumerate(involutions)}
 
@@ -52,30 +58,20 @@ class TranspositionSystem:
         return self._index[element.key]
 
     def adjacent(self, i, j):
-        return bool(self.adjacency[i] >> j & 1)
+        return self.conj[i][j] != j
 
     def neighbors(self, i):
-        row = self.adjacency[i]
-        return [j for j in range(self.size) if row >> j & 1]
-
-    def conjugation(self, i):
-        """Conjugation by involution i as a permutation of the class indices:
-        j -> i o j for neighbours of i, j fixed otherwise."""
-        row = self.adjacency[i]
-        return tuple(
-            self.circ[i, j] if row >> j & 1 else j for j in range(self.size)
-        )
+        return [j for j, c in enumerate(self.conj[i]) if c != j]
 
     def group(self, max_order=groups.DEFAULT_MAX_ORDER):
         """Enumerate the generated group (may raise EnumerationCapError)."""
         return groups.generate(self.generators, max_order=max_order)
 
-    def orders(self, max_order=groups.DEFAULT_MAX_ORDER):
-        """(|G|, |Z(G)|) without enumerating G (may raise EnumerationCapError).
+    def class_action_order(self):
+        """|G acting on D| by Schreier-Sims on the rows of the generators.
 
-        |G| comes from Schreier-Sims on a faithful permutation action.  Every
-        generator lies in the class D, so G = <D> and Z(G) is the kernel of
-        the conjugation action on D: |Z(G)| = |G| / |G acting on D|.
+        Every generator must lie in the class D, so that G = <D> and Z(G) is
+        the kernel of this action: |Z(G)| = |G| / |G acting on D|.
         """
         outside = [g for g in self.generators if g.key not in self._index]
         if outside:
@@ -83,16 +79,22 @@ class TranspositionSystem:
                 f"generator {outside[0]!r} is not in the transposition class; "
                 "the center is read off the class action only when G = <D>"
             )
-        order = groups.group_order(self.generators, max_order)
-        on_class = groups.permutation_group_order(
-            self.conjugation(self.index_of(g)) for g in self.generators
+        return groups.permutation_group_order(
+            self.conj[self.index_of(g)] for g in self.generators
         )
-        return order, order // on_class
+
+    def orders(self, max_order=groups.DEFAULT_MAX_ORDER):
+        """(|G|, |Z(G)|) without enumerating G (may raise EnumerationCapError).
+
+        |G| comes from Schreier-Sims on a faithful permutation action.
+        """
+        order = groups.group_order(self.generators, max_order)
+        return order, order // self.class_action_order()
 
 
 def build_system(generators, seed, max_axes=DEFAULT_MAX_AXES, class_cap=100_000):
-    """Conjugacy-close the seed and build the Fischer graph, failing loudly if
-    any product of two class members has order above 3."""
+    """Conjugacy-close the seed and build its conjugation table, failing
+    loudly if any product of two class members has order above 3."""
     involutions = groups.conjugacy_closure(seed, generators, cap=class_cap)
     n = len(involutions)
     if n > max_axes:
@@ -100,42 +102,29 @@ def build_system(generators, seed, max_axes=DEFAULT_MAX_AXES, class_cap=100_000)
     index = {x.key: i for i, x in enumerate(involutions)}
     mul = involutions[0].key_mul()
     keys = [x.key for x in involutions]
-    id_key = involutions[0].identity_key()
-
-    order_matrix = [[1] * n for _ in range(n)]
-    adjacency = [0] * n
-    circ = {}
+    conj = []
+    for i, ki in enumerate(keys):
+        try:
+            conj.append(tuple(index[mul(mul(ki, kj), ki)] for kj in keys))
+        except KeyError:
+            raise GroupError(
+                f"a conjugate by involution #{i} left the class"
+            ) from None
     for i in range(n):
-        ki = keys[i]
+        row = conj[i]
         for j in range(i + 1, n):
-            prod = mul(ki, keys[j])
-            if mul(prod, prod) == id_key:
-                order_matrix[i][j] = order_matrix[j][i] = 2
-                continue
-            if mul(mul(prod, prod), prod) == id_key:
-                order_matrix[i][j] = order_matrix[j][i] = 3
-                adjacency[i] |= 1 << j
-                adjacency[j] |= 1 << i
-                # i o j = j^i = i j i (an involution conjugating an involution)
-                cij = mul(mul(ki, keys[j]), ki)
-                cji = mul(mul(keys[j], ki), keys[j])
-                if cij != cji or cij not in index:
-                    raise GroupError(
-                        "common conjugate of an adjacent pair left the class "
-                        f"(pair {i},{j})"
-                    )
-                circ[i, j] = circ[j, i] = index[cij]
-                continue
-            raise NotThreeTranspositionError(
-                i, j, groups.element_order(involutions[i] * involutions[j])
-            )
-    return TranspositionSystem(involutions, order_matrix, adjacency, circ, list(generators))
+            if row[j] != j and row[j] != conj[j][i]:
+                raise NotThreeTranspositionError(
+                    i, j, groups.element_order(involutions[i] * involutions[j])
+                )
+    return TranspositionSystem(involutions, conj, list(generators))
 
 
 def components(sys):
     """Connected components of the Fischer graph, each cross-checked to be a
     single conjugacy class of the group generated by the involutions."""
     n = sys.size
+    conj = sys.conj
     seen = [False] * n
     comps = []
     for start in range(n):
@@ -147,13 +136,16 @@ def components(sys):
         while stack:
             v = stack.pop()
             comp.append(v)
-            row = sys.adjacency[v]
-            for w in range(n):
-                if row >> w & 1 and not seen[w]:
+            for w in sys.neighbors(v):
+                if not seen[w]:
                     seen[w] = True
                     stack.append(w)
         comp.sort()
-        orbit = _conjugation_orbit(sys, start)
+        orbit = {start}
+        frontier = {start}
+        while frontier:
+            frontier = {row[v] for v in frontier for row in conj} - orbit
+            orbit |= frontier
         if orbit != set(comp):
             raise GroupError(
                 f"component of #{start} does not match its conjugacy class"
@@ -163,27 +155,9 @@ def components(sys):
     return comps
 
 
-def _conjugation_orbit(sys, start):
-    mul = sys.involutions[0].key_mul()
-    keys = [x.key for x in sys.involutions]
-    index = sys._index
-    orbit = {start}
-    frontier = [start]
-    while frontier:
-        new = []
-        for v in frontier:
-            for t in keys:
-                w = index[mul(mul(t, keys[v]), t)]
-                if w not in orbit:
-                    orbit.add(w)
-                    new.append(w)
-        frontier = new
-    return orbit
-
-
 def valency(sys, component):
     """Common neighbor count inside a connected component."""
-    counts = {bin(sys.adjacency[v]).count("1") for v in component}
+    counts = {len(sys.neighbors(v)) for v in component}
     if len(counts) != 1:
         raise IrregularComponentError(
             f"non-constant valency {sorted(counts)} in component {component[:8]}..."
@@ -202,29 +176,23 @@ def classify_triple(sys, a, b, c):
     abac = (a b a) c is a product of two class involutions, so its order is
     1 (S3 collapse), 2 (S4 type) or 3 (H type).
     """
-    conj = sys.circ[a, b]  # a b a = b^a = a o b
-    order = sys.order_matrix[conj][c]
-    return {1: S3_COLLAPSE, 2: S4_TYPE, 3: H_TYPE}[order]
+    aba = sys.conj[a][b]
+    if aba == c:
+        return S3_COLLAPSE
+    return S4_TYPE if sys.conj[aba][c] == c else H_TYPE
 
 
 def detect_H_triple(sys):
     """Lexicographically first pairwise-adjacent triple with (abac) of order 3,
     or None.  A None verdict certifies symplectic type."""
-    n = sys.size
-    adj = sys.adjacency
-    order_matrix = sys.order_matrix
-    circ = sys.circ
-    for a in range(n):
-        row_a = adj[a]
-        for b in range(n):
-            if not row_a >> b & 1:
-                continue
-            conj = circ[a, b]
-            orders = order_matrix[conj]
-            both = row_a & adj[b]
-            for c in range(n):
-                if both >> c & 1 and orders[c] == 3:
-                    return (a, b, c)
+    conj = sys.conj
+    nbrs = [set(sys.neighbors(i)) for i in range(sys.size)]
+    for a, row_a in enumerate(conj):
+        for b in sorted(nbrs[a]):
+            # c must be adjacent to a, b and aba (c == aba is the S3 collapse)
+            common = nbrs[a] & nbrs[b] & nbrs[row_a[b]]
+            if common:
+                return (a, b, min(common))
     return None
 
 
@@ -246,73 +214,14 @@ def extract_H(sys, witness):
     return group
 
 
-@dataclass
-class FischerReport:
-    descriptor: str
-    class_size: int
-    component_sizes: list
-    valencies: list
-    connected: bool
-    h_triple: tuple | None
-    h_subgroup_order: int | None
-    group_order: int | None
-    center_order: int | None
-    type_verdict: str = field(default="")
-
-    def __post_init__(self):
-        if not self.type_verdict:
-            self.type_verdict = (
-                "symplectic" if self.h_triple is None else "non-symplectic (H witness)"
-            )
-
-    def to_jsonable(self):
-        return {
-            "descriptor": self.descriptor,
-            "class_size": self.class_size,
-            "component_sizes": list(self.component_sizes),
-            "valencies": list(self.valencies),
-            "connected": self.connected,
-            "h_triple": list(self.h_triple) if self.h_triple else None,
-            "h_subgroup_order": self.h_subgroup_order,
-            "group_order": self.group_order,
-            "center_order": self.center_order,
-            "type_verdict": self.type_verdict,
-        }
-
-
-def analyze_system(sys, descriptor="", group=None):
-    """Assemble the graph-level report (no Matsuo data)."""
-    comps = components(sys)
-    vals = [valency(sys, c) for c in comps]
-    witness = detect_H_triple(sys)
-    h_order = None
-    if witness is not None:
-        h_order = extract_H(sys, witness).order
-    center_order = None
-    if group is not None:
-        center_order = len(groups.center(group))
-    return FischerReport(
-        descriptor=descriptor,
-        class_size=sys.size,
-        component_sizes=[len(c) for c in comps],
-        valencies=vals,
-        connected=len(comps) == 1,
-        h_triple=witness,
-        h_subgroup_order=h_order,
-        group_order=group.order if group is not None else None,
-        center_order=center_order,
-    )
-
-
 def to_dot(sys, name="fischer"):
     """DOT rendering of the Fischer graph (vertices by canonical index)."""
     lines = [f"graph {name} {{"]
     for i in range(sys.size):
         lines.append(f'  {i} [label="{i}"];')
     for i in range(sys.size):
-        row = sys.adjacency[i]
-        for j in range(i + 1, sys.size):
-            if row >> j & 1:
+        for j in sys.neighbors(i):
+            if j > i:
                 lines.append(f"  {i} -- {j};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -70,9 +70,6 @@ class MiyamotoMap:
     axis: int
     mapping: tuple
 
-    def apply_index(self, j):
-        return self.mapping[j]
-
     def apply(self, vector):
         out = [Fraction(0)] * len(self.mapping)
         for j, c in enumerate(vector):
@@ -116,13 +113,10 @@ class MatsuoAlgebra:
         """Sparse structure constants of x^i x^j (at most three terms)."""
         if i == j:
             return ((i, TWO),)
-        if self.alpha and self.system.adjacent(i, j):
+        k = self.system.conj[i][j]
+        if self.alpha and k != j:
             half_alpha = self.alpha / 2
-            return (
-                (i, half_alpha),
-                (j, half_alpha),
-                (self.system.circ[i, j], -half_alpha),
-            )
+            return ((i, half_alpha), (j, half_alpha), (k, -half_alpha))
         return ()
 
     def gram_entry(self, i, j):
@@ -250,12 +244,12 @@ class MatsuoAlgebra:
         basis_2 = [self.axis(i)]
         basis_0 = []
         basis_alpha = []
-        neighbors = sys.neighbors(i)
+        row = sys.conj[i]
         for j in range(self.n):
-            if j != i and not sys.adjacent(i, j):
+            if j != i and row[j] == j:
                 basis_0.append(self.axis(j))
-        for j in neighbors:
-            jo = sys.circ[i, j]
+        for j in sys.neighbors(i):
+            jo = row[j]
             if jo < j:
                 continue  # one vector per {j, i o j} pair
             minus = self.zero()
@@ -278,14 +272,13 @@ class MatsuoAlgebra:
             raise VerificationError("eigenspace dimensions do not sum to |I|")
         return AdjointSpectrum(i, self.alpha, basis_2, basis_0, basis_alpha)
 
-    def miyamoto(self, i, verify=True):
-        """The Miyamoto involution of axis i as a basis permutation, verified
-        to act by +1 on the {2, 0} eigenspaces and -1 on the alpha eigenspace,
-        and to be a form-preserving algebra automorphism."""
-        mapping = self.system.conjugation(i)
+    def miyamoto(self, i):
+        """The Miyamoto involution of axis i as a basis permutation (row i of
+        the conjugation table), verified to act by +1 on the {2, 0}
+        eigenspaces and -1 on the alpha eigenspace, and to be a
+        form-preserving algebra automorphism."""
+        mapping = self.system.conj[i]
         pi = MiyamotoMap(i, mapping)
-        if not verify:
-            return pi
         if not pi.is_involution():
             raise VerificationError(f"miyamoto map of axis {i} is not an involution")
         if self.alpha not in (0, 2):
@@ -388,10 +381,8 @@ class MatsuoAlgebra:
         for i in range(n):
             tensor[i, i, i] = 4 * a_den
             gram[i, i] = 4 * a_den * b_num
-            row = self.system.adjacency[i]
-            for j in range(n):
-                if row >> j & 1:
-                    c = self.system.circ[i, j]
+            for j, c in enumerate(self.system.conj[i]):
+                if c != j:
                     tensor[i, j, i] += a_num
                     tensor[i, j, j] += a_num
                     tensor[i, j, c] -= a_num

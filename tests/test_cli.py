@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from fischerlab import cli
+from fischerlab import cli, fischer
 
 
 def run(capsys, *argv):
@@ -100,6 +100,34 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", "symmetric:n=6", "--max-order", "100")
         assert code == 3
         assert "group order 720 exceeds the order cap 100" in err
+
+    def test_order_cap_checked_before_graph(self, capsys, monkeypatch):
+        def no_graph(*args, **kwargs):
+            raise AssertionError("build_system ran before the order cap")
+
+        monkeypatch.setattr(fischer, "build_system", no_graph)
+        code, _, err = run(capsys, "analyze", "symmetric:n=6", "--max-order", "100")
+        assert code == 3
+        assert "group order 720 exceeds the order cap 100" in err
+
+    def test_symplectic_report(self, capsys):
+        code, out, _ = run(capsys, "analyze", "symmetric:n=5", "--json")
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["group_order"] == 120
+        assert payload["center_order"] == 1
+        assert payload["class_size"] == 10
+        assert payload["connected"] is True
+        assert payload["components"] == [{"size": 10, "valency": 6}]
+        assert payload["h_triple"]["witness"] is None
+        assert payload["h_triple"]["type_verdict"] == "symplectic"
+
+    def test_h_witness_report(self, capsys):
+        code, out, _ = run(capsys, "analyze", "orthogonal-f3:dim=5", "--json")
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["h_triple"]["subgroup_order"] == 54
+        assert "non-symplectic" in payload["h_triple"]["type_verdict"]
 
     @pytest.mark.parametrize("flag", ["--json", "--dot", "--gram"])
     def test_unwritable_output_is_usage_error(self, capsys, tmp_path, flag):

@@ -49,7 +49,7 @@ class TestProductsAndForm:
     def test_adjacent_product(self, B):
         # three transpositions of S_3 are pairwise adjacent
         prod = B.multiply(B.axis(0), B.axis(1))
-        k = B.system.circ[0, 1]
+        k = B.system.conj[0][1]
         expected = B.zero()
         expected[0] = expected[1] = Fraction(1, 4)
         expected[k] = Fraction(-1, 4)
@@ -213,10 +213,10 @@ class TestSpectrum:
 class TestMiyamoto:
     def test_s3_mapping(self, B):
         pi = B.miyamoto(0)
-        third = B.system.circ[1, 2]
+        third = B.system.conj[1][2]
         assert third == 0
         assert pi.mapping[0] == 0
-        assert pi.mapping[1] == B.system.circ[0, 1]
+        assert pi.mapping[1] == B.system.conj[0][1]
         assert pi.is_involution()
 
     def test_apply_negates_alpha_vectors(self, B):
