@@ -133,20 +133,17 @@ def cmd_catalog(args):
 def _unity_section(algebra, components):
     out = []
     for idx, comp in enumerate(components):
-        k = fischer.valency(algebra.system, comp)
-        if k * algebra.alpha + 4 == 0:
+        omega = algebra.unity(comp)
+        if omega is None:
             out.append(
                 {"component": idx, "exists": False, "coefficient": None,
                  **_verdict("not-run", "k*alpha+4 = 0")}
             )
             continue
-        omega = algebra.unity(comp)
-        coeff = Fraction(4) / (k * algebra.alpha + 4)
         out.append(
             {"component": idx, "exists": True,
-             "coefficient": format_rational(coeff), **_verdict("pass")}
+             "coefficient": format_rational(omega[comp[0]]), **_verdict("pass")}
         )
-        del omega
     return out
 
 
@@ -156,11 +153,7 @@ def _spectra_section(algebra, components):
     dims = []
     for i in range(algebra.n):
         spectrum = algebra.adjoint_spectrum(i)  # raises VerificationError on any defect
-        dims.append({
-            "2": len(spectrum.basis_2),
-            "0": len(spectrum.basis_0),
-            "alpha": len(spectrum.basis_alpha),
-        })
+        dims.append(dict(zip(("2", "0", "alpha"), spectrum.sizes)))
     per_component = [
         {"component": idx, "axis": comp[0], "dims": dims[comp[0]]}
         for idx, comp in enumerate(components)
@@ -269,22 +262,10 @@ def cmd_analyze(args):
 
 
 def positive_definite(algebra):
-    """All leading principal minors positive, via one fraction-free pass."""
-    import math
-
-    n = algebra.n
-    den = math.lcm(*(x.denominator for row in algebra.gram for x in row), 1)
-    m = [[int(x * den) for x in row] for row in algebra.gram]
-    prev = 1
-    for k in range(n):
-        if m[k][k] <= 0:
-            return False
-        for row in range(k + 1, n):
-            for col in range(k + 1, n):
-                m[row][col] = (m[row][col] * m[k][k] - m[row][k] * m[k][col]) // prev
-            m[row][k] = 0
-        prev = m[k][k]
-    return True
+    """All leading principal minors of the Gram matrix positive."""
+    _, gram = algebra.integer_tables()
+    minors = matsuo.bareiss(gram).minors
+    return len(minors) == algebra.n and all(m > 0 for m in minors)
 
 
 def _analysis_text(report, seconds):

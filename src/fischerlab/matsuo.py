@@ -2,7 +2,10 @@
 constants, invariant bilinear form, unity, radical and non-degenerate
 quotient, adjoint eigenstructure, and Miyamoto involutions.
 
-All scalars are Fractions; every verification in this module is exact.
+Scalars are Fractions at the interface.  The checks run on the integer-scaled
+structure tensor and Gram matrix of ``integer_tables``, in int64 only where a
+bound on every value shows that nothing can wrap and in Python ints otherwise,
+so every verification in this module is exact.
 """
 from __future__ import annotations
 
@@ -15,6 +18,7 @@ from . import groups, virasoro
 
 TWO = Fraction(2)
 HALF = Fraction(1, 2)
+_INT64_MAX = 2**63 - 1
 
 
 class MatsuoError(Exception):
@@ -48,21 +52,163 @@ def format_rational(value):
     return f"{f.numerator}/{f.denominator}"
 
 
+def _dtype(bound):
+    """int64 when ``bound`` fits in it, Python ints (object) otherwise."""
+    import numpy as np
+
+    return np.int64 if bound <= _INT64_MAX else object
+
+
+def _exact(bound, *arrays):
+    """The arrays as int64 when none is an object array and ``bound`` bounds
+    every value computed from them, otherwise as object arrays of Python ints,
+    so no product or sum wraps."""
+    dtype = object if any(a.dtype == object for a in arrays) else _dtype(bound)
+    return [a.astype(dtype, copy=False) for a in arrays]
+
+
+def _absmax(a):
+    return max(int(a.max()), -int(a.min())) if a.size else 0
+
+
+def _matmul(a, b):
+    """Exact integer product a @ b."""
+    a, b = _exact(a.shape[-1] * _absmax(a) * _absmax(b), a, b)
+    return a @ b
+
+
+def _int_array(rows, ncols):
+    """A list of integer rows as an int64 array when every entry fits, else as
+    an object array."""
+    import numpy as np
+
+    bound = max((abs(x) for row in rows for x in row), default=0)
+    return np.array(rows, dtype=_dtype(bound)).reshape(len(rows), ncols)
+
+
+def _first(mask):
+    """Index tuple of the first True entry of a boolean array, or None."""
+    import numpy as np
+
+    if not mask.any():
+        return None
+    return tuple(int(x) for x in np.argwhere(mask)[0])
+
+
+def _eigenvalue(alpha, sizes, column):
+    """Eigenvalue of a column of an eigenbasis ordered 2 | 0 | alpha."""
+    if column < sizes[0]:
+        return TWO
+    return Fraction(0) if column < sizes[0] + sizes[1] else alpha
+
+
+@dataclass
+class Elimination:
+    """Fraction-free reduced echelon form of an integer matrix (Bareiss 1968).
+
+    ``echelon`` holds the ``rank`` nonzero rows; in the columns ``pivots`` it
+    is ``det`` times the identity.  ``kernel`` is a basis of the right kernel:
+    for each free column f, the primitive integer vector with a positive entry
+    at f and zeros at the other free columns.  ``minors`` are the leading
+    principal minors det A[:k, :k], k = 1, 2, ..., up to the first that
+    vanishes.
+    """
+
+    rank: int
+    pivots: list
+    echelon: list
+    det: int
+    minors: list
+    kernel: list
+
+
+def bareiss(matrix):
+    """One fraction-free elimination pass over a 2-D integer array: forward
+    Bareiss steps, then back substitution on the free columns only.  Every
+    division is exact, so all entries stay integers (minors of ``matrix``)."""
+    import numpy as np
+
+    m = np.array(matrix, dtype=object)
+    rows, cols = m.shape
+    pivots, minors = [], []
+    det = 1
+    for c in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
+        nonzero = np.flatnonzero(m[r:, c] != 0)
+        if not len(nonzero):
+            continue
+        p = r + int(nonzero[0])
+        if p != r:
+            m[[r, p]] = m[[p, r]]
+        lead = m[r, c]
+        if p == r == c == len(minors):
+            minors.append(lead)
+        below = m[r + 1:, c:]
+        below[...] = (lead * below - np.outer(m[r + 1:, c], m[r, c:])) // det
+        det = lead
+        pivots.append(c)
+    rank = len(pivots)
+    pivot_set = set(pivots)
+    free = [c for c in range(cols) if c not in pivot_set]
+    # Row k of the reduced form is det * (row k of the RREF); it is integral
+    # by Cramer's rule and equals det on its pivot and 0 on the others.
+    reduced = m[:rank, free] * det
+    for k in reversed(range(rank)):
+        later = pivots[k + 1:]
+        if later:
+            reduced[k] -= m[k, later] @ reduced[k + 1:]
+        reduced[k] //= m[k, pivots[k]]
+    echelon = np.zeros((rank, cols), dtype=object)
+    echelon[range(rank), pivots] = det
+    echelon[:, free] = reduced
+    kernel = []
+    for q, f in enumerate(free):
+        x = [0] * cols
+        x[f] = det
+        for k, c in enumerate(pivots):
+            x[c] = -reduced[k, q]
+        g = math.gcd(*x) if det > 0 else -math.gcd(*x)
+        kernel.append([v // g for v in x])
+    return Elimination(rank, pivots, echelon.tolist(), det, minors, kernel)
+
+
 @dataclass
 class AdjointSpectrum:
+    """Adjoint eigenbasis of one axis.  The columns of ``vectors`` (an integer
+    n x n array) are the basis vectors scaled by 2*den(alpha), in the blocks
+    2 | 0 | alpha whose sizes are ``sizes``; ``basis_2``, ``basis_0`` and
+    ``basis_alpha`` are Fraction lists built when read."""
+
     axis: int
     alpha: Fraction
-    basis_2: list
-    basis_0: list
-    basis_alpha: list
+    vectors: object
+    sizes: tuple
 
     @property
     def dims(self):
-        return {
-            TWO: len(self.basis_2),
-            Fraction(0): len(self.basis_0),
-            self.alpha: len(self.basis_alpha),
-        }
+        return dict(zip((TWO, Fraction(0), self.alpha), self.sizes))
+
+    def _block(self, b):
+        start = sum(self.sizes[:b])
+        scale = 2 * self.alpha.denominator
+        return [
+            [Fraction(int(x), scale) for x in self.vectors[:, c]]
+            for c in range(start, start + self.sizes[b])
+        ]
+
+    @property
+    def basis_2(self):
+        return self._block(0)
+
+    @property
+    def basis_0(self):
+        return self._block(1)
+
+    @property
+    def basis_alpha(self):
+        return self._block(2)
 
 
 @dataclass
@@ -164,6 +310,8 @@ class MatsuoAlgebra:
         k*alpha + 4 = 0.  The returned vector omega satisfies
         omega x^i = 2 x^i and (omega | x^i) = beta/2 on the component, and
         omega/2 is an idempotent."""
+        import numpy as np
+
         from . import fischer
 
         if component is None:
@@ -175,17 +323,48 @@ class MatsuoAlgebra:
         if k * self.alpha + 4 == 0:
             return None
         coeff = Fraction(4) / (k * self.alpha + 4)
+        # With coeff = p/q, omega = coeff * (sum of x^i over C), and the tables
+        # scaled as in integer_tables, the identities read (j in C):
+        #   omega x^j = 2 x^j       p * S[j, t]   = q * 4 den(alpha) [t = j]
+        #   omega^2 = 2 omega       p * sum_j S[j, t] = q * 4 den(alpha) [t in C]
+        #   (omega | x^j) = beta/2  p * sum_i G[i, j] = q * 4 den(alpha) num(beta)
+        # where S[j] = sum over i in C of tensor[i, j], i.e. the sums over
+        # tensor[ix_(C, C)], taken without copying the block.
+        p, q = coeff.numerator, coeff.denominator
+        unit = q * 4 * self.alpha.denominator
+        tensor, gram = self.integer_tables()
+        comp = list(component)
+        member = np.zeros(self.n, dtype=bool)
+        member[comp] = True
+        bound = len(comp) ** 2 * max(_absmax(tensor), 1) * max(abs(p), unit)
+        (table,) = _exact(bound, tensor)
+        sums = table.sum(axis=0, initial=0, where=member[:, None, None])[comp]
+        target = np.zeros_like(sums)
+        target[range(len(comp)), comp] = unit
+        hit = _first(p * sums.sum(axis=0) != target.sum(axis=0))
+        if hit is not None:
+            raise VerificationError(
+                f"omega/2 failed the idempotent identity on the component of "
+                f"axis {comp[0]} (coordinate x^{hit[0]})"
+            )
+        hit = _first(p * sums != target)
+        if hit is not None:
+            j, t = comp[hit[0]], hit[1]
+            raise VerificationError(
+                f"omega x^{j} != 2 x^{j} on the component of axis {comp[0]} "
+                f"(coordinate x^{t})"
+            )
+        block = gram[np.ix_(comp, comp)]
+        value = unit * self.beta.numerator
+        bound = max(len(comp) * _absmax(block) * abs(p), abs(value))
+        (block,) = _exact(bound, block)
+        hit = _first(p * block.sum(axis=0) != value)
+        if hit is not None:
+            j = comp[hit[0]]
+            raise VerificationError(f"(omega | x^{j}) != beta/2")
         omega = self.zero()
-        for i in component:
+        for i in comp:
             omega[i] = coeff
-        half = [c / 2 for c in omega]
-        if self.multiply(half, half) != half:
-            raise VerificationError("omega/2 failed the idempotent identity")
-        for i in component:
-            if self.multiply(omega, self.axis(i)) != [2 * c for c in self.axis(i)]:
-                raise VerificationError(f"omega x^{i} != 2 x^{i}")
-            if self.form(omega, self.axis(i)) != self.beta / 2:
-                raise VerificationError(f"(omega | x^{i}) != beta/2")
         return omega
 
     # -- radical and quotient ----------------------------------------------
@@ -193,42 +372,12 @@ class MatsuoAlgebra:
     def gram_radical(self):
         """Kernel of the Gram matrix by fraction-free elimination.
 
-        Returns integer row vectors in reduced echelon form: basis vector f
-        carries the only nonzero entry among the free columns at column f.
+        Returns primitive integer row vectors in reduced echelon form: basis
+        vector f carries the only nonzero entry among the free columns, a
+        positive one, at column f.
         """
-        n = self.n
-        den = math.lcm(
-            *(x.denominator for row in self.gram for x in row), 1
-        )
-        m = [[int(x * den) for x in row] for row in self.gram]
-        pivots = []
-        prev = 1
-        r = 0
-        for c in range(n):
-            piv = next((row for row in range(r, n) if m[row][c]), None)
-            if piv is None:
-                continue
-            m[r], m[piv] = m[piv], m[r]
-            for row in range(r + 1, n):
-                factor = m[row][c]
-                lead = m[r][c]
-                for col in range(c, n):
-                    m[row][col] = (m[row][col] * lead - factor * m[r][col]) // prev
-            prev = m[r][c]
-            pivots.append(c)
-            r += 1
-        free = [c for c in range(n) if c not in pivots]
-        basis = []
-        for f in free:
-            x = [Fraction(0)] * n
-            x[f] = Fraction(1)
-            for idx in range(len(pivots) - 1, -1, -1):
-                c = pivots[idx]
-                s = sum(m[idx][col] * x[col] for col in range(c + 1, n))
-                x[c] = Fraction(-s, m[idx][c])
-            lcd = math.lcm(*(v.denominator for v in x), 1)
-            basis.append([int(v * lcd) for v in x])
-        return basis
+        _, gram = self.integer_tables()
+        return bareiss(gram).kernel
 
     def quotient(self, radical=None):
         if radical is None:
@@ -237,71 +386,115 @@ class MatsuoAlgebra:
 
     # -- adjoint spectrum and Miyamoto involutions --------------------------
 
-    def adjoint_spectrum(self, i):
+    def _eigenbasis(self, i):
+        """The eigenbasis of ad(x^i) as integer columns scaled by
+        2*den(alpha), ordered 2 | 0 | alpha, with every eigen-equation checked
+        in one product.  Returns the basis and its three block sizes."""
+        import numpy as np
+
         if self.alpha == 0 or self.alpha == 2:
             raise DegenerateAlphaError(self.alpha)
-        sys = self.system
-        basis_2 = [self.axis(i)]
-        basis_0 = []
-        basis_alpha = []
-        row = sys.conj[i]
-        for j in range(self.n):
-            if j != i and row[j] == j:
-                basis_0.append(self.axis(j))
-        for j in sys.neighbors(i):
-            jo = row[j]
-            if jo < j:
-                continue  # one vector per {j, i o j} pair
-            minus = self.zero()
-            minus[j] = Fraction(1)
-            minus[jo] = Fraction(-1)
-            basis_alpha.append(minus)
-            plus = self.zero()
-            plus[j] = Fraction(1)
-            plus[jo] += Fraction(1)
-            plus[i] -= self.alpha / 2
-            basis_0.append(plus)
-        xi = self.axis(i)
-        for lam, vecs in ((TWO, basis_2), (Fraction(0), basis_0), (self.alpha, basis_alpha)):
-            for v in vecs:
-                if self.multiply(xi, v) != [lam * c for c in v]:
-                    raise VerificationError(
-                        f"eigen-equation failed for eigenvalue {lam} at axis {i}"
-                    )
-        if len(basis_2) + len(basis_0) + len(basis_alpha) != self.n:
-            raise VerificationError("eigenspace dimensions do not sum to |I|")
-        return AdjointSpectrum(i, self.alpha, basis_2, basis_0, basis_alpha)
+        n = self.n
+        row = self.system.conj[i]
+        a_num = self.alpha.numerator
+        scale = 2 * self.alpha.denominator
+        fixed = [j for j in range(n) if j != i and row[j] == j]
+        pairs = [(j, row[j]) for j in self.system.neighbors(i) if row[j] > j]
+        sizes = (1, len(fixed) + len(pairs), len(pairs))
+        if sum(sizes) != n:
+            raise VerificationError(
+                f"eigenspace dimensions {sizes[0]} + {sizes[1]} + {sizes[2]} "
+                f"of axis {i} do not sum to |I| = {n}"
+            )
+        tensor, _ = self.integer_tables()
+        if tensor.dtype == object:
+            dtype = object
+        else:
+            dtype = _dtype(2 * max(scale, abs(a_num)))
+        basis = np.zeros((n, sum(sizes)), dtype=dtype)
+        basis[i, 0] = scale
+        basis[fixed, range(1, 1 + len(fixed))] = scale
+        if pairs:
+            js, jos = (list(t) for t in zip(*pairs))
+            plus = np.arange(1 + len(fixed), sizes[0] + sizes[1])
+            minus = plus + len(pairs)
+            basis[js, plus] = scale
+            basis[jos, plus] += scale
+            basis[i, plus] -= a_num
+            basis[js, minus] = scale
+            basis[jos, minus] -= scale
+        # ad(x^i) scaled by 2*den(alpha) is tensor[i].T; eigenvalue lam
+        # scales to 2*den(alpha)*lam.
+        lam = np.array(
+            [2 * scale] + [0] * sizes[1] + [2 * a_num] * sizes[2], dtype=dtype
+        )
+        lhs = _matmul(tensor[i].T, basis)
+        vecs, lam = _exact(_absmax(basis) * _absmax(lam), basis, lam)
+        hit = _first(lhs != vecs * lam)
+        if hit is not None:
+            c = hit[1]
+            value = _eigenvalue(self.alpha, sizes, c)
+            raise VerificationError(
+                f"eigen-equation failed for eigenvalue {value} at axis {i}, "
+                f"column {c} (coordinate x^{hit[0]})"
+            )
+        return basis, sizes
+
+    def adjoint_spectrum(self, i):
+        basis, sizes = self._eigenbasis(i)
+        return AdjointSpectrum(i, self.alpha, basis, sizes)
 
     def miyamoto(self, i):
         """The Miyamoto involution of axis i as a basis permutation (row i of
         the conjugation table), verified to act by +1 on the {2, 0}
         eigenspaces and -1 on the alpha eigenspace, and to be a
         form-preserving algebra automorphism."""
+        import numpy as np
+
         mapping = self.system.conj[i]
-        pi = MiyamotoMap(i, mapping)
-        if not pi.is_involution():
-            raise VerificationError(f"miyamoto map of axis {i} is not an involution")
+        perm = np.array(mapping)
+        hit = _first(perm[perm] != np.arange(self.n))
+        if hit is not None:
+            j = hit[0]
+            raise VerificationError(
+                f"miyamoto map of axis {i} is not an involution: "
+                f"x^{j} -> x^{perm[j]} -> x^{perm[perm[j]]}"
+            )
         if self.alpha not in (0, 2):
-            spectrum = self.adjoint_spectrum(i)
-            for v in spectrum.basis_2 + spectrum.basis_0:
-                if pi.apply(v) != v:
-                    raise VerificationError("miyamoto map moved a +1 eigenvector")
-            for v in spectrum.basis_alpha:
-                if pi.apply(v) != [-c for c in v]:
-                    raise VerificationError("miyamoto map failed to negate an alpha eigenvector")
+            basis, sizes = self._eigenbasis(i)
+            sign = np.ones(basis.shape[1], dtype=np.int64)
+            sign[sizes[0] + sizes[1]:] = -1
+            hit = _first(basis[perm] != basis * sign)
+            if hit is not None:
+                c = hit[1]
+                if sign[c] > 0:
+                    value = _eigenvalue(self.alpha, sizes, c)
+                    raise VerificationError(
+                        f"miyamoto map of axis {i} moved a +1 eigenvector "
+                        f"(eigenvalue {value}, column {c})"
+                    )
+                raise VerificationError(
+                    f"miyamoto map of axis {i} failed to negate an alpha "
+                    f"eigenvector (column {c})"
+                )
+        # An automorphism that permutes the basis relabels both tables:
+        # tensor[ix_(perm, perm, perm)] == tensor, compared one slice
+        # tensor[j] at a time so that no copy of the whole tensor is made.
+        tensor, gram = self.integer_tables()
         for j in range(self.n):
-            for k in range(j, self.n):
-                mapped = sorted((mapping[t], c) for t, c in self.product_terms(j, k))
-                direct = sorted(self.product_terms(mapping[j], mapping[k]))
-                if mapped != list(direct):
-                    raise VerificationError(
-                        f"miyamoto map of axis {i} is not an automorphism at pair ({j},{k})"
-                    )
-                if self.gram_entry(j, k) != self.gram_entry(mapping[j], mapping[k]):
-                    raise VerificationError(
-                        f"miyamoto map of axis {i} is not an isometry at pair ({j},{k})"
-                    )
-        return pi
+            hit = _first(tensor[perm[j]][np.ix_(perm, perm)] != tensor[j])
+            if hit is not None:
+                raise VerificationError(
+                    f"miyamoto map of axis {i} is not an automorphism at pair "
+                    f"({j},{hit[0]})"
+                )
+        hit = _first(gram[np.ix_(perm, perm)] != gram)
+        if hit is not None:
+            raise VerificationError(
+                f"miyamoto map of axis {i} is not an isometry at pair "
+                f"({hit[0]},{hit[1]})"
+            )
+        return MiyamotoMap(i, mapping)
 
     def sigma_action(self, group):
         """The conjugation action of an enumerated group on the basis, with
@@ -365,8 +558,13 @@ class MatsuoAlgebra:
         tables can be checked in integer arithmetic.  The arrays are int64
         when every entry of ``triple_table`` provably fits (n * max|T| *
         max|G| < 2^63), and object arrays of Python ints otherwise, so no
-        product wraps.
+        product wraps.  They are built once per algebra, and every check
+        reads these same arrays.
         """
+        return self._tables
+
+    @cached_property
+    def _tables(self):
         import numpy as np
 
         n = self.n
@@ -374,8 +572,7 @@ class MatsuoAlgebra:
         b_num = self.beta.numerator
         max_t = max(4 * a_den, abs(a_num))
         max_g = max(abs(4 * a_den * b_num), abs(a_num * b_num))
-        fits = max(max_t, max_g, n * max_t * max_g) <= np.iinfo(np.int64).max
-        dtype = np.int64 if fits else object
+        dtype = _dtype(max(max_t, max_g, n * max_t * max_g))
         tensor = np.zeros((n, n, n), dtype=dtype)
         gram = np.zeros((n, n), dtype=dtype)
         for i in range(n):
@@ -398,17 +595,24 @@ class MatsuoAlgebra:
     def verify_axioms(self):
         """Exhaustive exact check of commutativity, form symmetry and
         invariance (uv|w) = (u|vw) over all basis triples."""
-        import numpy as np
-
         tensor, gram = self.integer_tables()
-        if not np.array_equal(tensor, tensor.transpose(1, 0, 2)):
-            raise VerificationError("product is not commutative")
-        if not np.array_equal(gram, gram.T):
-            raise VerificationError("form is not symmetric")
+        hit = _first(tensor != tensor.transpose(1, 0, 2))
+        if hit is not None:
+            raise VerificationError(
+                f"product is not commutative at pair ({hit[0]},{hit[1]})"
+            )
+        hit = _first(gram != gram.T)
+        if hit is not None:
+            raise VerificationError(
+                f"form is not symmetric at pair ({hit[0]},{hit[1]})"
+            )
         # invariance says t[i,j,k] = t[j,k,i]
         t = self.triple_table(tensor, gram)
-        if not np.array_equal(t, t.transpose(1, 2, 0)):
-            raise VerificationError("form is not invariant")
+        hit = _first(t != t.transpose(1, 2, 0))
+        if hit is not None:
+            raise VerificationError(
+                f"form is not invariant at triple ({hit[0]},{hit[1]},{hit[2]})"
+            )
         return True
 
 
@@ -418,38 +622,55 @@ class MatsuoQuotient:
     non-degenerate."""
 
     def __init__(self, algebra, radical):
+        import numpy as np
+
         self.algebra = algebra
         self.radical = radical
         n = algebra.n
-        self._reduced, self._pivot_cols = _rref(
-            [[Fraction(x) for x in row] for row in radical]
-        )
-        if len(self._reduced) != len(radical):
+        rows = [[Fraction(x) for x in row] for row in radical]
+        if any(len(row) != n for row in rows):
+            raise MatsuoError(f"radical vectors must have length {n}")
+        scales = [math.lcm(*(x.denominator for x in row)) for row in rows]
+        rows = _int_array([[int(x * d) for x in row] for row, d in zip(rows, scales)], n)
+        elim = bareiss(rows)
+        if elim.rank != len(rows):
             raise MatsuoError("radical basis is linearly dependent")
-        free_set = set(self._pivot_cols)
-        self.rep_indices = [c for c in range(n) if c not in free_set]
+        self._pivot_cols = elim.pivots
+        self._echelon = elim.echelon
+        self._det = elim.det
+        pivot_set = set(elim.pivots)
+        self.rep_indices = [c for c in range(n) if c not in pivot_set]
         self.dim = len(self.rep_indices)
-        self._rep_pos = {c: p for p, c in enumerate(self.rep_indices)}
-        self._verify_ideal()
-        self.gram = [
-            [algebra.gram_entry(p, q) for q in self.rep_indices]
+        self._verify_ideal(rows, elim.kernel)
+        _, gram = algebra.integer_tables()
+        reps = self.rep_indices
+        form = bareiss(gram[np.ix_(reps, reps)])
+        if form.rank != self.dim:
+            dependent = next(p for p in range(self.dim) if p not in form.pivots)
+            raise VerificationError(
+                f"induced form on the quotient is degenerate: rank {form.rank} "
+                f"of {self.dim}, the Gram column of x^{reps[dependent]} depends "
+                f"on earlier ones"
+            )
+
+    @cached_property
+    def gram(self):
+        a = self.algebra
+        return [
+            [a.gram_entry(p, q) for q in self.rep_indices]
             for p in self.rep_indices
         ]
-        if _fraction_rank(self.gram) != self.dim:
-            raise VerificationError("induced form on the quotient is degenerate")
 
     def reduce(self, vector):
         """Canonical coset representative with zero pivot coordinates."""
-        v = list(vector)
-        for f, row in zip(self._pivot_cols, self._reduced):
+        v = [Fraction(x) for x in vector]
+        for f, row in zip(self._pivot_cols, self._echelon):
             c = v[f]
             if c:
                 for col, x in enumerate(row):
-                    v[col] -= c * x
+                    if x:
+                        v[col] -= c * Fraction(x, self._det)
         return v
-
-    def contains_in_radical(self, vector):
-        return not any(self.reduce(vector))
 
     def coords(self, vector):
         v = self.reduce(vector)
@@ -462,58 +683,22 @@ class MatsuoQuotient:
         w = a.multiply(a.axis(self.rep_indices[p]), a.axis(self.rep_indices[q]))
         return self.coords(w)
 
-    def _verify_ideal(self):
+    def _verify_ideal(self, rows, kernel):
+        """Every product of a radical row with an axis lies in the span of the
+        rows: with W = rows . tensor, each row of W is annihilated by the
+        kernel of ``rows``."""
         a = self.algebra
-        for row in self.radical:
-            vec = [Fraction(x) for x in row]
-            for i in range(a.n):
-                w = a.multiply(vec, a.axis(i))
-                if not self.contains_in_radical(w):
-                    raise RadicalNotIdealError(
-                        f"radical vector times axis {i} left the radical"
-                    )
-
-
-def _rref(rows):
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    m = [list(row) for row in rows]
-    pivots = []
-    r = 0
-    ncols = len(m[0]) if m else 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        lead = m[r][c]
-        m[r] = [x / lead for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    return m[:r], pivots
-
-
-def _fraction_rank(matrix):
-    """Plain Gaussian elimination rank over the rationals."""
-    m = [list(row) for row in matrix]
-    rank = 0
-    cols = len(m[0]) if m else 0
-    for c in range(cols):
-        piv = next((r for r in range(rank, len(m)) if m[r][c]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = 1 / m[rank][c]
-        m[rank] = [x * inv for x in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][c]:
-                f = m[r][c]
-                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
-        rank += 1
-    return rank
+        n = a.n
+        if not len(rows) or not kernel:
+            return
+        tensor, _ = a.integer_tables()
+        products = _matmul(rows, tensor.reshape(n, n * n)).reshape(len(rows) * n, n)
+        hit = _first(_matmul(products, _int_array(kernel, n).T) != 0)
+        if hit is not None:
+            row, i = divmod(hit[0], n)
+            raise RadicalNotIdealError(
+                f"radical row {row} times axis {i} left the radical"
+            )
 
 
 def export_gram_csv(algebra):

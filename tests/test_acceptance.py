@@ -90,15 +90,12 @@ def test_criterion_2_eigenstructure(capsys, system_factory):
                 assert alpha not in (0, 2)
                 algebra = matsuo.MatsuoAlgebra(sys_, alpha, beta)
                 for i in range(algebra.n):
-                    spec = algebra.adjoint_spectrum(i)
+                    dims = algebra.adjoint_spectrum(i).dims
                     k_i = len(sys_.neighbors(i))
-                    assert len(spec.basis_2) == 1
-                    assert len(spec.basis_alpha) == k_i // 2
+                    assert dims[2] == 1
+                    assert dims[alpha] == k_i // 2
                     assert k_i % 2 == 0
-                    dims_total = sum(
-                        map(len, (spec.basis_2, spec.basis_0, spec.basis_alpha))
-                    )
-                    assert dims_total == algebra.n
+                    assert sum(dims.values()) == algebra.n
                     # miyamoto() verifies: involution, algebra automorphism,
                     # form isometry, +1 on the {2, 0} spaces, -1 on alpha
                     pi = algebra.miyamoto(i)

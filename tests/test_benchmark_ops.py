@@ -1,5 +1,6 @@
-"""The library ops of the benchmark (perfbench/op.py) still run on the package
-and print their recorded goldens byte for byte."""
+"""The library ops of the benchmark (perfbench/op.py) and one of its CLI ops
+still run on the package and print their recorded goldens byte for byte, and
+the CLI start-up path of its sweep stays free of numpy."""
 import os
 import subprocess
 import sys
@@ -11,19 +12,38 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 OPS = {
-    "o5f3-graph": ["graph", "orthogonal-f3:dim=5"],
-    "e8-graph": ["graph", "weyl:type=E,rank=8"],
-    "e6-alpha-one": ["algebra", "weyl:type=E,rank=6", "1", "1"],
+    "o5f3-graph": ["perfbench/op.py", "graph", "orthogonal-f3:dim=5"],
+    "e8-graph": ["perfbench/op.py", "graph", "weyl:type=E,rank=8"],
+    "e6-alpha-one": ["perfbench/op.py", "algebra", "weyl:type=E,rank=6", "1", "1"],
+    "e6-alpha-half": ["perfbench/op.py", "algebra", "weyl:type=E,rank=6", "1/2", "1/2"],
+    "o6m2-cold": ["-m", "fischerlab.cli", "analyze", "orthogonal-f2:dim=6,eps=-", "--json"],
 }
+
+
+def run(args):
+    env = dict(os.environ, PYTHONPATH="src")
+    return subprocess.run(
+        [sys.executable, *args], cwd=ROOT, env=env, capture_output=True, timeout=300,
+    )
 
 
 @pytest.mark.parametrize("golden", OPS)
 def test_op_matches_golden(golden):
-    env = dict(os.environ, PYTHONPATH="src")
-    proc = subprocess.run(
-        [sys.executable, "perfbench/op.py", *OPS[golden]],
-        cwd=ROOT, env=env, capture_output=True, timeout=300,
-    )
+    proc = run(OPS[golden])
     assert proc.returncode == 0, proc.stderr.decode()
     expected = (ROOT / "perfbench" / "goldens" / f"{golden}.json").read_bytes()
+    assert proc.stdout == expected
+
+
+def test_cli_start_up_leaves_numpy_unloaded():
+    code = (
+        "import sys\n"
+        "import fischerlab.cli\n"
+        "assert 'numpy' not in sys.modules, 'import'\n"
+        "assert fischerlab.cli.main(['sakuma', '3A', '--json']) == 0\n"
+        "assert 'numpy' not in sys.modules, 'sakuma'\n"
+    )
+    proc = run(["-c", code])
+    assert proc.returncode == 0, proc.stderr.decode()
+    expected = (ROOT / "perfbench" / "goldens" / "sakuma-3a.json").read_bytes()
     assert proc.stdout == expected

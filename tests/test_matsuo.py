@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from fischerlab import matsuo
+from fischerlab import fischer, matsuo
 from fischerlab.matsuo import (
     DegenerateAlphaError,
     MatsuoAlgebra,
     NotSigmaConfigurationError,
     RadicalNotIdealError,
+    VerificationError,
     format_rational,
     parse_rational,
 )
@@ -230,6 +231,152 @@ class TestMiyamoto:
         A = MatsuoAlgebra(sys, HALF, Fraction(1, 16))
         for i in range(A.n):
             assert A.miyamoto(i).is_involution()
+
+
+def with_conj_entry(system, i, j, value):
+    """A copy of ``system`` whose conjugation table has conj[i][j] = value."""
+    conj = list(system.conj)
+    row = list(conj[i])
+    row[j] = value
+    conj[i] = tuple(row)
+    return fischer.TranspositionSystem(system.involutions, conj, system.generators)
+
+
+def with_corrupt_column(monkeypatch, column, row):
+    """Make every eigenbasis carry one extra unit at (row, column)."""
+    real = MatsuoAlgebra._eigenbasis
+
+    def corrupt(self, i):
+        basis, sizes = real(self, i)
+        basis = basis.copy()
+        basis[row, column] += 1
+        return basis, sizes
+
+    monkeypatch.setattr(MatsuoAlgebra, "_eigenbasis", corrupt)
+
+
+class TestWitnesses:
+    """Each failure message of the table checks names its witness; every
+    test corrupts one table entry, conjugation row or eigenvector column.
+
+    On S4 at alpha = beta = 1/2, conj row 0 is (0, 2, 1, 3, 5, 4): axis 3
+    commutes with axis 0, and the neighbours pair up as {1, 2} and {4, 5}, so
+    the eigenbasis of axis 0 has the columns x^0 | x^3, two plus vectors |
+    x^1 - x^2, x^4 - x^5.
+    """
+
+    @pytest.fixture
+    def A(self, s4):
+        assert s4.conj[0] == (0, 2, 1, 3, 5, 4)
+        return MatsuoAlgebra(s4, HALF, HALF)
+
+    def test_eigen_equation(self, A):
+        tensor, _ = A.integer_tables()
+        tensor[0, 0, 3] += 1
+        with pytest.raises(VerificationError, match=(
+            r"^eigen-equation failed for eigenvalue 2 at axis 0, column 0 "
+            r"\(coordinate x\^3\)$"
+        )):
+            A.adjoint_spectrum(0)
+
+    def test_dimensions(self, s4):
+        A = MatsuoAlgebra(with_conj_entry(s4, 0, 5, 5), HALF, HALF)
+        with pytest.raises(VerificationError, match=(
+            r"^eigenspace dimensions 1 \+ 4 \+ 2 of axis 0 do not sum to \|I\| = 6$"
+        )):
+            A.adjoint_spectrum(0)
+
+    def test_miyamoto_involution(self, s4):
+        A = MatsuoAlgebra(with_conj_entry(s4, 0, 5, 5), HALF, HALF)
+        with pytest.raises(VerificationError, match=(
+            r"^miyamoto map of axis 0 is not an involution: x\^4 -> x\^5 -> x\^5$"
+        )):
+            A.miyamoto(0)
+
+    def test_miyamoto_plus_one(self, A, monkeypatch):
+        with_corrupt_column(monkeypatch, column=1, row=1)
+        with pytest.raises(VerificationError, match=(
+            r"^miyamoto map of axis 0 moved a \+1 eigenvector \(eigenvalue 0, column 1\)$"
+        )):
+            A.miyamoto(0)
+
+    def test_miyamoto_minus_one(self, A, monkeypatch):
+        with_corrupt_column(monkeypatch, column=4, row=3)
+        with pytest.raises(VerificationError, match=(
+            r"^miyamoto map of axis 0 failed to negate an alpha eigenvector \(column 4\)$"
+        )):
+            A.miyamoto(0)
+
+    def test_miyamoto_automorphism(self, A):
+        tensor, _ = A.integer_tables()
+        tensor[3, 4, 4] += 1
+        with pytest.raises(VerificationError, match=(
+            r"^miyamoto map of axis 0 is not an automorphism at pair \(3,4\)$"
+        )):
+            A.miyamoto(0)
+
+    def test_miyamoto_isometry(self, A):
+        _, gram = A.integer_tables()
+        gram[3, 4] += 1
+        with pytest.raises(VerificationError, match=(
+            r"^miyamoto map of axis 0 is not an isometry at pair \(3,4\)$"
+        )):
+            A.miyamoto(0)
+
+    def test_unity_idempotent(self, A):
+        tensor, _ = A.integer_tables()
+        tensor[0, 1, 3] += 1
+        with pytest.raises(VerificationError, match=(
+            r"^omega/2 failed the idempotent identity on the component of axis 0 "
+            r"\(coordinate x\^3\)$"
+        )):
+            A.unity()
+
+    def test_unity_axis(self, A):
+        # moving a unit between two products keeps omega^2 but not omega x^1
+        tensor, _ = A.integer_tables()
+        tensor[0, 1, 3] += 1
+        tensor[0, 2, 3] -= 1
+        with pytest.raises(VerificationError, match=(
+            r"^omega x\^1 != 2 x\^1 on the component of axis 0 \(coordinate x\^3\)$"
+        )):
+            A.unity()
+
+    def test_unity_form(self, A):
+        _, gram = A.integer_tables()
+        gram[2, 3] += 1
+        with pytest.raises(VerificationError, match=r"^\(omega \| x\^3\) != beta/2$"):
+            A.unity()
+
+    def test_ideal(self, s3):
+        # at alpha = -2 the radical is span{x^0 + x^1 + x^2}; the second row
+        # is not in any ideal with it
+        A = MatsuoAlgebra(s3, Fraction(-2), HALF)
+        with pytest.raises(RadicalNotIdealError, match=(
+            r"^radical row 1 times axis 0 left the radical$"
+        )):
+            A.quotient([[1, 1, 1], [1, -1, 0]])
+
+    def test_degenerate_quotient(self, s3):
+        A = MatsuoAlgebra(s3, Fraction(-2), HALF)
+        with pytest.raises(VerificationError, match=(
+            r"^induced form on the quotient is degenerate: rank 2 of 3, the Gram "
+            r"column of x\^2 depends on earlier ones$"
+        )):
+            A.quotient([])
+
+    def test_axioms(self, s4):
+        A = MatsuoAlgebra(s4, HALF, HALF)
+        tensor, gram = A.integer_tables()
+        tensor[3, 4, 4] += 1
+        with pytest.raises(VerificationError, match=r"^product is not commutative at pair \(3,4\)$"):
+            A.verify_axioms()
+        tensor[4, 3, 4] += 1
+        with pytest.raises(VerificationError, match=r"^form is not invariant at triple \("):
+            A.verify_axioms()
+        gram[2, 3] += 1
+        with pytest.raises(VerificationError, match=r"^form is not symmetric at pair \(2,3\)$"):
+            A.verify_axioms()
 
 
 class TestSigmaAction:
