@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product as iproduct
 
-from .groups import FpMatrix, Permutation, StructuralError
+from .groups import FpMatrix, Permutation, StructuralError, closure
 
 SYMMETRIC_MAX_N = 12
 SYMPLECTIC_MAX_N = 3
@@ -214,18 +214,8 @@ def _reflect(x, v):
 
 
 def _close_roots(simple):
-    roots = set(simple) | {tuple(-a for a in r) for r in simple}
-    frontier = list(roots)
-    while frontier:
-        new = []
-        for x in frontier:
-            for v in simple:
-                y = _reflect(x, v)
-                if y not in roots:
-                    roots.add(y)
-                    new.append(y)
-        frontier = new
-    return sorted(roots)
+    start = set(simple) | {tuple(-a for a in r) for r in simple}
+    return sorted(closure(start, lambda x: [_reflect(x, v) for v in simple]))
 
 
 def weyl(kind, rank):

@@ -1,10 +1,13 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 mathematical-verdict failure, 2 usage error or an
-output file that cannot be written, 3 resource cap exceeded.  All machine
-output serializes rationals as "p/q" strings and uses canonical (sorted-key)
-JSON, so emitted JSON round-trips byte-identically.  Timings appear only in
-the human-readable text output.
+output file that cannot be written, 3 resource cap exceeded: the group order
+is above --max-order (no cap unless given) or the class is larger than
+--max-axes.  A negative rational is written with '=', as in --alpha=-2/3,
+because argparse reads a separate "-2/3" as an option.  All machine output
+serializes rationals as "p/q" strings and uses canonical (sorted-key) JSON,
+so emitted JSON round-trips byte-identically.  Timings appear only in the
+human-readable text output.
 """
 from __future__ import annotations
 
@@ -17,7 +20,7 @@ from fractions import Fraction
 from . import catalog, fischer, groups, matsuo, virasoro
 from .catalog import CatalogError
 from .fischer import NotThreeTranspositionError
-from .groups import DEFAULT_MAX_ORDER, EnumerationCapError
+from .groups import EnumerationCapError
 from .matsuo import MatsuoError, format_rational
 from .virasoro import NotInTableError, VirasoroError
 
@@ -54,8 +57,19 @@ def _parse_label(text):
         raise argparse.ArgumentTypeError(f"label must be integers 'r,s', got {text!r}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Says how to pass a negative rational when an option lacks its value:
+    argparse reads "--alpha -2/3" as two options."""
+
+    def error(self, message):
+        if message.endswith("expected one argument"):
+            option = message.split(":")[0].removeprefix("argument ")
+            message += f" (write a negative value as {option}=-p/q)"
+        super().error(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fischerlab",
         description="3-transposition groups, Fischer graphs, Matsuo algebras "
         "and unitary-series fusion calculus.",
@@ -68,9 +82,12 @@ def build_parser():
 
     p_an = sub.add_parser("analyze", help="full analysis of a catalog descriptor")
     p_an.add_argument("descriptor")
-    p_an.add_argument("--alpha", type=_parse_fraction, default=Fraction(1, 2))
-    p_an.add_argument("--beta", type=_parse_fraction, default=Fraction(1, 2))
-    p_an.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER)
+    p_an.add_argument("--alpha", type=_parse_fraction, default=Fraction(1, 2),
+                      metavar="p/q", help="default 1/2; negative: --alpha=-2/3")
+    p_an.add_argument("--beta", type=_parse_fraction, default=Fraction(1, 2),
+                      metavar="p/q", help="default 1/2; negative: --beta=-1/5")
+    p_an.add_argument("--max-order", type=int,
+                      help="exit 3 when the group order is above this (no default)")
     p_an.add_argument("--max-axes", type=int, default=DEFAULT_MAX_AXES)
     p_an.add_argument("--threads", type=int, default=1)
     p_an.add_argument("--dot", metavar="FILE", help="export the Fischer graph as DOT")
@@ -87,7 +104,8 @@ def build_parser():
     p_fu.add_argument("--grid", action="store_true", help="list all module weights")
     p_fu.add_argument("--sector", action="store_true", help="show P_m and sigma signs")
     p_fu.add_argument("--contains", type=_parse_fraction, metavar="p/q",
-                      help="with --grid: test membership of a weight")
+                      help="with --grid: test membership of a weight; "
+                      "negative: --contains=-1/5")
     p_fu.add_argument("--json", nargs="?", const="-", metavar="FILE")
 
     p_sa = sub.add_parser("sakuma", help="dihedral-subalgebra table lookups")
@@ -263,8 +281,7 @@ def cmd_analyze(args):
 
 def positive_definite(algebra):
     """All leading principal minors of the Gram matrix positive."""
-    _, gram = algebra.integer_tables()
-    minors = matsuo.bareiss(gram).minors
+    minors = algebra.gram_elimination.minors
     return len(minors) == algebra.n and all(m > 0 for m in minors)
 
 

@@ -10,7 +10,7 @@ layer are all read from it.
 from __future__ import annotations
 
 from . import groups
-from .groups import EnumerationCapError, GroupError
+from .groups import GroupError
 
 DEFAULT_MAX_AXES = 512
 
@@ -92,13 +92,12 @@ class TranspositionSystem:
         return order, order // self.class_action_order()
 
 
-def build_system(generators, seed, max_axes=DEFAULT_MAX_AXES, class_cap=100_000):
+def build_system(generators, seed, max_axes=DEFAULT_MAX_AXES):
     """Conjugacy-close the seed and build its conjugation table, failing
-    loudly if any product of two class members has order above 3."""
-    involutions = groups.conjugacy_closure(seed, generators, cap=class_cap)
+    loudly if any product of two class members has order above 3.  The
+    closure stops as soon as it passes ``max_axes`` involutions."""
+    involutions = groups.conjugacy_closure(seed, generators, cap=max_axes)
     n = len(involutions)
-    if n > max_axes:
-        raise EnumerationCapError(max_axes, n)
     index = {x.key: i for i, x in enumerate(involutions)}
     mul = involutions[0].key_mul()
     keys = [x.key for x in involutions]
@@ -123,35 +122,20 @@ def build_system(generators, seed, max_axes=DEFAULT_MAX_AXES, class_cap=100_000)
 def components(sys):
     """Connected components of the Fischer graph, each cross-checked to be a
     single conjugacy class of the group generated by the involutions."""
-    n = sys.size
     conj = sys.conj
-    seen = [False] * n
+    seen = set()
     comps = []
-    for start in range(n):
-        if seen[start]:
+    for start in range(sys.size):
+        if start in seen:
             continue
-        comp = []
-        stack = [start]
-        seen[start] = True
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in sys.neighbors(v):
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        comp.sort()
-        orbit = {start}
-        frontier = {start}
-        while frontier:
-            frontier = {row[v] for v in frontier for row in conj} - orbit
-            orbit |= frontier
-        if orbit != set(comp):
+        comp = groups.closure([start], sys.neighbors)
+        orbit = groups.closure([start], lambda v: [row[v] for row in conj])
+        if set(orbit) != set(comp):
             raise GroupError(
                 f"component of #{start} does not match its conjugacy class"
             )
-        comps.append(comp)
-    comps.sort()
+        seen.update(comp)
+        comps.append(sorted(comp))
     return comps
 
 

@@ -381,32 +381,46 @@ class GeneratedGroup:
         return len(self.element_keys)
 
 
+def closure(start, step, cap=None):
+    """Breadth-first closure of the keys ``start`` under ``step``, where
+    ``step(key)`` lists the keys one move away.
+
+    Returns the sorted start keys, then each new layer in key order.  Raises
+    EnumerationCapError as soon as more than ``cap`` keys are reached.
+    """
+    seen = set(start)
+    limit = math.inf if cap is None else cap
+    if len(seen) > limit:
+        raise EnumerationCapError(cap, len(seen))
+    out = sorted(seen)
+    frontier = out
+    while frontier:
+        layer = []
+        for key in frontier:
+            for k in step(key):
+                if k not in seen:
+                    seen.add(k)
+                    layer.append(k)
+                    if len(seen) > limit:
+                        raise EnumerationCapError(cap, len(seen))
+        layer.sort()
+        out.extend(layer)
+        frontier = layer
+    return out
+
+
 def generate(generators, max_order=DEFAULT_MAX_ORDER):
-    """Breadth-first closure of the generators under multiplication."""
+    """Breadth-first closure of the identity under right multiplication by
+    the generators."""
     template = _check_compatible(generators)
     if isinstance(template, FpMatrix):
         for g in generators:
             g.inverse()  # raises if singular
     gen_keys = sorted({g.key for g in generators})
-
     mul = template.key_mul()
-    id_key = template.identity_key()
-    seen = {id_key}
-    elements = [id_key]
-    frontier = [id_key]
-    while frontier:
-        new = []
-        for a in frontier:
-            for g in gen_keys:
-                k = mul(a, g)
-                if k not in seen:
-                    seen.add(k)
-                    new.append(k)
-            if len(seen) > max_order:
-                raise EnumerationCapError(max_order, len(seen))
-        new.sort()
-        elements.extend(new)
-        frontier = new
+    elements = closure(
+        [template.identity_key()], lambda a: [mul(a, g) for g in gen_keys], max_order
+    )
     return GeneratedGroup(generators, elements)
 
 
@@ -497,10 +511,10 @@ def permutation_group_order(generators):
 def group_order(generators, max_order=DEFAULT_MAX_ORDER):
     """Exact order of the generated group without enumerating it: Schreier–Sims
     on a faithful permutation action.  Raises EnumerationCapError when the
-    order exceeds ``max_order``."""
+    order exceeds ``max_order`` (None: no cap)."""
     _check_compatible(generators)
     order = permutation_group_order(permutation_images(g) for g in generators)
-    if order > max_order:
+    if max_order is not None and order > max_order:
         raise EnumerationCapError(
             max_order, order, f"group order {order} exceeds the order cap {max_order}"
         )
@@ -516,24 +530,12 @@ def conjugacy_closure(seed, group_gens, cap=100_000):
             raise StructuralError(f"seed element is not an involution: {s!r}")
     mul = template.key_mul()
     conj_pairs = [(g.inverse().key, g.key) for g in group_gens]
-    seen = {s.key for s in seed}
-    frontier = sorted(seen)
-    out = list(frontier)
-    while frontier:
-        new = []
-        for x in frontier:
-            for ginv, g in conj_pairs:
-                k = mul(mul(ginv, x), g)
-                if k not in seen:
-                    seen.add(k)
-                    new.append(k)
-            if len(seen) > cap:
-                raise EnumerationCapError(cap, len(seen))
-        new.sort()
-        out.extend(new)
-        frontier = new
-    out.sort()
-    return [template.peer(k) for k in out]
+    keys = closure(
+        [s.key for s in seed],
+        lambda x: [mul(mul(ginv, x), g) for ginv, g in conj_pairs],
+        cap,
+    )
+    return [template.peer(k) for k in sorted(keys)]
 
 
 def center(group):

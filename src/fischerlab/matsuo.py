@@ -374,10 +374,9 @@ class MatsuoAlgebra:
 
         Returns primitive integer row vectors in reduced echelon form: basis
         vector f carries the only nonzero entry among the free columns, a
-        positive one, at column f.
+        positive one, at column f.  Each call returns fresh lists.
         """
-        _, gram = self.integer_tables()
-        return bareiss(gram).kernel
+        return [list(v) for v in self.gram_elimination.kernel]
 
     def quotient(self, radical=None):
         if radical is None:
@@ -585,6 +584,12 @@ class MatsuoAlgebra:
                     tensor[i, j, c] -= a_num
                     gram[i, j] = a_num * b_num
         return tensor, gram
+
+    @cached_property
+    def gram_elimination(self):
+        """The one ``bareiss`` elimination of the Gram table; the radical and
+        positive definiteness both read it."""
+        return bareiss(self._tables[1])
 
     def triple_table(self, tensor, gram):
         """t[i, j, k] = (x^i x^j | x^k) scaled by 16*den(alpha)^2*den(beta),

@@ -94,7 +94,16 @@ class TestAnalyze:
     def test_axis_cap_exit_code(self, capsys):
         code, _, err = run(capsys, "analyze", "symmetric:n=6", "--max-axes", "10")
         assert code == 3
-        assert "cap" in err
+        assert re.fullmatch(
+            r"error: closure exceeded cap 10 \(reached \d+ elements\)\n", err
+        )
+
+    def test_no_order_cap_by_default(self, capsys):
+        code, out, _ = run(capsys, "analyze", "weyl:type=E,rank=7", "--json")
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["group_order"] == 2_903_040
+        assert payload["center_order"] == 2
 
     def test_order_cap_exit_code(self, capsys):
         code, _, err = run(capsys, "analyze", "symmetric:n=6", "--max-order", "100")
@@ -276,6 +285,26 @@ class TestUsage:
     def test_no_command(self, capsys):
         assert cli.main([]) == 2
         capsys.readouterr()
+
+    def test_negative_rationals_with_equals(self, capsys):
+        code, out, _ = run(
+            capsys, "analyze", "symmetric:n=4", "--alpha=-2/3", "--beta=-1/5",
+            "--json",
+        )
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["matsuo"]["alpha"] == "-2/3"
+        assert payload["matsuo"]["beta"] == "-1/5"
+
+    @pytest.mark.parametrize("argv, option", [
+        (("analyze", "symmetric:n=4", "--alpha", "-2/3"), "--alpha"),
+        (("fusion", "--m", "3", "--grid", "--contains", "-1/5"), "--contains"),
+    ])
+    def test_negative_rational_without_equals_says_how(self, capsys, argv, option):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert f"argument {option}: expected one argument" in err
+        assert f"{option}=-p/q" in err
 
     def test_bad_rational(self, capsys):
         code, _, _ = run(capsys, "analyze", "symmetric:n=3", "--alpha", "x/y")

@@ -1,7 +1,7 @@
 """Fischer graphs: adjacency, components, triple classification, H detection."""
 import pytest
 
-from fischerlab import groups
+from fischerlab import catalog, groups
 from fischerlab.fischer import (
     H_TYPE,
     S3_COLLAPSE,
@@ -45,8 +45,10 @@ class TestBuildSystem:
 
     def test_axis_cap(self):
         gens = [t(6, i, i + 1) for i in range(5)]
-        with pytest.raises(groups.EnumerationCapError):
+        with pytest.raises(groups.EnumerationCapError) as info:
             build_system(gens, [gens[0]], max_axes=10)
+        # The closure stops at the first involution past the cap, not at 15.
+        assert (info.value.cap, info.value.reached) == (10, 11)
 
     @pytest.mark.parametrize("descriptor", [
         "symmetric:n=5", "orthogonal-f2:dim=6,eps=-", "orthogonal-f3:dim=5",
@@ -64,6 +66,23 @@ class TestBuildSystem:
 
 
 class TestComponentsAndValency:
+    def test_cross_check_rejects_component_that_is_not_a_class(self):
+        # O4+(2) has the components {0, 3, 4} and {1, 2, 5}.  Corrupting
+        # t_0 t_3 t_0 (#4) to #1 keeps the graph as it is but puts #1 into the
+        # conjugation orbit of #0.
+        entry = catalog.from_descriptor("orthogonal-f2:dim=4,eps=+")
+        sys = build_system(entry.generators, entry.seed)
+        assert components(sys) == [[0, 3, 4], [1, 2, 5]]
+        row = list(sys.conj[0])
+        assert row[3] == 4
+        row[3] = 1
+        sys.conj[0] = tuple(row)
+        with pytest.raises(
+            groups.GroupError,
+            match=r"^component of #0 does not match its conjugacy class$",
+        ):
+            components(sys)
+
     def test_connected_symmetric(self, system_factory):
         sys = system_factory("symmetric:n=5")
         comps = components(sys)

@@ -16,6 +16,7 @@ from fischerlab.groups import (
     Permutation,
     StructuralError,
     center,
+    closure,
     compose,
     conjugacy_closure,
     conjugate,
@@ -124,7 +125,32 @@ class TestHelpers:
         assert element_order(Permutation.from_cycles(5, [(0, 1, 2, 3, 4)])) == 5
 
 
+class TestClosure:
+    def test_start_then_layers_in_key_order(self):
+        # 2 -> 8, 1; 4 -> 6, 2 | 1 -> 9, 0; 6 -> 4, 3; 8 -> 2, 4 | ...
+        keys = closure([4, 2], lambda x: [10 - x, x // 2])
+        assert keys == [2, 4, 1, 6, 8, 0, 3, 9, 7, 10, 5]
+
+    def test_cap_raises_when_first_exceeded(self):
+        with pytest.raises(EnumerationCapError) as info:
+            closure([0], lambda x: [x + 1], cap=5)
+        assert str(info.value) == "closure exceeded cap 5 (reached 6 elements)"
+        assert (info.value.cap, info.value.reached) == (5, 6)
+
+    def test_start_counts_toward_cap(self):
+        with pytest.raises(EnumerationCapError, match="reached 3 elements"):
+            closure([1, 2, 3], lambda x: [], cap=2)
+        assert closure([1, 2, 3], lambda x: [], cap=3) == [1, 2, 3]
+
+
 class TestGenerate:
+    def test_s3_element_order(self):
+        # Identity, then each breadth-first layer in key order.
+        g = generate([transposition(3, 0, 1), transposition(3, 1, 2)])
+        assert g.element_keys == [
+            (0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0),
+        ]
+
     def test_symmetric_group_order(self):
         gens = [transposition(4, i, i + 1) for i in range(3)]
         assert generate(gens).order == 24
