@@ -522,20 +522,32 @@ def group_order(generators, max_order=DEFAULT_MAX_ORDER):
 
 
 def conjugacy_closure(seed, group_gens, cap=100_000):
-    """Smallest set containing the seed involutions and closed under
-    conjugation by the given generators, in canonical key order."""
+    """Smallest set D containing the seed involutions and closed under
+    conjugation by the given generators, in canonical key order, with the
+    action of each distinct generator g on it.
+
+    Returns ``(involutions, actions)`` where ``actions[g.key][j]`` is the
+    index of g^-1 x_j g.  Each conjugate is computed once, by the closure.
+    """
     template = _check_compatible(list(seed) + list(group_gens))
     for s in seed:
         if s.order(2) != 2:
             raise StructuralError(f"seed element is not an involution: {s!r}")
     mul = template.key_mul()
-    conj_pairs = [(g.inverse().key, g.key) for g in group_gens]
-    keys = closure(
-        [s.key for s in seed],
-        lambda x: [mul(mul(ginv, x), g) for ginv, g in conj_pairs],
-        cap,
-    )
-    return [template.peer(k) for k in sorted(keys)]
+    inverses = {g.key: g.inverse().key for g in group_gens}
+    images = {}
+
+    def step(x):
+        images[x] = [mul(mul(ginv, x), g) for g, ginv in inverses.items()]
+        return images[x]
+
+    keys = sorted(closure([s.key for s in seed], step, cap))
+    index = {k: i for i, k in enumerate(keys)}
+    columns = zip(*(images[k] for k in keys))
+    actions = {
+        g: tuple(index[k] for k in column) for g, column in zip(inverses, columns)
+    }
+    return [template.peer(k) for k in keys], actions
 
 
 def center(group):

@@ -477,16 +477,19 @@ class MatsuoAlgebra:
                     f"eigenvector (column {c})"
                 )
         # An automorphism that permutes the basis relabels both tables:
-        # tensor[ix_(perm, perm, perm)] == tensor, compared one slice
-        # tensor[j] at a time so that no copy of the whole tensor is made.
+        # tensor[ix_(perm, perm, perm)] == tensor.  perm is a bijection, so
+        # comparing the nonzero entries decides it; on a mismatch the tensor
+        # is rescanned one slice tensor[j] at a time for the first bad pair.
         tensor, gram = self.integer_tables()
-        for j in range(self.n):
-            hit = _first(tensor[perm[j]][np.ix_(perm, perm)] != tensor[j])
-            if hit is not None:
-                raise VerificationError(
-                    f"miyamoto map of axis {i} is not an automorphism at pair "
-                    f"({j},{hit[0]})"
-                )
+        (j, k, l), values = self._tensor_support
+        if (tensor[perm[j], perm[k], perm[l]] != values).any():
+            for j in range(self.n):
+                hit = _first(tensor[perm[j]][np.ix_(perm, perm)] != tensor[j])
+                if hit is not None:
+                    raise VerificationError(
+                        f"miyamoto map of axis {i} is not an automorphism at "
+                        f"pair ({j},{hit[0]})"
+                    )
         hit = _first(gram[np.ix_(perm, perm)] != gram)
         if hit is not None:
             raise VerificationError(
@@ -584,6 +587,15 @@ class MatsuoAlgebra:
                     tensor[i, j, c] -= a_num
                     gram[i, j] = a_num * b_num
         return tensor, gram
+
+    @cached_property
+    def _tensor_support(self):
+        """Positions and values of the nonzero entries of the tensor."""
+        import numpy as np
+
+        tensor = self._tables[0]
+        where = np.nonzero(tensor)
+        return where, tensor[where]
 
     @cached_property
     def gram_elimination(self):

@@ -6,6 +6,7 @@ from fischerlab.fischer import (
     H_TYPE,
     S3_COLLAPSE,
     S4_TYPE,
+    IrregularComponentError,
     NotThreeTranspositionError,
     UnexpectedSubgroupError,
     build_system,
@@ -21,6 +22,29 @@ from fischerlab.groups import Permutation
 
 def t(n, i, j):
     return Permutation.from_cycles(n, [(i, j)])
+
+
+def oracle_conj(involutions):
+    """The direct formula: row i of the table is index[t_i t_j t_i]."""
+    index = {x.key: i for i, x in enumerate(involutions)}
+    mul = involutions[0].key_mul()
+    return [
+        tuple(index[mul(mul(x.key, y.key), x.key)] for y in involutions)
+        for x in involutions
+    ]
+
+
+# Every descriptor the catalog advertises; all have at most 136 axes.
+# O4+(2) has two components, hence two orbits.
+CATALOG = (
+    [f"symmetric:n={n}" for n in range(2, 13)]
+    + [f"symplectic-f2:n={n}" for n in range(1, 4)]
+    + [f"orthogonal-f2:dim={d},eps={e}" for d in (4, 6, 8) for e in "+-"]
+    + [f"orthogonal-f3:dim={d},sign={e}" for d in (3, 4, 5) for e in "+-"]
+    + [f"weyl:type=A,rank={r}" for r in range(1, 8)]
+    + [f"weyl:type=D,rank={r}" for r in range(4, 7)]
+    + [f"weyl:type=E,rank={r}" for r in range(6, 9)]
+)
 
 
 class TestBuildSystem:
@@ -42,6 +66,62 @@ class TestBuildSystem:
         with pytest.raises(NotThreeTranspositionError) as info:
             build_system([a, b], [a, b])
         assert info.value.order == 4
+        # The rejected pair is the first one the oracle table rejects.
+        involutions, _ = groups.conjugacy_closure([a, b], [a, b])
+        conj = oracle_conj(involutions)
+        n = len(conj)
+        bad = [(i, j) for i in range(n) for j in range(i + 1, n)
+               if conj[i][j] not in (j, conj[j][i])]
+        assert info.value.pair == bad[0]
+
+    def test_conjugate_left_the_class(self):
+        # D = {(1 2), (0 2)} is closed under (0 1), but (1 2) conjugates
+        # (0 2) to (0 1), which is not in D.
+        with pytest.raises(
+            groups.GroupError,
+            match=r"^a conjugate by involution #0 left the class$",
+        ):
+            build_system([t(3, 0, 1)], [t(3, 1, 2)])
+
+    @pytest.mark.parametrize("descriptor", CATALOG)
+    def test_conj_table_matches_oracle(self, system_factory, descriptor):
+        sys = system_factory(descriptor)
+        assert sys.conj == oracle_conj(sys.involutions)
+
+    @pytest.mark.parametrize("generators, seed", [
+        # a seed that is not a generator; the generators' rows reach it
+        ([t(5, i, i + 1) for i in range(4)], [t(5, 1, 3)]),
+        # one non-involution generator, one generator in the class
+        ([Permutation.from_cycles(5, [(0, 1, 2, 3, 4)]), t(5, 0, 1)], [t(5, 1, 3)]),
+        # no generator in the class: one carrier row, then derived rows
+        ([Permutation.from_cycles(5, [(0, 1, 2, 3, 4)]),
+          Permutation.from_cycles(5, [(0, 1, 2, 3)])], [t(5, 1, 3)]),
+        # two orbits, {(0 1), (1 2), (0 2)} and {(3 4)}, each rooted by the carrier
+        ([Permutation.from_cycles(5, [(0, 1, 2)])], [t(5, 3, 4), t(5, 0, 1)]),
+    ])
+    def test_conj_table_matches_oracle_off_catalog(self, generators, seed):
+        sys = build_system(generators, seed)
+        assert sys.conj == oracle_conj(sys.involutions)
+
+    def test_carrier_products_bounded_by_class_times_generators(self, monkeypatch):
+        # The closure makes 2 products per class member and generator; every
+        # E8 generator lies in the class, so no row needs the carrier.
+        calls = []
+        key_mul = Permutation.key_mul
+
+        def counting_key_mul(self):
+            mul = key_mul(self)
+
+            def counted(a, b):
+                calls.append(1)
+                return mul(a, b)
+            return counted
+
+        entry = catalog.from_descriptor("weyl:type=E,rank=8")
+        monkeypatch.setattr(Permutation, "key_mul", counting_key_mul)
+        sys = build_system(entry.generators, entry.seed)
+        assert 2 * sys.size * len(entry.generators) == 1920
+        assert len(calls) <= 1920
 
     def test_axis_cap(self):
         gens = [t(6, i, i + 1) for i in range(5)]
@@ -82,6 +162,22 @@ class TestComponentsAndValency:
             match=r"^component of #0 does not match its conjugacy class$",
         ):
             components(sys)
+
+    def test_irregular_valency_names_two_vertices(self):
+        # S5: every transposition has 6 neighbors.  Making #3 move #9 (which
+        # commutes with it) gives #3 a seventh neighbor.
+        entry = catalog.from_descriptor("symmetric:n=5")
+        sys = build_system(entry.generators, entry.seed)
+        row = list(sys.conj[3])
+        assert row[9] == 9
+        row[9] = 3
+        sys.conj[3] = tuple(row)
+        with pytest.raises(
+            IrregularComponentError,
+            match=r"^non-constant valency in the component of #0: "
+            r"#0 has 6 neighbors, #3 has 7$",
+        ):
+            valency(sys, list(range(10)))
 
     def test_connected_symmetric(self, system_factory):
         sys = system_factory("symmetric:n=5")

@@ -181,9 +181,21 @@ class TestGenerate:
 class TestConjugacyClosure:
     def test_transposition_class(self):
         gens = [transposition(4, i, i + 1) for i in range(3)]
-        cls = conjugacy_closure([gens[0]], gens)
+        cls, _ = conjugacy_closure([gens[0]], gens)
         assert len(cls) == 6
         assert all(x.order() == 2 for x in cls)
+
+    def test_actions_are_conjugation_by_each_distinct_generator(self):
+        # A duplicate generator gets one action; a non-involution is kept.
+        cycle = Permutation.from_cycles(5, [(0, 1, 2, 3, 4)])
+        gens = [cycle, transposition(5, 0, 1), cycle]
+        cls, actions = conjugacy_closure([transposition(5, 1, 3)], gens)
+        assert len(cls) == 10
+        assert list(actions) == [cycle.key, gens[1].key]
+        for g in gens:
+            assert [cls[i] for i in actions[g.key]] == [
+                g.inverse() * x * g for x in cls
+            ]
 
     def test_seed_must_be_involution(self):
         bad = Permutation.from_cycles(4, [(0, 1, 2)])

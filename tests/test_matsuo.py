@@ -232,6 +232,18 @@ class TestMiyamoto:
         for i in range(A.n):
             assert A.miyamoto(i).is_involution()
 
+    def test_corrupted_zero_entry_is_caught(self, s4):
+        # The relabelling compares the nonzero entries only; an entry that
+        # was zero becomes one of them and fails with the slice witness.
+        A = MatsuoAlgebra(s4, HALF, HALF)
+        tensor, _ = A.integer_tables()
+        assert tensor[3, 4, 2] == 0
+        tensor[3, 4, 2] = 1
+        with pytest.raises(VerificationError, match=(
+            r"^miyamoto map of axis 0 is not an automorphism at pair \(3,4\)$"
+        )):
+            A.miyamoto(0)
+
 
 def with_conj_entry(system, i, j, value):
     """A copy of ``system`` whose conjugation table has conj[i][j] = value."""
