@@ -3,11 +3,12 @@
 Exit codes: 0 success, 1 mathematical-verdict failure, 2 usage error or an
 output file that cannot be written, 3 resource cap exceeded: the group order
 is above --max-order (no cap unless given) or the class is larger than
---max-axes.  A negative rational is written with '=', as in --alpha=-2/3,
-because argparse reads a separate "-2/3" as an option.  All machine output
-serializes rationals as "p/q" strings and uses canonical (sorted-key) JSON,
-so emitted JSON round-trips byte-identically.  Timings appear only in the
-human-readable text output.
+--max-axes, 4 an internal-consistency error of the group or graph layer.  A
+negative rational is written with '=', as in --alpha=-2/3, because argparse
+reads a separate "-2/3" as an option.  All machine output serializes
+rationals as "p/q" strings and uses canonical (sorted-key) JSON, so emitted
+JSON round-trips byte-identically.  Timings appear only in the human-readable
+text output.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from fractions import Fraction
 from . import catalog, fischer, groups, matsuo, virasoro
 from .catalog import CatalogError
 from .fischer import NotThreeTranspositionError
-from .groups import EnumerationCapError
+from .groups import EnumerationCapError, GroupError
 from .matsuo import MatsuoError, format_rational
 from .virasoro import NotInTableError, VirasoroError
 
@@ -30,6 +31,7 @@ EXIT_OK = 0
 EXIT_VERDICT = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
+EXIT_INTERNAL = 4
 
 
 def _canonical_json(obj):
@@ -151,27 +153,28 @@ def cmd_catalog(args):
 def _unity_section(algebra, components):
     out = []
     for idx, comp in enumerate(components):
-        omega = algebra.unity(comp)
-        if omega is None:
-            out.append(
-                {"component": idx, "exists": False, "coefficient": None,
-                 **_verdict("not-run", "k*alpha+4 = 0")}
-            )
-            continue
-        out.append(
-            {"component": idx, "exists": True,
-             "coefficient": format_rational(omega[comp[0]]), **_verdict("pass")}
-        )
+        entry = {"component": idx, "exists": True, "coefficient": None}
+        try:
+            omega = algebra.unity(comp)
+        except matsuo.VerificationError as exc:
+            entry.update(_verdict("fail", str(exc)))
+        else:
+            if omega is None:
+                entry.update(exists=False, **_verdict("not-run", "k*alpha+4 = 0"))
+            else:
+                entry.update(coefficient=format_rational(omega[comp[0]]), **_verdict("pass"))
+        out.append(entry)
     return out
 
 
 def _spectra_section(algebra, components):
     if algebra.alpha in (0, 2):
         return {"per_component": [], **_verdict("not-run", "degenerate-alpha")}
-    dims = []
-    for i in range(algebra.n):
-        spectrum = algebra.adjoint_spectrum(i)  # raises VerificationError on any defect
-        dims.append(dict(zip(("2", "0", "alpha"), spectrum.sizes)))
+    try:
+        dims = [dict(zip(("2", "0", "alpha"), algebra.adjoint_spectrum(i).sizes))
+                for i in range(algebra.n)]
+    except matsuo.VerificationError as exc:
+        return {"per_component": [], **_verdict("fail", str(exc))}
     per_component = [
         {"component": idx, "axis": comp[0], "dims": dims[comp[0]]}
         for idx, comp in enumerate(components)
@@ -267,15 +270,9 @@ def cmd_analyze(args):
                  "algebra": algebra_seconds, "total": total}
     )
     _emit(report, args.json, text)
-    failed = any(
-        section.get("verdict") == "fail"
-        for section in (
-            report["matsuo"]["axioms"],
-            report["matsuo"]["quotient"],
-            report["matsuo"]["spectra"],
-            report["matsuo"]["miyamoto"],
-        )
-    )
+    m = report["matsuo"]
+    sections = (m["axioms"], *m["unity"], m["quotient"], m["spectra"], m["miyamoto"])
+    failed = any(section["verdict"] == "fail" for section in sections)
     return EXIT_VERDICT if failed else EXIT_OK
 
 
@@ -476,6 +473,9 @@ def main(argv=None):
     except EnumerationCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
+    except GroupError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (CatalogError, VirasoroError, NotInTableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

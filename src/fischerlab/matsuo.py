@@ -2,10 +2,11 @@
 constants, invariant bilinear form, unity, radical and non-degenerate
 quotient, adjoint eigenstructure, and Miyamoto involutions.
 
-Scalars are Fractions at the interface.  The checks run on the integer-scaled
-structure tensor and Gram matrix of ``integer_tables``, in int64 only where a
-bound on every value shows that nothing can wrap and in Python ints otherwise,
-so every verification in this module is exact.
+Scalars are Fractions at the interface.  Every product has at most three
+terms read off the conjugation table ``conj``, so the checks store no product
+table: they read ``conj`` and one integer Gram table (``integer_tables``), in
+int64 only where a bound on every value shows that nothing can wrap and in
+Python ints otherwise, so every verification in this module is exact.
 """
 from __future__ import annotations
 
@@ -238,7 +239,8 @@ class MatsuoAlgebra:
 
     Basis products: x^i x^i = 2 x^i; for adjacent i, j the product is
     (alpha/2)(x^i + x^j - x^{i o j}); orthogonal otherwise.  The form takes
-    beta/2 on the diagonal, alpha*beta/8 on edges, 0 otherwise.
+    beta/2 on the diagonal, alpha*beta/8 on edges, 0 otherwise.  The checks
+    read ``system.conj`` and one integer Gram table (``integer_tables``).
     """
 
     def __init__(self, system, alpha, beta):
@@ -323,22 +325,21 @@ class MatsuoAlgebra:
         if k * self.alpha + 4 == 0:
             return None
         coeff = Fraction(4) / (k * self.alpha + 4)
-        # With coeff = p/q, omega = coeff * (sum of x^i over C), and the tables
-        # scaled as in integer_tables, the identities read (j in C):
+        # With coeff = p/q, omega = coeff * 1_C, and the tables scaled as in
+        # integer_tables, the identities read (j in C):
         #   omega x^j = 2 x^j       p * S[j, t]   = q * 4 den(alpha) [t = j]
         #   omega^2 = 2 omega       p * sum_j S[j, t] = q * 4 den(alpha) [t in C]
         #   (omega | x^j) = beta/2  p * sum_i G[i, j] = q * 4 den(alpha) num(beta)
-        # where S[j] = sum over i in C of tensor[i, j], i.e. the sums over
-        # tensor[ix_(C, C)], taken without copying the block.
+        # where S[j] = ad(x^j) 1_C.
         p, q = coeff.numerator, coeff.denominator
         unit = q * 4 * self.alpha.denominator
-        tensor, gram = self.integer_tables()
+        _, gram = self.integer_tables()
         comp = list(component)
-        member = np.zeros(self.n, dtype=bool)
-        member[comp] = True
-        bound = len(comp) ** 2 * max(_absmax(tensor), 1) * max(abs(p), unit)
-        (table,) = _exact(bound, tensor)
-        sums = table.sum(axis=0, initial=0, where=member[:, None, None])[comp]
+        member = np.zeros(self.n, dtype=np.int64)
+        member[comp] = 1
+        sums = np.array([self._ad(j, member) for j in comp])
+        bound = max(len(comp) * _absmax(sums) * abs(p), unit)
+        (sums,) = _exact(bound, sums)
         target = np.zeros_like(sums)
         target[range(len(comp)), comp] = unit
         hit = _first(p * sums.sum(axis=0) != target.sum(axis=0))
@@ -405,11 +406,7 @@ class MatsuoAlgebra:
                 f"eigenspace dimensions {sizes[0]} + {sizes[1]} + {sizes[2]} "
                 f"of axis {i} do not sum to |I| = {n}"
             )
-        tensor, _ = self.integer_tables()
-        if tensor.dtype == object:
-            dtype = object
-        else:
-            dtype = _dtype(2 * max(scale, abs(a_num)))
+        dtype = _dtype(max(self._bound, 2 * max(scale, abs(a_num))))
         basis = np.zeros((n, sum(sizes)), dtype=dtype)
         basis[i, 0] = scale
         basis[fixed, range(1, 1 + len(fixed))] = scale
@@ -422,12 +419,12 @@ class MatsuoAlgebra:
             basis[i, plus] -= a_num
             basis[js, minus] = scale
             basis[jos, minus] -= scale
-        # ad(x^i) scaled by 2*den(alpha) is tensor[i].T; eigenvalue lam
-        # scales to 2*den(alpha)*lam.
+        # ad(x^i) is scaled by 2*den(alpha), so eigenvalue lam scales to
+        # 2*den(alpha)*lam.
         lam = np.array(
             [2 * scale] + [0] * sizes[1] + [2 * a_num] * sizes[2], dtype=dtype
         )
-        lhs = _matmul(tensor[i].T, basis)
+        lhs = self._ad(i, basis)
         vecs, lam = _exact(_absmax(basis) * _absmax(lam), basis, lam)
         hit = _first(lhs != vecs * lam)
         if hit is not None:
@@ -451,7 +448,8 @@ class MatsuoAlgebra:
         import numpy as np
 
         mapping = self.system.conj[i]
-        perm = np.array(mapping)
+        conj, gram = self.integer_tables()
+        perm = conj[i]
         hit = _first(perm[perm] != np.arange(self.n))
         if hit is not None:
             j = hit[0]
@@ -476,20 +474,15 @@ class MatsuoAlgebra:
                     f"miyamoto map of axis {i} failed to negate an alpha "
                     f"eigenvector (column {c})"
                 )
-        # An automorphism that permutes the basis relabels both tables:
-        # tensor[ix_(perm, perm, perm)] == tensor.  perm is a bijection, so
-        # comparing the nonzero entries decides it; on a mismatch the tensor
-        # is rescanned one slice tensor[j] at a time for the first bad pair.
-        tensor, gram = self.integer_tables()
-        (j, k, l), values = self._tensor_support
-        if (tensor[perm[j], perm[k], perm[l]] != values).any():
-            for j in range(self.n):
-                hit = _first(tensor[perm[j]][np.ix_(perm, perm)] != tensor[j])
-                if hit is not None:
-                    raise VerificationError(
-                        f"miyamoto map of axis {i} is not an automorphism at "
-                        f"pair ({j},{hit[0]})"
-                    )
+        # The bijection perm is an automorphism when conj[perm[j]][perm[k]]
+        # == perm[conj[j][k]], and always at alpha = 0.
+        if self.alpha:
+            hit = _first(conj[np.ix_(perm, perm)] != perm[conj])
+            if hit is not None:
+                raise VerificationError(
+                    f"miyamoto map of axis {i} is not an automorphism at "
+                    f"pair ({hit[0]},{hit[1]})"
+                )
         hit = _first(gram[np.ix_(perm, perm)] != gram)
         if hit is not None:
             raise VerificationError(
@@ -550,52 +543,58 @@ class MatsuoAlgebra:
             return "2A"
         raise NotSigmaConfigurationError(f"form value {value} is not a sigma configuration")
 
-    # -- integer-scaled tables for exhaustive checks ------------------------
+    # -- integer tables for exhaustive checks -------------------------------
 
     def integer_tables(self):
-        """Structure tensor and Gram matrix as integer numpy arrays.
-
-        The product table is scaled by 2*den(alpha) and the Gram matrix by
-        8*den(alpha)*den(beta), so identities that are homogeneous in both
-        tables can be checked in integer arithmetic.  The arrays are int64
-        when every entry of ``triple_table`` provably fits (n * max|T| *
-        max|G| < 2^63), and object arrays of Python ints otherwise, so no
-        product wraps.  They are built once per algebra, and every check
-        reads these same arrays.
+        """``system.conj`` as an index array and the Gram matrix scaled by
+        8*den(alpha)*den(beta), built once per algebra; every check reads
+        these two.  The Gram array is int64 when ``_bound`` < 2^63 and an
+        object array of Python ints otherwise, and then every check runs in
+        Python ints.
         """
         return self._tables
+
+    @cached_property
+    def _bound(self):
+        """n * max|T| * max|G|, with T a structure constant scaled by
+        2*den(alpha) and G a scaled Gram entry."""
+        a_num, a_den = self.alpha.numerator, self.alpha.denominator
+        b_num = self.beta.numerator
+        max_t = max(4 * a_den, abs(a_num))
+        max_g = max(abs(4 * a_den * b_num), abs(a_num * b_num))
+        return max(max_t, max_g, self.n * max_t * max_g)
 
     @cached_property
     def _tables(self):
         import numpy as np
 
         n = self.n
-        a_num, a_den = self.alpha.numerator, self.alpha.denominator
-        b_num = self.beta.numerator
-        max_t = max(4 * a_den, abs(a_num))
-        max_g = max(abs(4 * a_den * b_num), abs(a_num * b_num))
-        dtype = _dtype(max(max_t, max_g, n * max_t * max_g))
-        tensor = np.zeros((n, n, n), dtype=dtype)
-        gram = np.zeros((n, n), dtype=dtype)
-        for i in range(n):
-            tensor[i, i, i] = 4 * a_den
-            gram[i, i] = 4 * a_den * b_num
-            for j, c in enumerate(self.system.conj[i]):
-                if c != j:
-                    tensor[i, j, i] += a_num
-                    tensor[i, j, j] += a_num
-                    tensor[i, j, c] -= a_num
-                    gram[i, j] = a_num * b_num
-        return tensor, gram
+        conj = np.array(self.system.conj)
+        gram = np.zeros((n, n), dtype=_dtype(self._bound))
+        gram[range(n), range(n)] = 4 * self.alpha.denominator * self.beta.numerator
+        gram[conj != np.arange(n)] = self.alpha.numerator * self.beta.numerator
+        return conj, gram
 
-    @cached_property
-    def _tensor_support(self):
-        """Positions and values of the nonzero entries of the tensor."""
+    def _ad(self, j, vectors):
+        """ad(x^j) scaled by 2*den(alpha), read off row j of ``conj``, times
+        an integer vector or the columns V of a matrix.  With a = num(alpha)
+        and N = {t : conj[j][t] != t}, rows N gain a*V[N], rows conj[j][N]
+        lose it (an unbuffered subtract, as a row may repeat a value), and
+        row j gains a*sum(V[N]) + 4*den(alpha)*V[j]."""
         import numpy as np
 
-        tensor = self._tables[0]
-        where = np.nonzero(tensor)
-        return where, tensor[where]
+        row = self._tables[0][j]
+        nbrs = np.flatnonzero(row != np.arange(self.n))
+        a = self.alpha.numerator
+        unit = 4 * self.alpha.denominator
+        bound = ((2 * len(nbrs) + 1) * abs(a) + unit) * _absmax(vectors)
+        (v,) = _exact(max(bound, self._bound), vectors)
+        moved = a * v[nbrs]
+        out = np.zeros_like(v)
+        out[nbrs] += moved
+        np.subtract.at(out, row[nbrs], moved)
+        out[j] += moved.sum(axis=0) + unit * v[j]
+        return out
 
     @cached_property
     def gram_elimination(self):
@@ -603,33 +602,43 @@ class MatsuoAlgebra:
         positive definiteness both read it."""
         return bareiss(self._tables[1])
 
-    def triple_table(self, tensor, gram):
-        """t[i, j, k] = (x^i x^j | x^k) scaled by 16*den(alpha)^2*den(beta),
-        from the arrays of ``integer_tables``."""
-        n = self.n
-        return (tensor.reshape(n * n, n) @ gram).reshape(n, n, n)
-
     def verify_axioms(self):
         """Exhaustive exact check of commutativity, form symmetry and
         invariance (uv|w) = (u|vw) over all basis triples."""
-        tensor, gram = self.integer_tables()
-        hit = _first(tensor != tensor.transpose(1, 0, 2))
-        if hit is not None:
-            raise VerificationError(
-                f"product is not commutative at pair ({hit[0]},{hit[1]})"
-            )
+        import numpy as np
+
+        conj, gram = self.integer_tables()
+        n = self.n
+        adjacent = conj != np.arange(n)
+        # x^i x^j = x^j x^i when i, j are adjacent both ways with one common
+        # conjugate, or neither way; at alpha = 0 always.
+        if self.alpha:
+            hit = _first((adjacent != adjacent.T) | (adjacent & (conj != conj.T)))
+            if hit is not None:
+                raise VerificationError(
+                    f"product is not commutative at pair ({hit[0]},{hit[1]})"
+                )
         hit = _first(gram != gram.T)
         if hit is not None:
             raise VerificationError(
                 f"form is not symmetric at pair ({hit[0]},{hit[1]})"
             )
-        # invariance says t[i,j,k] = t[j,k,i]
-        t = self.triple_table(tensor, gram)
-        hit = _first(t != t.transpose(1, 2, 0))
-        if hit is not None:
-            raise VerificationError(
-                f"form is not invariant at triple ({hit[0]},{hit[1]},{hit[2]})"
-            )
+        # Then triple (i, j, k) is invariant when S = G ad(x^i), S[j, k] =
+        # (x^j | x^i x^k), has S[j, k] == S[k, j]; each column of S combines
+        # at most three Gram columns.
+        a = self.alpha.numerator
+        unit = 4 * self.alpha.denominator
+        (g,) = _exact(max((3 * abs(a) + unit) * _absmax(gram), self._bound), gram)
+        for i in range(n):
+            nbrs = np.flatnonzero(adjacent[i])
+            s = np.zeros_like(g)
+            s[:, nbrs] = a * (g[:, [i]] + g[:, nbrs] - g[:, conj[i, nbrs]])
+            s[:, i] += unit * g[:, i]
+            hit = _first(s != s.T)
+            if hit is not None:
+                raise VerificationError(
+                    f"form is not invariant at triple ({i},{hit[0]},{hit[1]})"
+                )
         return True
 
 
@@ -701,18 +710,20 @@ class MatsuoQuotient:
         return self.coords(w)
 
     def _verify_ideal(self, rows, kernel):
-        """Every product of a radical row with an axis lies in the span of the
-        rows: with W = rows . tensor, each row of W is annihilated by the
-        kernel of ``rows``."""
+        """Every product of an axis with a radical row lies in the span of the
+        rows: for each axis j, the kernel of ``rows`` annihilates ad(x^j)
+        rows^T.  The witness is the first failing (row, axis) pair."""
         a = self.algebra
-        n = a.n
         if not len(rows) or not kernel:
             return
-        tensor, _ = a.integer_tables()
-        products = _matmul(rows, tensor.reshape(n, n * n)).reshape(len(rows) * n, n)
-        hit = _first(_matmul(products, _int_array(kernel, n).T) != 0)
-        if hit is not None:
-            row, i = divmod(hit[0], n)
+        kernel = _int_array(kernel, a.n)
+        hits = []
+        for j in range(a.n):
+            hit = _first((_matmul(kernel, a._ad(j, rows.T)) != 0).any(axis=0))
+            if hit is not None:
+                hits.append((hit[0], j))
+        if hits:
+            row, i = min(hits)
             raise RadicalNotIdealError(
                 f"radical row {row} times axis {i} left the radical"
             )
@@ -723,19 +734,3 @@ def export_gram_csv(algebra):
     for row in algebra.gram:
         lines.append(",".join(format_rational(x) for x in row))
     return "\n".join(lines) + "\n"
-
-
-def export_structure_json(algebra):
-    """Sparse structure constants keyed by basis pair, rationals as 'p/q'."""
-    table = {}
-    for i in range(algebra.n):
-        for j in range(i, algebra.n):
-            terms = algebra.product_terms(i, j)
-            if terms:
-                table[f"{i},{j}"] = [[t, format_rational(c)] for t, c in terms]
-    return {
-        "alpha": format_rational(algebra.alpha),
-        "beta": format_rational(algebra.beta),
-        "basis_size": algebra.n,
-        "products": table,
-    }

@@ -16,3 +16,17 @@ def system_factory():
         return cache[descriptor]
 
     return build
+
+
+@pytest.fixture(scope="session")
+def with_conj_entry():
+    """A copy of a system whose conjugation table has conj[i][j] = value."""
+
+    def corrupt(system, i, j, value):
+        conj = list(system.conj)
+        row = list(conj[i])
+        row[j] = value
+        conj[i] = tuple(row)
+        return fischer.TranspositionSystem(system.involutions, conj, system.generators)
+
+    return corrupt

@@ -1,10 +1,16 @@
 """End-to-end command-line behavior, including exit codes and JSON output."""
 import json
 import re
+from pathlib import Path
 
 import pytest
 
-from fischerlab import cli, fischer
+from fischerlab import cli, fischer, groups, matsuo
+from fischerlab.fischer import IrregularComponentError, UnexpectedSubgroupError
+from fischerlab.groups import GroupError, OrderOverflowError, StructuralError
+
+
+GOLDEN = json.loads((Path(__file__).parent / "fixtures" / "analyze_golden.json").read_text())
 
 
 def run(capsys, *argv):
@@ -165,6 +171,81 @@ class TestAnalyze:
         first = run(capsys, "analyze", "symmetric:n=5", "--json")
         second = run(capsys, "analyze", "symmetric:n=5", "--json")
         assert first == second
+
+
+    def test_failed_spectra_and_unity_still_emit_json(self, capsys, monkeypatch):
+        # ad(x^0) gains a unit at x^3 in every column, so the unity identity,
+        # the eigen-equations of axis 0 and hence its Miyamoto map all fail.
+        _, passing, _ = run(capsys, "analyze", "symmetric:n=4", "--json")
+        real = matsuo.MatsuoAlgebra._ad
+
+        def corrupt(self, j, vectors):
+            out = real(self, j, vectors)
+            if j == 0:
+                out[3] += 1
+            return out
+
+        monkeypatch.setattr(matsuo.MatsuoAlgebra, "_ad", corrupt)
+        code, out, err = run(capsys, "analyze", "symmetric:n=4", "--json")
+        assert code == 1
+        assert err == ""
+        eigen = "eigen-equation failed for eigenvalue 2 at axis 0, column 0 (coordinate x^3)"
+        expected = json.loads(passing)
+        expected["matsuo"]["unity"] = [{
+            "component": 0, "exists": True, "coefficient": None, "verdict": "fail",
+            "reason": "omega/2 failed the idempotent identity on the component "
+                      "of axis 0 (coordinate x^3)",
+        }]
+        expected["matsuo"]["spectra"] = {
+            "per_component": [], "verdict": "fail", "reason": eigen,
+        }
+        expected["matsuo"]["miyamoto"] = {"verdict": "fail", "reason": eigen}
+        assert json.loads(out) == expected
+
+    @pytest.mark.parametrize("owner, name, error, descriptor, message", [
+        pytest.param(
+            groups, "group_order", StructuralError("degree mismatch: 4 vs 5"),
+            "symmetric:n=4", "degree mismatch: 4 vs 5", id="StructuralError"),
+        pytest.param(
+            groups, "group_order", OrderOverflowError(10000), "symmetric:n=4",
+            "element order exceeds cap 10000", id="OrderOverflowError"),
+        pytest.param(
+            fischer, "valency", IrregularComponentError(
+                "non-constant valency in the component of #0: #0 has 4 neighbors, "
+                "#1 has 3"), "symmetric:n=4",
+            "non-constant valency in the component of #0: #0 has 4 neighbors, #1 has 3",
+            id="IrregularComponentError"),
+        pytest.param(
+            fischer, "extract_H", UnexpectedSubgroupError(18, None),
+            "orthogonal-f3:dim=5", "triple generates a group of order 18, expected 54",
+            id="UnexpectedSubgroupError"),
+        pytest.param(
+            fischer, "components", GroupError(
+                "component of #0 does not match its conjugacy class"), "symmetric:n=4",
+            "component of #0 does not match its conjugacy class", id="GroupError"),
+    ])
+    def test_internal_error_exit_code(self, capsys, monkeypatch, owner, name, error,
+                                      descriptor, message):
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(owner, name, fail)
+        code, out, err = run(capsys, "analyze", descriptor, "--json")
+        assert code == 4
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+
+class TestGoldenReports:
+    """Frozen ``analyze --json`` reports of the largest catalog classes (E6 to
+    E8, Sp6(2), and O8-(2) with its radical of dimension 51), also at
+    alpha = beta = 1 where E6 and E8 have radicals; stdout and exit code
+    must match byte for byte."""
+
+    @pytest.mark.parametrize("command", sorted(GOLDEN))
+    def test_analyze_matches_golden(self, capsys, command):
+        code, out, _ = run(capsys, *command.split())
+        assert (code, out) == (GOLDEN[command]["exit_code"], GOLDEN[command]["stdout"])
 
 
 class TestFusion:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from fischerlab import fischer, matsuo
+from fischerlab import matsuo
 from fischerlab.matsuo import (
     DegenerateAlphaError,
     MatsuoAlgebra,
@@ -82,27 +82,11 @@ class TestProductsAndForm:
     def test_axioms_exhaustive(self, B):
         assert B.verify_axioms()
 
-    def test_triple_table_exact_at_large_rationals(self, system_factory):
-        # n * max|T| * max|G| is about 2^89 here, so int64 would wrap.
-        alpha = Fraction(2**25 + 1, 2**26 + 3)
-        beta = Fraction(2**30 - 5, 2**29 + 7)
-        A = MatsuoAlgebra(system_factory("symmetric:n=5"), alpha, beta)
-        tensor, gram = A.integer_tables()
-        assert tensor.dtype == object and gram.dtype == object
-        table = A.triple_table(tensor, gram)
-        scale = 16 * alpha.denominator**2 * beta.denominator
-        for i in range(A.n):
-            for j in range(A.n):
-                product = A.multiply(A.axis(i), A.axis(j))
-                for k in range(A.n):
-                    assert table[i, j, k] == A.form(product, A.axis(k)) * scale
-        assert A.verify_axioms()
-
     @pytest.mark.parametrize("alpha", [Fraction(1), HALF])
     def test_e6_tables_stay_int64(self, system_factory, alpha):
         A = MatsuoAlgebra(system_factory("weyl:type=E,rank=6"), alpha, alpha)
-        tensor, gram = A.integer_tables()
-        assert tensor.dtype == gram.dtype == "int64"
+        _, gram = A.integer_tables()
+        assert gram.dtype == "int64"
 
     def test_bilinearity_spot(self, B):
         u = [Fraction(1), Fraction(-2), Fraction(3)]
@@ -232,28 +216,6 @@ class TestMiyamoto:
         for i in range(A.n):
             assert A.miyamoto(i).is_involution()
 
-    def test_corrupted_zero_entry_is_caught(self, s4):
-        # The relabelling compares the nonzero entries only; an entry that
-        # was zero becomes one of them and fails with the slice witness.
-        A = MatsuoAlgebra(s4, HALF, HALF)
-        tensor, _ = A.integer_tables()
-        assert tensor[3, 4, 2] == 0
-        tensor[3, 4, 2] = 1
-        with pytest.raises(VerificationError, match=(
-            r"^miyamoto map of axis 0 is not an automorphism at pair \(3,4\)$"
-        )):
-            A.miyamoto(0)
-
-
-def with_conj_entry(system, i, j, value):
-    """A copy of ``system`` whose conjugation table has conj[i][j] = value."""
-    conj = list(system.conj)
-    row = list(conj[i])
-    row[j] = value
-    conj[i] = tuple(row)
-    return fischer.TranspositionSystem(system.involutions, conj, system.generators)
-
-
 def with_corrupt_column(monkeypatch, column, row):
     """Make every eigenbasis carry one extra unit at (row, column)."""
     real = MatsuoAlgebra._eigenbasis
@@ -269,7 +231,7 @@ def with_corrupt_column(monkeypatch, column, row):
 
 class TestWitnesses:
     """Each failure message of the table checks names its witness; every
-    test corrupts one table entry, conjugation row or eigenvector column.
+    test corrupts one conjugation-table or Gram entry, or eigenvector column.
 
     On S4 at alpha = beta = 1/2, conj row 0 is (0, 2, 1, 3, 5, 4): axis 3
     commutes with axis 0, and the neighbours pair up as {1, 2} and {4, 5}, so
@@ -282,23 +244,24 @@ class TestWitnesses:
         assert s4.conj[0] == (0, 2, 1, 3, 5, 4)
         return MatsuoAlgebra(s4, HALF, HALF)
 
-    def test_eigen_equation(self, A):
-        tensor, _ = A.integer_tables()
-        tensor[0, 0, 3] += 1
+    def test_eigen_equation(self, s4, with_conj_entry):
+        # x^0 x^5 = (x^0 + x^5 - x^3)/4 keeps the pairing {4, 5} but breaks
+        # the plus vector of column 3
+        A = MatsuoAlgebra(with_conj_entry(s4, 0, 5, 3), HALF, HALF)
         with pytest.raises(VerificationError, match=(
-            r"^eigen-equation failed for eigenvalue 2 at axis 0, column 0 "
+            r"^eigen-equation failed for eigenvalue 0 at axis 0, column 3 "
             r"\(coordinate x\^3\)$"
         )):
             A.adjoint_spectrum(0)
 
-    def test_dimensions(self, s4):
+    def test_dimensions(self, s4, with_conj_entry):
         A = MatsuoAlgebra(with_conj_entry(s4, 0, 5, 5), HALF, HALF)
         with pytest.raises(VerificationError, match=(
             r"^eigenspace dimensions 1 \+ 4 \+ 2 of axis 0 do not sum to \|I\| = 6$"
         )):
             A.adjoint_spectrum(0)
 
-    def test_miyamoto_involution(self, s4):
+    def test_miyamoto_involution(self, s4, with_conj_entry):
         A = MatsuoAlgebra(with_conj_entry(s4, 0, 5, 5), HALF, HALF)
         with pytest.raises(VerificationError, match=(
             r"^miyamoto map of axis 0 is not an involution: x\^4 -> x\^5 -> x\^5$"
@@ -319,13 +282,16 @@ class TestWitnesses:
         )):
             A.miyamoto(0)
 
-    def test_miyamoto_automorphism(self, A):
-        tensor, _ = A.integer_tables()
-        tensor[3, 4, 4] += 1
-        with pytest.raises(VerificationError, match=(
-            r"^miyamoto map of axis 0 is not an automorphism at pair \(3,4\)$"
-        )):
-            A.miyamoto(0)
+    def test_miyamoto_automorphism(self, s4, with_conj_entry):
+        # Row 3 is (0, 4, 5, 3, 1, 2).  The first entry changes the common
+        # conjugate of an adjacent pair; the second turns the zero product of
+        # the commuting pair 3, 0 into a nonzero one.
+        for j, value in ((4, 2), (0, 1)):
+            A = MatsuoAlgebra(with_conj_entry(s4, 3, j, value), HALF, HALF)
+            with pytest.raises(VerificationError, match=(
+                rf"^miyamoto map of axis 0 is not an automorphism at pair \(3,{j}\)$"
+            )):
+                A.miyamoto(0)
 
     def test_miyamoto_isometry(self, A):
         _, gram = A.integer_tables()
@@ -335,20 +301,20 @@ class TestWitnesses:
         )):
             A.miyamoto(0)
 
-    def test_unity_idempotent(self, A):
-        tensor, _ = A.integer_tables()
-        tensor[0, 1, 3] += 1
+    def test_unity_idempotent(self, s4, with_conj_entry):
+        # x^1 x^4 loses its x^3 term to x^5, so omega^2 moves off x^3
+        A = MatsuoAlgebra(with_conj_entry(s4, 1, 4, 5), HALF, HALF)
         with pytest.raises(VerificationError, match=(
             r"^omega/2 failed the idempotent identity on the component of axis 0 "
             r"\(coordinate x\^3\)$"
         )):
             A.unity()
 
-    def test_unity_axis(self, A):
-        # moving a unit between two products keeps omega^2 but not omega x^1
-        tensor, _ = A.integer_tables()
-        tensor[0, 1, 3] += 1
-        tensor[0, 2, 3] -= 1
+    def test_unity_axis(self, s4, with_conj_entry):
+        # x^3 x^2 takes the x^3 term back from x^5: omega^2 is kept, but not
+        # omega x^1
+        system = with_conj_entry(with_conj_entry(s4, 1, 4, 5), 3, 2, 3)
+        A = MatsuoAlgebra(system, HALF, HALF)
         with pytest.raises(VerificationError, match=(
             r"^omega x\^1 != 2 x\^1 on the component of axis 0 \(coordinate x\^3\)$"
         )):
@@ -368,6 +334,12 @@ class TestWitnesses:
             r"^radical row 1 times axis 0 left the radical$"
         )):
             A.quotient([[1, 1, 1], [1, -1, 0]])
+        # row 1 leaves the span at axis 0 and row 0 first at axis 1: the
+        # witness is the first row
+        with pytest.raises(RadicalNotIdealError, match=(
+            r"^radical row 0 times axis 1 left the radical$"
+        )):
+            MatsuoAlgebra(s3, HALF, HALF).quotient([[0, -1, 1], [1, -1, 0]])
 
     def test_degenerate_quotient(self, s3):
         A = MatsuoAlgebra(s3, Fraction(-2), HALF)
@@ -377,15 +349,17 @@ class TestWitnesses:
         )):
             A.quotient([])
 
-    def test_axioms(self, s4):
-        A = MatsuoAlgebra(s4, HALF, HALF)
-        tensor, gram = A.integer_tables()
-        tensor[3, 4, 4] += 1
+    def test_axioms(self, s4, with_conj_entry):
+        # Row 3 is (0, 4, 5, 3, 1, 2) and row 4 is (5, 3, 2, 1, 4, 0).
+        A = MatsuoAlgebra(with_conj_entry(s4, 3, 4, 2), HALF, HALF)
         with pytest.raises(VerificationError, match=r"^product is not commutative at pair \(3,4\)$"):
             A.verify_axioms()
-        tensor[4, 3, 4] += 1
-        with pytest.raises(VerificationError, match=r"^form is not invariant at triple \("):
+        system = with_conj_entry(with_conj_entry(s4, 3, 4, 2), 4, 3, 2)
+        A = MatsuoAlgebra(system, HALF, HALF)
+        with pytest.raises(VerificationError, match=r"^form is not invariant at triple \(3,1,4\)$"):
             A.verify_axioms()
+        A = MatsuoAlgebra(s4, HALF, HALF)
+        _, gram = A.integer_tables()
         gram[2, 3] += 1
         with pytest.raises(VerificationError, match=r"^form is not symmetric at pair \(2,3\)$"):
             A.verify_axioms()
@@ -427,8 +401,3 @@ class TestExports:
         assert len(rows) == 3
         assert rows[0].split(",")[0] == "1/4"
 
-    def test_structure_json(self, B):
-        payload = matsuo.export_structure_json(B)
-        assert payload["alpha"] == "1/2"
-        assert payload["basis_size"] == 3
-        assert payload["products"]["0,0"] == [[0, "2/1"]]

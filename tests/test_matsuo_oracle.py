@@ -1,19 +1,25 @@
-"""The integer-table checks of fischerlab.matsuo against a Fraction oracle.
+"""The checks of fischerlab.matsuo against two oracles.
 
-The oracle is the per-vector and per-pair Fraction code that checked the same
-identities before the checks ran on integer tables: eigenvectors multiplied
-out with ``multiply``, Miyamoto maps compared pair by pair on
+The Fraction oracle is the per-vector and per-pair Fraction code that checked
+the same identities before the checks ran on integer tables: eigenvectors
+multiplied out with ``multiply``, Miyamoto maps compared pair by pair on
 ``product_terms`` and ``gram_entry``, the ideal property tested vector by
 vector against a reduced row echelon form, and ranks by Gaussian elimination
 over Fraction.
+
+The dense oracle is the integer-table code that ran on an n x n x n structure
+tensor before the checks read the conjugation table.  It reproduces each
+verdict and each witness message, also on corrupted tables.
 """
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fischerlab import fischer, matsuo
+from fischerlab.groups import GroupError
 from fischerlab.matsuo import (
     DegenerateAlphaError,
     MatsuoAlgebra,
@@ -171,6 +177,220 @@ def outcome(call):
         return type(exc)
 
 
+# -- the dense oracle -------------------------------------------------------
+
+
+class DenseOracle:
+    """The checks on a dense structure tensor: tensor[i, j] is x^i x^j scaled
+    by 2*den(alpha), next to the Gram matrix scaled by 8*den(alpha)*den(beta),
+    both filled entry by entry from ``conj``.  Products with a fixed axis j
+    are read from the slice tensor[j], x^j on the left, as the checks on
+    ``conj`` read ad(x^j); on a commutative table either order gives the
+    same verdicts and witnesses."""
+
+    def __init__(self, A):
+        n = A.n
+        a_num, a_den = A.alpha.numerator, A.alpha.denominator
+        b_num = A.beta.numerator
+        max_t = max(4 * a_den, abs(a_num))
+        max_g = max(abs(4 * a_den * b_num), abs(a_num * b_num))
+        dtype = matsuo._dtype(max(max_t, max_g, n * max_t * max_g))
+        self.A = A
+        self.n = n
+        self.tensor = np.zeros((n, n, n), dtype=dtype)
+        self.gram = np.zeros((n, n), dtype=dtype)
+        for i in range(n):
+            self.tensor[i, i, i] = 4 * a_den
+            self.gram[i, i] = 4 * a_den * b_num
+            for j, c in enumerate(A.system.conj[i]):
+                if c != j:
+                    self.tensor[i, j, i] += a_num
+                    self.tensor[i, j, j] += a_num
+                    self.tensor[i, j, c] -= a_num
+                    self.gram[i, j] = a_num * b_num
+
+    def triples(self):
+        """t[i, j, k] = (x^i x^j | x^k) scaled by 16*den(alpha)^2*den(beta)."""
+        n = self.n
+        return (self.tensor.reshape(n * n, n) @ self.gram).reshape(n, n, n)
+
+    def verify_axioms(self):
+        tensor, gram = self.tensor, self.gram
+        hit = matsuo._first(tensor != tensor.transpose(1, 0, 2))
+        if hit is not None:
+            raise VerificationError(
+                f"product is not commutative at pair ({hit[0]},{hit[1]})"
+            )
+        hit = matsuo._first(gram != gram.T)
+        if hit is not None:
+            raise VerificationError(f"form is not symmetric at pair ({hit[0]},{hit[1]})")
+        t = self.triples()
+        hit = matsuo._first(t != t.transpose(1, 2, 0))
+        if hit is not None:
+            raise VerificationError(
+                f"form is not invariant at triple ({hit[0]},{hit[1]},{hit[2]})"
+            )
+        return True
+
+    def eigenbasis(self, i):
+        A, n = self.A, self.n
+        if A.alpha in (0, 2):
+            raise DegenerateAlphaError(A.alpha)
+        row = A.system.conj[i]
+        a_num = A.alpha.numerator
+        scale = 2 * A.alpha.denominator
+        fixed = [j for j in range(n) if j != i and row[j] == j]
+        pairs = [(j, row[j]) for j in A.system.neighbors(i) if row[j] > j]
+        sizes = (1, len(fixed) + len(pairs), len(pairs))
+        if sum(sizes) != n:
+            raise VerificationError(
+                f"eigenspace dimensions {sizes[0]} + {sizes[1]} + {sizes[2]} "
+                f"of axis {i} do not sum to |I| = {n}"
+            )
+        dtype = object if self.tensor.dtype == object else np.int64
+        basis = np.zeros((n, sum(sizes)), dtype=dtype)
+        basis[i, 0] = scale
+        basis[fixed, range(1, 1 + len(fixed))] = scale
+        if pairs:
+            js, jos = (list(t) for t in zip(*pairs))
+            plus = np.arange(1 + len(fixed), sizes[0] + sizes[1])
+            minus = plus + len(pairs)
+            basis[js, plus] = scale
+            basis[jos, plus] += scale
+            basis[i, plus] -= a_num
+            basis[js, minus] = scale
+            basis[jos, minus] -= scale
+        lam = np.array([2 * scale] + [0] * sizes[1] + [2 * a_num] * sizes[2], dtype=dtype)
+        lhs = matsuo._matmul(self.tensor[i].T, basis)
+        vecs, lam = matsuo._exact(matsuo._absmax(basis) * matsuo._absmax(lam), basis, lam)
+        hit = matsuo._first(lhs != vecs * lam)
+        if hit is not None:
+            value = matsuo._eigenvalue(A.alpha, sizes, hit[1])
+            raise VerificationError(
+                f"eigen-equation failed for eigenvalue {value} at axis {i}, "
+                f"column {hit[1]} (coordinate x^{hit[0]})"
+            )
+        return basis, sizes
+
+    def miyamoto(self, i):
+        A, n = self.A, self.n
+        perm = np.array(A.system.conj[i])
+        hit = matsuo._first(perm[perm] != np.arange(n))
+        if hit is not None:
+            j = hit[0]
+            raise VerificationError(
+                f"miyamoto map of axis {i} is not an involution: "
+                f"x^{j} -> x^{perm[j]} -> x^{perm[perm[j]]}"
+            )
+        if A.alpha not in (0, 2):
+            basis, sizes = self.eigenbasis(i)
+            sign = np.ones(basis.shape[1], dtype=np.int64)
+            sign[sizes[0] + sizes[1]:] = -1
+            hit = matsuo._first(basis[perm] != basis * sign)
+            if hit is not None:
+                c = hit[1]
+                if sign[c] > 0:
+                    value = matsuo._eigenvalue(A.alpha, sizes, c)
+                    raise VerificationError(
+                        f"miyamoto map of axis {i} moved a +1 eigenvector "
+                        f"(eigenvalue {value}, column {c})"
+                    )
+                raise VerificationError(
+                    f"miyamoto map of axis {i} failed to negate an alpha "
+                    f"eigenvector (column {c})"
+                )
+        for j in range(n):
+            hit = matsuo._first(self.tensor[perm[j]][np.ix_(perm, perm)] != self.tensor[j])
+            if hit is not None:
+                raise VerificationError(
+                    f"miyamoto map of axis {i} is not an automorphism at "
+                    f"pair ({j},{hit[0]})"
+                )
+        hit = matsuo._first(self.gram[np.ix_(perm, perm)] != self.gram)
+        if hit is not None:
+            raise VerificationError(
+                f"miyamoto map of axis {i} is not an isometry at pair ({hit[0]},{hit[1]})"
+            )
+        return A.system.conj[i]
+
+    def unity(self, component):
+        A = self.A
+        k = fischer.valency(A.system, component)
+        if k * A.alpha + 4 == 0:
+            return None
+        coeff = F(4) / (k * A.alpha + 4)
+        p, q = coeff.numerator, coeff.denominator
+        unit = q * 4 * A.alpha.denominator
+        comp = list(component)
+        tensor = self.tensor[np.ix_(comp, comp)]
+        bound = len(comp) ** 2 * max(matsuo._absmax(tensor), 1) * max(abs(p), unit)
+        (tensor,) = matsuo._exact(bound, tensor)
+        sums = tensor.sum(axis=1)
+        target = np.zeros_like(sums)
+        target[range(len(comp)), comp] = unit
+        hit = matsuo._first(p * sums.sum(axis=0) != target.sum(axis=0))
+        if hit is not None:
+            raise VerificationError(
+                f"omega/2 failed the idempotent identity on the component of "
+                f"axis {comp[0]} (coordinate x^{hit[0]})"
+            )
+        hit = matsuo._first(p * sums != target)
+        if hit is not None:
+            raise VerificationError(
+                f"omega x^{comp[hit[0]]} != 2 x^{comp[hit[0]]} on the component "
+                f"of axis {comp[0]} (coordinate x^{hit[1]})"
+            )
+        block = self.gram[np.ix_(comp, comp)]
+        value = unit * A.beta.numerator
+        bound = max(len(comp) * matsuo._absmax(block) * abs(p), abs(value))
+        (block,) = matsuo._exact(bound, block)
+        hit = matsuo._first(p * block.sum(axis=0) != value)
+        if hit is not None:
+            raise VerificationError(f"(omega | x^{comp[hit[0]]}) != beta/2")
+        omega = A.zero()
+        for i in comp:
+            omega[i] = coeff
+        return omega
+
+    def quotient_dim(self, radical):
+        """The steps of ``MatsuoQuotient``, with the ideal test on the tensor."""
+        n = self.n
+        rows = matsuo._int_array(radical, n)
+        elim = matsuo.bareiss(rows)
+        if elim.rank != len(rows):
+            raise MatsuoError("radical basis is linearly dependent")
+        if len(rows) and elim.kernel:
+            # products[row * n + j] = x^j times radical row ``row``
+            table = self.tensor.transpose(1, 0, 2).reshape(n, n * n)
+            products = matsuo._matmul(rows, table).reshape(len(rows) * n, n)
+            kernel = matsuo._int_array(elim.kernel, n)
+            hit = matsuo._first(matsuo._matmul(products, kernel.T) != 0)
+            if hit is not None:
+                row, j = divmod(hit[0], n)
+                raise RadicalNotIdealError(
+                    f"radical row {row} times axis {j} left the radical"
+                )
+        pivots = set(elim.pivots)
+        reps = [c for c in range(n) if c not in pivots]
+        form = matsuo.bareiss(self.gram[np.ix_(reps, reps)])
+        if form.rank != len(reps):
+            dependent = next(p for p in range(len(reps)) if p not in form.pivots)
+            raise VerificationError(
+                f"induced form on the quotient is degenerate: rank {form.rank} "
+                f"of {len(reps)}, the Gram column of x^{reps[dependent]} depends "
+                f"on earlier ones"
+            )
+        return len(reps)
+
+
+def verdict(call):
+    """The result of ``call``, or the type and witness text of its failure."""
+    try:
+        return "ok", call()
+    except (MatsuoError, GroupError) as exc:
+        return type(exc), str(exc)
+
+
 # -- random alpha and beta ------------------------------------------------
 
 SYSTEMS = [
@@ -231,6 +451,73 @@ def test_checks_agree_with_fraction_oracle(system_factory, descriptor, alpha, be
     assert A.miyamoto(i).mapping == system.conj[i]
 
 
+DENSE_SYSTEMS = SYSTEMS + ["weyl:type=E,rank=6"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    descriptor=st.sampled_from(DENSE_SYSTEMS),
+    alpha=RATIONALS,
+    beta=RATIONALS,
+    data=st.data(),
+)
+def test_checks_agree_with_dense_oracle(
+    system_factory, with_conj_entry, descriptor, alpha, beta, data
+):
+    system = system_factory(descriptor)
+    n = system.size
+    comps = fischer.components(system)
+    entry = st.integers(0, n - 1)
+    for i, j, value in data.draw(
+        st.lists(st.tuples(entry, entry, entry), max_size=2), label="conj[i][j] = value"
+    ):
+        system = with_conj_entry(system, i, j, value)
+    A = MatsuoAlgebra(system, alpha, beta)
+    dense = DenseOracle(A)
+    i = data.draw(entry, label="axis")
+
+    identity = np.eye(n, dtype=np.int64)
+    for j in range(n):
+        assert A._ad(j, identity).tolist() == dense.tensor[j].T.tolist()
+    assert verdict(A.verify_axioms) == verdict(dense.verify_axioms)
+    spectrum = verdict(lambda: A.adjoint_spectrum(i))
+    if spectrum[0] == "ok":
+        spectrum = "ok", (spectrum[1].vectors.tolist(), spectrum[1].sizes)
+    expected = verdict(lambda: dense.eigenbasis(i))
+    if expected[0] == "ok":
+        expected = "ok", (expected[1][0].tolist(), expected[1][1])
+    assert spectrum == expected
+    assert verdict(lambda: A.miyamoto(i).mapping) == verdict(lambda: dense.miyamoto(i))
+    for comp in comps:
+        assert verdict(lambda: A.unity(comp)) == verdict(lambda: dense.unity(comp))
+    radical = A.gram_radical()
+    vector = data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    for rows in (radical, radical + [vector]):
+        assert verdict(lambda: A.quotient(rows).dim) == verdict(
+            lambda: dense.quotient_dim(rows)
+        )
+
+
+def test_ad_applies_a_row_that_repeats_a_value(system_factory, with_conj_entry):
+    # Row 0 of S4 becomes (0, 2, 1, 1, 5, 4): x^0 x^2 and x^0 x^3 both lose
+    # their third term to x^1, and ad(x^0) must subtract both.
+    system = with_conj_entry(system_factory("symmetric:n=4"), 0, 3, 1)
+    A = MatsuoAlgebra(system, F(1, 2), F(1, 2))
+    identity = np.eye(A.n, dtype=np.int64)
+    assert A._ad(0, identity).tolist() == DenseOracle(A).tensor[0].T.tolist()
+
+
+def test_alpha_zero_products_do_not_read_conj(system_factory, with_conj_entry):
+    # At alpha = 0 distinct axes multiply to 0, so a table on which x^3 x^4
+    # and x^4 x^3 name different conjugates still gives a commutative
+    # algebra, and every row of it an automorphism.
+    system = with_conj_entry(system_factory("symmetric:n=4"), 3, 4, 2)
+    A = MatsuoAlgebra(system, F(0), F(1, 2))
+    dense = DenseOracle(A)
+    assert A.verify_axioms() and dense.verify_axioms()
+    assert A.miyamoto(0).mapping == dense.miyamoto(0)
+
+
 # -- which integer path each check takes ----------------------------------
 
 BIG_ALPHA = F(2**25 + 1, 2**26 + 3)
@@ -252,11 +539,36 @@ def dtypes(monkeypatch):
     return seen
 
 
+def test_large_rationals_agree_with_dense_oracle(system_factory):
+    # n * max|T| * max|G| is about 2^89 here, so int64 would wrap.
+    A = MatsuoAlgebra(system_factory("symmetric:n=5"), BIG_ALPHA, BIG_BETA)
+    dense = DenseOracle(A)
+    assert dense.tensor.dtype == object
+    table = dense.triples()
+    scale = 16 * BIG_ALPHA.denominator**2 * BIG_BETA.denominator
+    for i in range(A.n):
+        for j in range(A.n):
+            product = A.multiply(A.axis(i), A.axis(j))
+            for k in range(A.n):
+                assert table[i, j, k] == A.form(product, A.axis(k)) * scale
+    assert A.verify_axioms() and dense.verify_axioms()
+    for i in range(A.n):
+        spectrum = A.adjoint_spectrum(i)
+        basis, sizes = dense.eigenbasis(i)
+        assert (spectrum.vectors.tolist(), spectrum.sizes) == (basis.tolist(), sizes)
+        assert A.miyamoto(i).mapping == dense.miyamoto(i)
+    assert A.unity() == dense.unity(fischer.components(A.system)[0])
+    not_ideal = [[1, -1] + [0] * (A.n - 2)]
+    assert verdict(lambda: A.quotient(not_ideal)) == verdict(
+        lambda: dense.quotient_dim(not_ideal)
+    )
+
+
 def test_object_path_agrees_with_oracle(system_factory, dtypes):
     system = system_factory("symmetric:n=5")
     A = MatsuoAlgebra(system, BIG_ALPHA, BIG_BETA)
-    tensor, gram = A.integer_tables()
-    assert tensor.dtype == object and gram.dtype == object
+    _, gram = A.integer_tables()
+    assert gram.dtype == object
     for i in range(A.n):
         spectrum = A.adjoint_spectrum(i)
         assert (spectrum.basis_2, spectrum.basis_0, spectrum.basis_alpha) == (
@@ -277,7 +589,7 @@ def test_object_path_ideal_check(system_factory, dtypes):
     # k = 2 and alpha = -2 make the Gram matrix of S3 singular; the huge beta
     # forces object tables.
     A = MatsuoAlgebra(system_factory("symmetric:n=3"), F(-2), F(2**70 + 1, 2**65 + 3))
-    assert A.integer_tables()[0].dtype == object
+    assert A.integer_tables()[1].dtype == object
     radical = A.gram_radical()
     assert radical == [[1, 1, 1]]
     assert A.quotient(radical).dim == oracle_quotient_dim(A, radical) == 2
