@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 mathematical-verdict failure, 2 usage error or an
-output file that cannot be written, 3 resource cap exceeded: the group order
+Exit codes: 0 success, 1 mathematical-verdict failure, 2 usage error (a
+--max-order, --max-axes or --threads value below 1 included) or an output
+file that cannot be written, 3 resource cap exceeded: the group order
 is above --max-order (no cap unless given) or the class is larger than
 --max-axes, 4 an internal-consistency error of the group or graph layer.  A
 negative rational is written with '=', as in --alpha=-2/3, because argparse
@@ -185,8 +186,10 @@ def _spectra_section(algebra, components):
 def cmd_analyze(args):
     t_start = time.perf_counter()
     entry = catalog.from_descriptor(args.descriptor)
-    if args.threads < 1:
-        raise CatalogError("--threads must be >= 1")
+    for flag, value in (("--threads", args.threads), ("--max-order", args.max_order),
+                        ("--max-axes", args.max_axes)):
+        if value is not None and value < 1:
+            raise CatalogError(f"{flag} must be >= 1")
 
     # The order cap needs only the generators, so it is checked before the
     # graph phase.

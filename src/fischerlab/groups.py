@@ -430,13 +430,25 @@ def permutation_images(g):
     vector packed base p like a matrix row."""
     if isinstance(g, Permutation):
         return g.images
-    import numpy as np
-
     p, dim = g.p, g.dim
-    powers = p ** np.arange(dim)
-    vectors = np.arange(p**dim)[:, None] // powers % p
-    matrix = np.array([_row_decode(r, p, dim) for r in g.rows])
-    images = tuple((vectors @ matrix.T % p @ powers).tolist())
+    columns = list(zip(*(_row_decode(r, p, dim) for r in g.rows)))
+    # The vectors below p^(c+1) are those below p^c plus d times e_c, d in
+    # 1..p-1, so each image is an earlier image plus column c of g: over F2
+    # an XOR of packed columns, over F3 a digitwise sum.
+    if p == 2:
+        images = [0]
+        for column in columns:
+            column = _row_encode(column, p)
+            images += [x ^ column for x in images]
+    else:
+        images = [(0,) * dim]
+        for column in columns:
+            layer = images
+            for _ in range(p - 1):
+                layer = [tuple((x + y) % p for x, y in zip(v, column)) for v in layer]
+                images = images + layer
+        images = [_row_encode(v, p) for v in images]
+    images = tuple(images)
     if len(set(images)) != len(images):
         raise StructuralError("matrix not invertible")
     return images

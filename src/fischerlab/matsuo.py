@@ -4,16 +4,22 @@ quotient, adjoint eigenstructure, and Miyamoto involutions.
 
 Scalars are Fractions at the interface.  Every product has at most three
 terms read off the conjugation table ``conj``, so the checks store no product
-table: they read ``conj`` and one integer Gram table (``integer_tables``), in
-int64 only where a bound on every value shows that nothing can wrap and in
-Python ints otherwise, so every verification in this module is exact.
+table: they read the rows of ``conj`` and one integer Gram table
+(``integer_tables``), and eigenvectors are sparse columns of at most three
+entries.  Every check and the one elimination routine, ``bareiss``, run in
+Python ints, which cannot wrap, so every verification in this module is
+exact.  The quotient's ideal test is the one dense product; it alone imports
+numpy, only when the radical is a proper nonzero subspace, and runs in int64
+only where a bound on every value shows that nothing can wrap.
 """
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import itemgetter
 
 from . import groups, virasoro
 
@@ -53,47 +59,25 @@ def format_rational(value):
     return f"{f.numerator}/{f.denominator}"
 
 
-def _dtype(bound):
-    """int64 when ``bound`` fits in it, Python ints (object) otherwise."""
-    import numpy as np
-
-    return np.int64 if bound <= _INT64_MAX else object
-
-
 def _exact(bound, *arrays):
-    """The arrays as int64 when none is an object array and ``bound`` bounds
-    every value computed from them, otherwise as object arrays of Python ints,
-    so no product or sum wraps."""
-    dtype = object if any(a.dtype == object for a in arrays) else _dtype(bound)
+    """The numpy arrays as int64 when ``bound`` bounds every value computed
+    from them, otherwise as object arrays of Python ints, so no product or
+    sum wraps."""
+    dtype = "int64" if bound <= _INT64_MAX else object
     return [a.astype(dtype, copy=False) for a in arrays]
 
 
-def _absmax(a):
-    return max(int(a.max()), -int(a.min())) if a.size else 0
+def _gather(indices):
+    """The function taking a sequence s to the tuple of s[k], k in
+    ``indices``: one ``itemgetter`` call per sequence."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    return lambda s: tuple(s[k] for k in indices)
 
 
-def _matmul(a, b):
-    """Exact integer product a @ b."""
-    a, b = _exact(a.shape[-1] * _absmax(a) * _absmax(b), a, b)
-    return a @ b
-
-
-def _int_array(rows, ncols):
-    """A list of integer rows as an int64 array when every entry fits, else as
-    an object array."""
-    import numpy as np
-
-    bound = max((abs(x) for row in rows for x in row), default=0)
-    return np.array(rows, dtype=_dtype(bound)).reshape(len(rows), ncols)
-
-
-def _first(mask):
-    """Index tuple of the first True entry of a boolean array, or None."""
-    import numpy as np
-
-    if not mask.any():
-        return None
-    return tuple(int(x) for x in np.argwhere(mask)[0])
+def _first_difference(left, right):
+    """The first position where two equal-length sequences differ."""
+    return next(k for k, (x, y) in enumerate(zip(left, right)) if x != y)
 
 
 def _eigenvalue(alpha, sizes, column):
@@ -124,30 +108,32 @@ class Elimination:
 
 
 def bareiss(matrix):
-    """One fraction-free elimination pass over a 2-D integer array: forward
-    Bareiss steps, then back substitution on the free columns only.  Every
-    division is exact, so all entries stay integers (minors of ``matrix``)."""
-    import numpy as np
-
-    m = np.array(matrix, dtype=object)
-    rows, cols = m.shape
+    """One fraction-free elimination pass over integer rows: forward Bareiss
+    steps, then back substitution on the free columns only.  Every division
+    is exact, so all entries stay Python ints (minors of ``matrix``)."""
+    m = [list(map(int, row)) for row in matrix]
+    rows = len(m)
+    cols = len(m[0]) if m else 0
     pivots, minors = [], []
     det = 1
     for c in range(cols):
         r = len(pivots)
         if r == rows:
             break
-        nonzero = np.flatnonzero(m[r:, c] != 0)
-        if not len(nonzero):
+        p = next((k for k in range(r, rows) if m[k][c]), None)
+        if p is None:
             continue
-        p = r + int(nonzero[0])
-        if p != r:
-            m[[r, p]] = m[[p, r]]
-        lead = m[r, c]
+        m[r], m[p] = m[p], m[r]
+        lead = m[r][c]
         if p == r == c == len(minors):
             minors.append(lead)
-        below = m[r + 1:, c:]
-        below[...] = (lead * below - np.outer(m[r + 1:, c], m[r, c:])) // det
+        top = m[r][c:]
+        for row in m[r + 1:]:
+            f = row[c]
+            if f:
+                row[c:] = [(lead * x - f * y) // det for x, y in zip(row[c:], top)]
+            elif lead != det:
+                row[c:] = [lead * x // det for x in row[c:]]
         det = lead
         pivots.append(c)
     rank = len(pivots)
@@ -155,32 +141,40 @@ def bareiss(matrix):
     free = [c for c in range(cols) if c not in pivot_set]
     # Row k of the reduced form is det * (row k of the RREF); it is integral
     # by Cramer's rule and equals det on its pivot and 0 on the others.
-    reduced = m[:rank, free] * det
+    reduced = [[m[k][f] * det for f in free] for k in range(rank)]
     for k in reversed(range(rank)):
-        later = pivots[k + 1:]
-        if later:
-            reduced[k] -= m[k, later] @ reduced[k + 1:]
-        reduced[k] //= m[k, pivots[k]]
-    echelon = np.zeros((rank, cols), dtype=object)
-    echelon[range(rank), pivots] = det
-    echelon[:, free] = reduced
+        acc = reduced[k]
+        for later in range(k + 1, rank):
+            coef = m[k][pivots[later]]
+            if coef:
+                acc = [x - coef * y for x, y in zip(acc, reduced[later])]
+        lead = m[k][pivots[k]]
+        reduced[k] = [x // lead for x in acc]
+    echelon = []
+    for k, c in enumerate(pivots):
+        row = [0] * cols
+        row[c] = det
+        for f, x in zip(free, reduced[k]):
+            row[f] = x
+        echelon.append(row)
     kernel = []
     for q, f in enumerate(free):
         x = [0] * cols
         x[f] = det
         for k, c in enumerate(pivots):
-            x[c] = -reduced[k, q]
+            x[c] = -reduced[k][q]
         g = math.gcd(*x) if det > 0 else -math.gcd(*x)
         kernel.append([v // g for v in x])
-    return Elimination(rank, pivots, echelon.tolist(), det, minors, kernel)
+    return Elimination(rank, pivots, echelon, det, minors, kernel)
 
 
 @dataclass
 class AdjointSpectrum:
-    """Adjoint eigenbasis of one axis.  The columns of ``vectors`` (an integer
-    n x n array) are the basis vectors scaled by 2*den(alpha), in the blocks
-    2 | 0 | alpha whose sizes are ``sizes``; ``basis_2``, ``basis_0`` and
-    ``basis_alpha`` are Fraction lists built when read."""
+    """Adjoint eigenbasis of one axis.  ``vectors`` lists the basis vectors
+    as sparse integer columns {coordinate: value} of at most three entries,
+    scaled by 2*den(alpha), in the blocks 2 | 0 | alpha whose sizes are
+    ``sizes``; ``basis_2``, ``basis_0`` and ``basis_alpha`` are dense
+    Fraction lists built when read."""
 
     axis: int
     alpha: Fraction
@@ -194,10 +188,13 @@ class AdjointSpectrum:
     def _block(self, b):
         start = sum(self.sizes[:b])
         scale = 2 * self.alpha.denominator
-        return [
-            [Fraction(int(x), scale) for x in self.vectors[:, c]]
-            for c in range(start, start + self.sizes[b])
-        ]
+        out = []
+        for column in self.vectors[start:start + self.sizes[b]]:
+            v = [Fraction(0)] * sum(self.sizes)
+            for t, x in column.items():
+                v[t] = Fraction(x, scale)
+            out.append(v)
+        return out
 
     @property
     def basis_2(self):
@@ -312,8 +309,6 @@ class MatsuoAlgebra:
         k*alpha + 4 = 0.  The returned vector omega satisfies
         omega x^i = 2 x^i and (omega | x^i) = beta/2 on the component, and
         omega/2 is an idempotent."""
-        import numpy as np
-
         from . import fischer
 
         if component is None:
@@ -335,34 +330,33 @@ class MatsuoAlgebra:
         unit = q * 4 * self.alpha.denominator
         _, gram = self.integer_tables()
         comp = list(component)
-        member = np.zeros(self.n, dtype=np.int64)
-        member[comp] = 1
-        sums = np.array([self._ad(j, member) for j in comp])
-        bound = max(len(comp) * _absmax(sums) * abs(p), unit)
-        (sums,) = _exact(bound, sums)
-        target = np.zeros_like(sums)
-        target[range(len(comp)), comp] = unit
-        hit = _first(p * sums.sum(axis=0) != target.sum(axis=0))
+        member = dict.fromkeys(comp, 1)
+        sums = [self._ad(j, member) for j in comp]
+        total = [0] * self.n
+        for s in sums:
+            for t, x in s.items():
+                total[t] += x
+        hit = next(
+            (t for t, x in enumerate(total) if p * x != unit * (t in member)), None
+        )
         if hit is not None:
             raise VerificationError(
                 f"omega/2 failed the idempotent identity on the component of "
-                f"axis {comp[0]} (coordinate x^{hit[0]})"
+                f"axis {comp[0]} (coordinate x^{hit})"
             )
-        hit = _first(p * sums != target)
-        if hit is not None:
-            j, t = comp[hit[0]], hit[1]
-            raise VerificationError(
-                f"omega x^{j} != 2 x^{j} on the component of axis {comp[0]} "
-                f"(coordinate x^{t})"
-            )
-        block = gram[np.ix_(comp, comp)]
+        for j, s in zip(comp, sums):
+            bad = [t for t in s.keys() | {j} if p * s.get(t, 0) != unit * (t == j)]
+            if bad:
+                raise VerificationError(
+                    f"omega x^{j} != 2 x^{j} on the component of axis {comp[0]} "
+                    f"(coordinate x^{min(bad)})"
+                )
         value = unit * self.beta.numerator
-        bound = max(len(comp) * _absmax(block) * abs(p), abs(value))
-        (block,) = _exact(bound, block)
-        hit = _first(p * block.sum(axis=0) != value)
+        hit = next(
+            (j for j in comp if p * sum(gram[i][j] for i in comp) != value), None
+        )
         if hit is not None:
-            j = comp[hit[0]]
-            raise VerificationError(f"(omega | x^{j}) != beta/2")
+            raise VerificationError(f"(omega | x^{hit}) != beta/2")
         omega = self.zero()
         for i in comp:
             omega[i] = coeff
@@ -387,11 +381,10 @@ class MatsuoAlgebra:
     # -- adjoint spectrum and Miyamoto involutions --------------------------
 
     def _eigenbasis(self, i):
-        """The eigenbasis of ad(x^i) as integer columns scaled by
-        2*den(alpha), ordered 2 | 0 | alpha, with every eigen-equation checked
-        in one product.  Returns the basis and its three block sizes."""
-        import numpy as np
-
+        """The eigenbasis of ad(x^i) as sparse integer columns {coordinate:
+        value} scaled by 2*den(alpha), ordered 2 | 0 | alpha, with every
+        eigen-equation checked through ``_ad``.  Returns the columns and
+        their three block sizes."""
         if self.alpha == 0 or self.alpha == 2:
             raise DegenerateAlphaError(self.alpha)
         n = self.n
@@ -406,33 +399,35 @@ class MatsuoAlgebra:
                 f"eigenspace dimensions {sizes[0]} + {sizes[1]} + {sizes[2]} "
                 f"of axis {i} do not sum to |I| = {n}"
             )
-        dtype = _dtype(max(self._bound, 2 * max(scale, abs(a_num))))
-        basis = np.zeros((n, sum(sizes)), dtype=dtype)
-        basis[i, 0] = scale
-        basis[fixed, range(1, 1 + len(fixed))] = scale
-        if pairs:
-            js, jos = (list(t) for t in zip(*pairs))
-            plus = np.arange(1 + len(fixed), sizes[0] + sizes[1])
-            minus = plus + len(pairs)
-            basis[js, plus] = scale
-            basis[jos, plus] += scale
-            basis[i, plus] -= a_num
-            basis[js, minus] = scale
-            basis[jos, minus] -= scale
+        plus = []
+        for j, jo in pairs:
+            column = {j: scale, jo: scale}
+            column[i] = column.get(i, 0) - a_num
+            plus.append(column)
+        basis = (
+            [{i: scale}]
+            + [{j: scale} for j in fixed]
+            + plus
+            + [{j: scale, jo: -scale} for j, jo in pairs]
+        )
         # ad(x^i) is scaled by 2*den(alpha), so eigenvalue lam scales to
         # 2*den(alpha)*lam.
-        lam = np.array(
-            [2 * scale] + [0] * sizes[1] + [2 * a_num] * sizes[2], dtype=dtype
-        )
-        lhs = self._ad(i, basis)
-        vecs, lam = _exact(_absmax(basis) * _absmax(lam), basis, lam)
-        hit = _first(lhs != vecs * lam)
-        if hit is not None:
-            c = hit[1]
-            value = _eigenvalue(self.alpha, sizes, c)
+        lam = [2 * scale] + [0] * sizes[1] + [2 * a_num] * sizes[2]
+        hits = []
+        for c, (column, value) in enumerate(zip(basis, lam)):
+            image = self._ad(i, column)
+            bad = [
+                t for t in image.keys() | column.keys()
+                if image.get(t, 0) != value * column.get(t, 0)
+            ]
+            if bad:
+                hits.append((min(bad), c))
+        if hits:
+            t, c = min(hits)
             raise VerificationError(
-                f"eigen-equation failed for eigenvalue {value} at axis {i}, "
-                f"column {c} (coordinate x^{hit[0]})"
+                f"eigen-equation failed for eigenvalue "
+                f"{_eigenvalue(self.alpha, sizes, c)} at axis {i}, "
+                f"column {c} (coordinate x^{t})"
             )
         return basis, sizes
 
@@ -445,50 +440,62 @@ class MatsuoAlgebra:
         the conjugation table), verified to act by +1 on the {2, 0}
         eigenspaces and -1 on the alpha eigenspace, and to be a
         form-preserving algebra automorphism."""
-        import numpy as np
-
         mapping = self.system.conj[i]
         conj, gram = self.integer_tables()
         perm = conj[i]
-        hit = _first(perm[perm] != np.arange(self.n))
-        if hit is not None:
-            j = hit[0]
+        n = self.n
+        j = next((j for j in range(n) if perm[perm[j]] != j), None)
+        if j is not None:
             raise VerificationError(
                 f"miyamoto map of axis {i} is not an involution: "
                 f"x^{j} -> x^{perm[j]} -> x^{perm[perm[j]]}"
             )
         if self.alpha not in (0, 2):
             basis, sizes = self._eigenbasis(i)
-            sign = np.ones(basis.shape[1], dtype=np.int64)
-            sign[sizes[0] + sizes[1]:] = -1
-            hit = _first(basis[perm] != basis * sign)
-            if hit is not None:
-                c = hit[1]
-                if sign[c] > 0:
-                    value = _eigenvalue(self.alpha, sizes, c)
+            # Column c maps to sign * itself when entry t equals sign * entry
+            # perm[t]; off the support and its image both are 0.
+            hits = []
+            for c, column in enumerate(basis):
+                sign = -1 if c >= sizes[0] + sizes[1] else 1
+                bad = [
+                    t for t in column.keys() | {perm[s] for s in column}
+                    if column.get(perm[t], 0) != sign * column.get(t, 0)
+                ]
+                if bad:
+                    hits.append((min(bad), c))
+            if hits:
+                c = min(hits)[1]
+                if c < sizes[0] + sizes[1]:
                     raise VerificationError(
                         f"miyamoto map of axis {i} moved a +1 eigenvector "
-                        f"(eigenvalue {value}, column {c})"
+                        f"(eigenvalue {_eigenvalue(self.alpha, sizes, c)}, column {c})"
                     )
                 raise VerificationError(
                     f"miyamoto map of axis {i} failed to negate an alpha "
                     f"eigenvector (column {c})"
                 )
-        # The bijection perm is an automorphism when conj[perm[j]][perm[k]]
-        # == perm[conj[j][k]], and always at alpha = 0.
+        # The involution perm is an automorphism when conj[perm[j]][perm[k]]
+        # == perm[conj[j][k]], and always at alpha = 0; an isometry when
+        # gram[perm[j]][perm[k]] == gram[j][k].  Rows j and perm[j] state the
+        # same condition, so the first failing row has j <= perm[j].
+        at_perm = _gather(perm)
+        rows = [j for j in range(n) if j <= perm[j]]
         if self.alpha:
-            hit = _first(conj[np.ix_(perm, perm)] != perm[conj])
-            if hit is not None:
+            for j in rows:
+                image = _gather(conj[j])(perm)
+                if at_perm(conj[perm[j]]) != image:
+                    k = _first_difference(at_perm(conj[perm[j]]), image)
+                    raise VerificationError(
+                        f"miyamoto map of axis {i} is not an automorphism at "
+                        f"pair ({j},{k})"
+                    )
+        for j in rows:
+            if at_perm(gram[perm[j]]) != tuple(gram[j]):
+                k = _first_difference(at_perm(gram[perm[j]]), gram[j])
                 raise VerificationError(
-                    f"miyamoto map of axis {i} is not an automorphism at "
-                    f"pair ({hit[0]},{hit[1]})"
+                    f"miyamoto map of axis {i} is not an isometry at pair "
+                    f"({j},{k})"
                 )
-        hit = _first(gram[np.ix_(perm, perm)] != gram)
-        if hit is not None:
-            raise VerificationError(
-                f"miyamoto map of axis {i} is not an isometry at pair "
-                f"({hit[0]},{hit[1]})"
-            )
         return MiyamotoMap(i, mapping)
 
     def sigma_action(self, group):
@@ -546,54 +553,41 @@ class MatsuoAlgebra:
     # -- integer tables for exhaustive checks -------------------------------
 
     def integer_tables(self):
-        """``system.conj`` as an index array and the Gram matrix scaled by
-        8*den(alpha)*den(beta), built once per algebra; every check reads
-        these two.  The Gram array is int64 when ``_bound`` < 2^63 and an
-        object array of Python ints otherwise, and then every check runs in
-        Python ints.
-        """
+        """The rows of ``system.conj`` and the Gram matrix scaled by
+        8*den(alpha)*den(beta) as a list of lists of Python ints, built once
+        per algebra; every check reads these two."""
         return self._tables
 
     @cached_property
-    def _bound(self):
-        """n * max|T| * max|G|, with T a structure constant scaled by
-        2*den(alpha) and G a scaled Gram entry."""
-        a_num, a_den = self.alpha.numerator, self.alpha.denominator
-        b_num = self.beta.numerator
-        max_t = max(4 * a_den, abs(a_num))
-        max_g = max(abs(4 * a_den * b_num), abs(a_num * b_num))
-        return max(max_t, max_g, self.n * max_t * max_g)
-
-    @cached_property
     def _tables(self):
-        import numpy as np
-
-        n = self.n
-        conj = np.array(self.system.conj)
-        gram = np.zeros((n, n), dtype=_dtype(self._bound))
-        gram[range(n), range(n)] = 4 * self.alpha.denominator * self.beta.numerator
-        gram[conj != np.arange(n)] = self.alpha.numerator * self.beta.numerator
+        conj = self.system.conj
+        diag = 4 * self.alpha.denominator * self.beta.numerator
+        edge = self.alpha.numerator * self.beta.numerator
+        gram = []
+        for i, row in enumerate(conj):
+            g = [edge if c != j else 0 for j, c in enumerate(row)]
+            if row[i] == i:
+                g[i] = diag
+            gram.append(g)
         return conj, gram
 
-    def _ad(self, j, vectors):
-        """ad(x^j) scaled by 2*den(alpha), read off row j of ``conj``, times
-        an integer vector or the columns V of a matrix.  With a = num(alpha)
-        and N = {t : conj[j][t] != t}, rows N gain a*V[N], rows conj[j][N]
-        lose it (an unbuffered subtract, as a row may repeat a value), and
-        row j gains a*sum(V[N]) + 4*den(alpha)*V[j]."""
-        import numpy as np
-
-        row = self._tables[0][j]
-        nbrs = np.flatnonzero(row != np.arange(self.n))
+    def _ad(self, j, vector):
+        """ad(x^j) scaled by 2*den(alpha), read off row j of ``conj``, times a
+        sparse integer vector {coordinate: value}, as a sparse vector.  With
+        a = num(alpha), each x^t with conj[j][t] != t adds a*v_t to x^t and
+        to x^j and subtracts it from x^conj[j][t] (a row may repeat a value),
+        and x^j adds 4*den(alpha)*v_j."""
+        row = self.system.conj[j]
         a = self.alpha.numerator
-        unit = 4 * self.alpha.denominator
-        bound = ((2 * len(nbrs) + 1) * abs(a) + unit) * _absmax(vectors)
-        (v,) = _exact(max(bound, self._bound), vectors)
-        moved = a * v[nbrs]
-        out = np.zeros_like(v)
-        out[nbrs] += moved
-        np.subtract.at(out, row[nbrs], moved)
-        out[j] += moved.sum(axis=0) + unit * v[j]
+        out = defaultdict(int)
+        for t, v in vector.items():
+            if t == j:
+                out[j] += 4 * self.alpha.denominator * v
+            s = row[t]
+            if s != t:
+                out[t] += a * v
+                out[j] += a * v
+                out[s] -= a * v
         return out
 
     @cached_property
@@ -605,41 +599,72 @@ class MatsuoAlgebra:
     def verify_axioms(self):
         """Exhaustive exact check of commutativity, form symmetry and
         invariance (uv|w) = (u|vw) over all basis triples."""
-        import numpy as np
-
         conj, gram = self.integer_tables()
-        n = self.n
-        adjacent = conj != np.arange(n)
         # x^i x^j = x^j x^i when i, j are adjacent both ways with one common
         # conjugate, or neither way; at alpha = 0 always.
         if self.alpha:
-            hit = _first((adjacent != adjacent.T) | (adjacent & (conj != conj.T)))
-            if hit is not None:
+            for i, (row, column) in enumerate(zip(conj, zip(*conj))):
+                for j, (c, d) in enumerate(zip(row, column)):
+                    if (c != j) != (d != i) or (c != j and c != d):
+                        raise VerificationError(
+                            f"product is not commutative at pair ({i},{j})"
+                        )
+        for i, (row, column) in enumerate(zip(gram, zip(*gram))):
+            if tuple(row) != column:
                 raise VerificationError(
-                    f"product is not commutative at pair ({hit[0]},{hit[1]})"
+                    f"form is not symmetric at pair ({i},{_first_difference(row, column)})"
                 )
-        hit = _first(gram != gram.T)
-        if hit is not None:
-            raise VerificationError(
-                f"form is not symmetric at pair ({hit[0]},{hit[1]})"
-            )
-        # Then triple (i, j, k) is invariant when S = G ad(x^i), S[j, k] =
-        # (x^j | x^i x^k), has S[j, k] == S[k, j]; each column of S combines
-        # at most three Gram columns.
-        a = self.alpha.numerator
-        unit = 4 * self.alpha.denominator
-        (g,) = _exact(max((3 * abs(a) + unit) * _absmax(gram), self._bound), gram)
-        for i in range(n):
-            nbrs = np.flatnonzero(adjacent[i])
-            s = np.zeros_like(g)
-            s[:, nbrs] = a * (g[:, [i]] + g[:, nbrs] - g[:, conj[i, nbrs]])
-            s[:, i] += unit * g[:, i]
-            hit = _first(s != s.T)
-            if hit is not None:
-                raise VerificationError(
-                    f"form is not invariant at triple ({i},{hit[0]},{hit[1]})"
-                )
+        # Then triple (i, j, k) is invariant when S = G ad(x^i), S[j][k] =
+        # (x^j | x^i x^k), has S[j][k] == S[k][j].
+        for i in range(self.n):
+            if not self._invariant_by_gathers(i):
+                hit = self._asymmetry(i)
+                if hit is not None:
+                    raise VerificationError(
+                        f"form is not invariant at triple ({i},{hit[0]},{hit[1]})"
+                    )
         return True
+
+    def _invariant_by_gathers(self, i):
+        """A sufficient condition, in row gathers, for S = G ad(x^i) to be
+        symmetric when G is.  Column k of S is a*(G[:, i] + G[:, k] -
+        G[:, conj[i][k]]) for k in N = {k : conj[i][k] != k}, column i gains
+        unit*G[:, i], and the other columns are 0.  With i not in N, S is
+        symmetric when G[i][k] is one value on N and 0 off N u {i}, when
+        G[k][conj[i][j]] = G[conj[i][k]][j] for every k in N and every j, and
+        when row i and column i of S agree."""
+        conj, gram = self._tables
+        perm, g_i = conj[i], gram[i]
+        a, unit = self.alpha.numerator, 4 * self.alpha.denominator
+        nbrs = [k for k, c in enumerate(perm) if c != k]
+        if a == 0 or not nbrs:
+            return not any(x for j, x in enumerate(g_i) if j != i)
+        inside = {*nbrs, i}
+        if (
+            perm[i] != i
+            or len({g_i[k] for k in nbrs}) != 1
+            or any(x for j, x in enumerate(g_i) if j not in inside)
+        ):
+            return False
+        at_perm = _gather(perm)
+        return all(at_perm(gram[k]) == tuple(gram[perm[k]]) for k in nbrs) and all(
+            a * (g_i[i] + g_i[k] - g_i[perm[k]]) == unit * g_i[k] for k in nbrs
+        )
+
+    def _asymmetry(self, i):
+        """The first (j, k) with S[j][k] != S[k][j] for S = G ad(x^i), built
+        in full, or None."""
+        perm = self._tables[0][i]
+        a, unit = self.alpha.numerator, 4 * self.alpha.denominator
+        s = []
+        for g in self._tables[1]:
+            row = [a * (g[i] + g[k] - g[c]) if c != k else 0 for k, c in enumerate(perm)]
+            row[i] += unit * g[i]
+            s.append(row)
+        return next(
+            ((j, k) for j, row in enumerate(s) for k, x in enumerate(row) if x != s[k][j]),
+            None,
+        )
 
 
 class MatsuoQuotient:
@@ -648,8 +673,6 @@ class MatsuoQuotient:
     non-degenerate."""
 
     def __init__(self, algebra, radical):
-        import numpy as np
-
         self.algebra = algebra
         self.radical = radical
         n = algebra.n
@@ -657,7 +680,7 @@ class MatsuoQuotient:
         if any(len(row) != n for row in rows):
             raise MatsuoError(f"radical vectors must have length {n}")
         scales = [math.lcm(*(x.denominator for x in row)) for row in rows]
-        rows = _int_array([[int(x * d) for x in row] for row, d in zip(rows, scales)], n)
+        rows = [[int(x * d) for x in row] for row, d in zip(rows, scales)]
         elim = bareiss(rows)
         if elim.rank != len(rows):
             raise MatsuoError("radical basis is linearly dependent")
@@ -670,7 +693,7 @@ class MatsuoQuotient:
         self._verify_ideal(rows, elim.kernel)
         _, gram = algebra.integer_tables()
         reps = self.rep_indices
-        form = bareiss(gram[np.ix_(reps, reps)])
+        form = bareiss([[gram[p][q] for q in reps] for p in reps])
         if form.rank != self.dim:
             dependent = next(p for p in range(self.dim) if p not in form.pivots)
             raise VerificationError(
@@ -711,17 +734,37 @@ class MatsuoQuotient:
 
     def _verify_ideal(self, rows, kernel):
         """Every product of an axis with a radical row lies in the span of the
-        rows: for each axis j, the kernel of ``rows`` annihilates ad(x^j)
-        rows^T.  The witness is the first failing (row, axis) pair."""
-        a = self.algebra
-        if not len(rows) or not kernel:
+        rows: for each axis j, the kernel K of ``rows`` annihilates ad(x^j)
+        rows^T.  The witness is the first failing (row, axis) pair.  This is
+        the module's one dense product, f x n times n x r per axis, so it
+        runs in numpy, in int64 when a bound shows that nothing wraps."""
+        if not rows or not kernel:
             return
-        kernel = _int_array(kernel, a.n)
+        import numpy as np
+
+        a = self.algebra
+        num, unit = a.alpha.numerator, 4 * a.alpha.denominator
+        big_k = max(abs(x) for v in kernel for x in v)
+        big_r = max(abs(x) for v in rows for x in v)
+        bound = a.n * (3 * abs(num) + unit) * big_k * big_r
+        k, r = _exact(bound, np.array(kernel, dtype=object), np.array(rows, dtype=object).T)
         hits = []
-        for j in range(a.n):
-            hit = _first((_matmul(kernel, a._ad(j, rows.T)) != 0).any(axis=0))
-            if hit is not None:
-                hits.append((hit[0], j))
+        for j, perm in enumerate(a.system.conj):
+            # K ad(x^j): column t in N = {t : conj[j][t] != t} is
+            # num * (K[:, t] - K[:, conj[j][t]] + K[:, j]), column j gains
+            # unit * K[:, j], and the other columns are 0, so only the rows
+            # N u {j} of rows^T enter the product.
+            perm = np.array(perm)
+            moved = perm != np.arange(a.n)
+            nbrs = np.flatnonzero(moved)
+            m = np.zeros_like(k)
+            m[:, nbrs] = num * (k[:, nbrs] - k[:, perm[nbrs]] + k[:, [j]])
+            m[:, j] += unit * k[:, j]
+            moved[j] = True
+            support = np.flatnonzero(moved)
+            hit = np.flatnonzero((m[:, support] @ r[support] != 0).any(axis=0))
+            if hit.size:
+                hits.append((int(hit[0]), j))
         if hits:
             row, i = min(hits)
             raise RadicalNotIdealError(

@@ -1,6 +1,8 @@
 """The library ops of the benchmark (perfbench/op.py) and one of its CLI ops
 still run on the package and print their recorded goldens byte for byte, and
-the CLI start-up path of its sweep stays free of numpy."""
+the CLI start-up path of its sweep and its analyses with radical 0 stay free
+of numpy."""
+import json
 import os
 import subprocess
 import sys
@@ -47,3 +49,34 @@ def test_cli_start_up_leaves_numpy_unloaded():
     assert proc.returncode == 0, proc.stderr.decode()
     expected = (ROOT / "perfbench" / "goldens" / "sakuma-3a.json").read_bytes()
     assert proc.stdout == expected
+
+
+# Analyses with radical 0 on the permutation, F2-matrix, F3-matrix and Weyl
+# carriers: no check reaches the quotient's ideal test, numpy's one user.
+RADICAL_ZERO = {
+    "s4-warm": "symmetric:n=4",
+    "o6m2-cold": "orthogonal-f2:dim=6,eps=-",
+    "o4f3-warm": "orthogonal-f3:dim=4",
+    "d4-warm": "weyl:type=D,rank=4",
+}
+
+
+def test_radical_zero_analysis_leaves_numpy_unloaded():
+    code = (
+        "import contextlib, io, json, sys\n"
+        "import fischerlab.cli\n"
+        "out = {}\n"
+        f"for name, descriptor in {RADICAL_ZERO!r}.items():\n"
+        "    with contextlib.redirect_stdout(io.StringIO()) as buf:\n"
+        "        assert fischerlab.cli.main(['analyze', descriptor, '--json']) == 0\n"
+        "    assert 'numpy' not in sys.modules, name\n"
+        "    out[name] = buf.getvalue()\n"
+        "print(json.dumps(out))\n"
+    )
+    proc = run(["-c", code])
+    assert proc.returncode == 0, proc.stderr.decode()
+    reports = json.loads(proc.stdout)
+    assert list(reports) == list(RADICAL_ZERO)
+    for name, text in reports.items():
+        expected = (ROOT / "perfbench" / "goldens" / f"{name}.json").read_bytes()
+        assert text.encode() == expected, name

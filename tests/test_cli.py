@@ -125,6 +125,12 @@ class TestAnalyze:
         assert code == 3
         assert "group order 720 exceeds the order cap 100" in err
 
+    @pytest.mark.parametrize("flag", ["--max-order", "--max-axes"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_non_positive_cap_is_usage_error(self, capsys, flag, value):
+        code, out, err = run(capsys, "analyze", "symmetric:n=4", f"{flag}={value}")
+        assert (code, out, err) == (2, "", f"error: {flag} must be >= 1\n")
+
     def test_symplectic_report(self, capsys):
         code, out, _ = run(capsys, "analyze", "symmetric:n=5", "--json")
         payload = json.loads(out)

@@ -180,6 +180,40 @@ def outcome(call):
 # -- the dense oracle -------------------------------------------------------
 
 
+def first(mask):
+    """Index tuple of the first True entry of a boolean array, or None."""
+    if not mask.any():
+        return None
+    return tuple(int(x) for x in np.argwhere(mask)[0])
+
+
+def absmax(a):
+    return max(int(a.max()), -int(a.min())) if a.size else 0
+
+
+def exact(bound, *arrays):
+    """The arrays as int64 when none is an object array and ``bound`` bounds
+    every value computed from them, otherwise as object arrays."""
+    fits = bound < 2**63 and all(a.dtype != object for a in arrays)
+    return [a.astype(np.int64 if fits else object, copy=False) for a in arrays]
+
+
+def matmul(a, b):
+    a, b = exact(a.shape[-1] * absmax(a) * absmax(b), a, b)
+    return a @ b
+
+
+def dense_ad(A, j):
+    """ad(x^j) as the n x n integer matrix of ``A._ad`` on each basis vector."""
+    columns = [A._ad(j, {t: 1}) for t in range(A.n)]
+    return [[column.get(s, 0) for column in columns] for s in range(A.n)]
+
+
+def dense_columns(columns, n):
+    """Sparse columns {coordinate: value} as the rows of an n-row matrix."""
+    return [[column.get(t, 0) for column in columns] for t in range(n)]
+
+
 class DenseOracle:
     """The checks on a dense structure tensor: tensor[i, j] is x^i x^j scaled
     by 2*den(alpha), next to the Gram matrix scaled by 8*den(alpha)*den(beta),
@@ -194,7 +228,8 @@ class DenseOracle:
         b_num = A.beta.numerator
         max_t = max(4 * a_den, abs(a_num))
         max_g = max(abs(4 * a_den * b_num), abs(a_num * b_num))
-        dtype = matsuo._dtype(max(max_t, max_g, n * max_t * max_g))
+        bound = max(max_t, max_g, n * max_t * max_g)
+        dtype = np.int64 if bound < 2**63 else object
         self.A = A
         self.n = n
         self.tensor = np.zeros((n, n, n), dtype=dtype)
@@ -216,16 +251,16 @@ class DenseOracle:
 
     def verify_axioms(self):
         tensor, gram = self.tensor, self.gram
-        hit = matsuo._first(tensor != tensor.transpose(1, 0, 2))
+        hit = first(tensor != tensor.transpose(1, 0, 2))
         if hit is not None:
             raise VerificationError(
                 f"product is not commutative at pair ({hit[0]},{hit[1]})"
             )
-        hit = matsuo._first(gram != gram.T)
+        hit = first(gram != gram.T)
         if hit is not None:
             raise VerificationError(f"form is not symmetric at pair ({hit[0]},{hit[1]})")
         t = self.triples()
-        hit = matsuo._first(t != t.transpose(1, 2, 0))
+        hit = first(t != t.transpose(1, 2, 0))
         if hit is not None:
             raise VerificationError(
                 f"form is not invariant at triple ({hit[0]},{hit[1]},{hit[2]})"
@@ -261,9 +296,9 @@ class DenseOracle:
             basis[js, minus] = scale
             basis[jos, minus] -= scale
         lam = np.array([2 * scale] + [0] * sizes[1] + [2 * a_num] * sizes[2], dtype=dtype)
-        lhs = matsuo._matmul(self.tensor[i].T, basis)
-        vecs, lam = matsuo._exact(matsuo._absmax(basis) * matsuo._absmax(lam), basis, lam)
-        hit = matsuo._first(lhs != vecs * lam)
+        lhs = matmul(self.tensor[i].T, basis)
+        vecs, lam = exact(absmax(basis) * absmax(lam), basis, lam)
+        hit = first(lhs != vecs * lam)
         if hit is not None:
             value = matsuo._eigenvalue(A.alpha, sizes, hit[1])
             raise VerificationError(
@@ -275,7 +310,7 @@ class DenseOracle:
     def miyamoto(self, i):
         A, n = self.A, self.n
         perm = np.array(A.system.conj[i])
-        hit = matsuo._first(perm[perm] != np.arange(n))
+        hit = first(perm[perm] != np.arange(n))
         if hit is not None:
             j = hit[0]
             raise VerificationError(
@@ -286,7 +321,7 @@ class DenseOracle:
             basis, sizes = self.eigenbasis(i)
             sign = np.ones(basis.shape[1], dtype=np.int64)
             sign[sizes[0] + sizes[1]:] = -1
-            hit = matsuo._first(basis[perm] != basis * sign)
+            hit = first(basis[perm] != basis * sign)
             if hit is not None:
                 c = hit[1]
                 if sign[c] > 0:
@@ -300,13 +335,13 @@ class DenseOracle:
                     f"eigenvector (column {c})"
                 )
         for j in range(n):
-            hit = matsuo._first(self.tensor[perm[j]][np.ix_(perm, perm)] != self.tensor[j])
+            hit = first(self.tensor[perm[j]][np.ix_(perm, perm)] != self.tensor[j])
             if hit is not None:
                 raise VerificationError(
                     f"miyamoto map of axis {i} is not an automorphism at "
                     f"pair ({j},{hit[0]})"
                 )
-        hit = matsuo._first(self.gram[np.ix_(perm, perm)] != self.gram)
+        hit = first(self.gram[np.ix_(perm, perm)] != self.gram)
         if hit is not None:
             raise VerificationError(
                 f"miyamoto map of axis {i} is not an isometry at pair ({hit[0]},{hit[1]})"
@@ -323,18 +358,18 @@ class DenseOracle:
         unit = q * 4 * A.alpha.denominator
         comp = list(component)
         tensor = self.tensor[np.ix_(comp, comp)]
-        bound = len(comp) ** 2 * max(matsuo._absmax(tensor), 1) * max(abs(p), unit)
-        (tensor,) = matsuo._exact(bound, tensor)
+        bound = len(comp) ** 2 * max(absmax(tensor), 1) * max(abs(p), unit)
+        (tensor,) = exact(bound, tensor)
         sums = tensor.sum(axis=1)
         target = np.zeros_like(sums)
         target[range(len(comp)), comp] = unit
-        hit = matsuo._first(p * sums.sum(axis=0) != target.sum(axis=0))
+        hit = first(p * sums.sum(axis=0) != target.sum(axis=0))
         if hit is not None:
             raise VerificationError(
                 f"omega/2 failed the idempotent identity on the component of "
                 f"axis {comp[0]} (coordinate x^{hit[0]})"
             )
-        hit = matsuo._first(p * sums != target)
+        hit = first(p * sums != target)
         if hit is not None:
             raise VerificationError(
                 f"omega x^{comp[hit[0]]} != 2 x^{comp[hit[0]]} on the component "
@@ -342,9 +377,9 @@ class DenseOracle:
             )
         block = self.gram[np.ix_(comp, comp)]
         value = unit * A.beta.numerator
-        bound = max(len(comp) * matsuo._absmax(block) * abs(p), abs(value))
-        (block,) = matsuo._exact(bound, block)
-        hit = matsuo._first(p * block.sum(axis=0) != value)
+        bound = max(len(comp) * absmax(block) * abs(p), abs(value))
+        (block,) = exact(bound, block)
+        hit = first(p * block.sum(axis=0) != value)
         if hit is not None:
             raise VerificationError(f"(omega | x^{comp[hit[0]]}) != beta/2")
         omega = A.zero()
@@ -355,16 +390,16 @@ class DenseOracle:
     def quotient_dim(self, radical):
         """The steps of ``MatsuoQuotient``, with the ideal test on the tensor."""
         n = self.n
-        rows = matsuo._int_array(radical, n)
-        elim = matsuo.bareiss(rows)
+        rows = np.array(radical, dtype=object).reshape(len(radical), n)
+        elim = matsuo.bareiss(radical)
         if elim.rank != len(rows):
             raise MatsuoError("radical basis is linearly dependent")
         if len(rows) and elim.kernel:
             # products[row * n + j] = x^j times radical row ``row``
             table = self.tensor.transpose(1, 0, 2).reshape(n, n * n)
-            products = matsuo._matmul(rows, table).reshape(len(rows) * n, n)
-            kernel = matsuo._int_array(elim.kernel, n)
-            hit = matsuo._first(matsuo._matmul(products, kernel.T) != 0)
+            products = matmul(rows, table).reshape(len(rows) * n, n)
+            kernel = np.array(elim.kernel, dtype=object)
+            hit = first(matmul(products, kernel.T) != 0)
             if hit is not None:
                 row, j = divmod(hit[0], n)
                 raise RadicalNotIdealError(
@@ -372,7 +407,7 @@ class DenseOracle:
                 )
         pivots = set(elim.pivots)
         reps = [c for c in range(n) if c not in pivots]
-        form = matsuo.bareiss(self.gram[np.ix_(reps, reps)])
+        form = matsuo.bareiss(self.gram[np.ix_(reps, reps)].tolist())
         if form.rank != len(reps):
             dependent = next(p for p in range(len(reps)) if p not in form.pivots)
             raise VerificationError(
@@ -476,13 +511,13 @@ def test_checks_agree_with_dense_oracle(
     dense = DenseOracle(A)
     i = data.draw(entry, label="axis")
 
-    identity = np.eye(n, dtype=np.int64)
     for j in range(n):
-        assert A._ad(j, identity).tolist() == dense.tensor[j].T.tolist()
+        assert dense_ad(A, j) == dense.tensor[j].T.tolist()
     assert verdict(A.verify_axioms) == verdict(dense.verify_axioms)
     spectrum = verdict(lambda: A.adjoint_spectrum(i))
     if spectrum[0] == "ok":
-        spectrum = "ok", (spectrum[1].vectors.tolist(), spectrum[1].sizes)
+        vectors, sizes = spectrum[1].vectors, spectrum[1].sizes
+        spectrum = "ok", (dense_columns(vectors, n), sizes)
     expected = verdict(lambda: dense.eigenbasis(i))
     if expected[0] == "ok":
         expected = "ok", (expected[1][0].tolist(), expected[1][1])
@@ -503,8 +538,7 @@ def test_ad_applies_a_row_that_repeats_a_value(system_factory, with_conj_entry):
     # their third term to x^1, and ad(x^0) must subtract both.
     system = with_conj_entry(system_factory("symmetric:n=4"), 0, 3, 1)
     A = MatsuoAlgebra(system, F(1, 2), F(1, 2))
-    identity = np.eye(A.n, dtype=np.int64)
-    assert A._ad(0, identity).tolist() == DenseOracle(A).tensor[0].T.tolist()
+    assert dense_ad(A, 0) == DenseOracle(A).tensor[0].T.tolist()
 
 
 def test_alpha_zero_products_do_not_read_conj(system_factory, with_conj_entry):
@@ -526,7 +560,8 @@ BIG_BETA = F(2**30 - 5, 2**29 + 7)
 
 @pytest.fixture
 def dtypes(monkeypatch):
-    """The dtypes that matsuo's exact products and sums run in."""
+    """The dtypes that the quotient's ideal-test product runs in, the one
+    product of matsuo that uses numpy."""
     seen = set()
     real = matsuo._exact
 
@@ -555,7 +590,9 @@ def test_large_rationals_agree_with_dense_oracle(system_factory):
     for i in range(A.n):
         spectrum = A.adjoint_spectrum(i)
         basis, sizes = dense.eigenbasis(i)
-        assert (spectrum.vectors.tolist(), spectrum.sizes) == (basis.tolist(), sizes)
+        assert (dense_columns(spectrum.vectors, A.n), spectrum.sizes) == (
+            basis.tolist(), sizes
+        )
         assert A.miyamoto(i).mapping == dense.miyamoto(i)
     assert A.unity() == dense.unity(fischer.components(A.system)[0])
     not_ideal = [[1, -1] + [0] * (A.n - 2)]
@@ -568,7 +605,8 @@ def test_object_path_agrees_with_oracle(system_factory, dtypes):
     system = system_factory("symmetric:n=5")
     A = MatsuoAlgebra(system, BIG_ALPHA, BIG_BETA)
     _, gram = A.integer_tables()
-    assert gram.dtype == object
+    scale = 8 * BIG_ALPHA.denominator * BIG_BETA.denominator
+    assert gram == [[x * scale for x in row] for row in A.gram]
     for i in range(A.n):
         spectrum = A.adjoint_spectrum(i)
         assert (spectrum.basis_2, spectrum.basis_0, spectrum.basis_alpha) == (
@@ -582,18 +620,23 @@ def test_object_path_agrees_with_oracle(system_factory, dtypes):
         A.quotient(not_ideal)
     with pytest.raises(RadicalNotIdealError):
         oracle_quotient_dim(A, not_ideal)
-    assert dtypes == {"object"}
+    # The ideal test's bound, n * (3|num(alpha)| + 4 den(alpha)) * max|K| *
+    # max|R|, is about 2^32 here: beta does not enter it.
+    assert dtypes == {"int64"}
 
 
 def test_object_path_ideal_check(system_factory, dtypes):
-    # k = 2 and alpha = -2 make the Gram matrix of S3 singular; the huge beta
-    # forces object tables.
+    # k = 2 and alpha = -2 make the Gram matrix of S3 singular, with the huge
+    # beta in every entry.  The radical row scaled by 2^70 forces the ideal
+    # test's product into Python ints.
     A = MatsuoAlgebra(system_factory("symmetric:n=3"), F(-2), F(2**70 + 1, 2**65 + 3))
-    assert A.integer_tables()[1].dtype == object
     radical = A.gram_radical()
     assert radical == [[1, 1, 1]]
     assert A.quotient(radical).dim == oracle_quotient_dim(A, radical) == 2
-    assert dtypes == {"object"}
+    assert dtypes == {"int64"}
+    scaled = [[2**70] * 3]
+    assert A.quotient(scaled).dim == oracle_quotient_dim(A, scaled) == 2
+    assert dtypes == {"int64", "object"}
 
 
 @pytest.mark.parametrize("alpha", [F(1), F(1, 2)])
@@ -606,4 +649,5 @@ def test_e6_checks_stay_int64(system_factory, dtypes, alpha):
     radical = A.gram_radical()
     assert len(radical) == (15 if alpha == 1 else 0)
     assert A.quotient(radical).dim == 36 - len(radical)
-    assert dtypes == {"int64"}
+    # Only a proper nonzero radical reaches the ideal test.
+    assert dtypes == ({"int64"} if alpha == 1 else set())
