@@ -4,6 +4,13 @@ Each constructor returns a :class:`CatalogEntry` holding a small generating
 set together with the designated transposition seed; the full transposition
 class is recovered downstream by conjugacy closure.
 
+The orthogonal families choose their generating set S from the class
+vectors, in order: a vector joins S when it lies outside the closure of the
+vectors already in S under their own transvections (over F2) or reflections
+(over F3), and the choice stops once that closure is the whole class.  The
+class then lies in <S>, so <S> is the group the class generates; every
+generator is a class member, and S is also the seed.
+
 Fixed standard forms:
   * symplectic over F2: B pairs coordinates (0,1), (2,3), ...;
   * quadratic forms over F2: q+ = x0 x1 + x2 x3 + ...; q- replaces the last
@@ -12,7 +19,6 @@ Fixed standard forms:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product as iproduct
 
 from .groups import FpMatrix, Permutation, StructuralError, closure
@@ -22,24 +28,26 @@ SYMPLECTIC_MAX_N = 3
 ORTHOGONAL_F2_DIMS = (4, 6, 8)
 ORTHOGONAL_F3_DIMS = (3, 4, 5)
 WEYL_RANKS = {"A": range(1, 8), "D": range(4, 7), "E": range(6, 9)}
+F3_SIGNS = {"+": 1, "-": 2, "1": 1, "2": 2}
 
 
 class CatalogError(ValueError):
     """Unsupported or malformed family parameters."""
 
 
-@dataclass
 class CatalogEntry:
-    family: str
-    params: dict
-    generators: list
-    seed: list
-    descriptor: str = field(default="")
+    """Generators and transposition seed of one family member; the
+    descriptor defaults to ``family:key=value,...``."""
 
-    def __post_init__(self):
-        if not self.descriptor:
-            items = ",".join(f"{k}={v}" for k, v in self.params.items())
-            self.descriptor = f"{self.family}:{items}" if items else self.family
+    def __init__(self, family, params, generators, seed, descriptor=""):
+        if not descriptor:
+            items = ",".join(f"{k}={v}" for k, v in params.items())
+            descriptor = f"{family}:{items}" if items else family
+        self.family = family
+        self.params = params
+        self.generators = generators
+        self.seed = seed
+        self.descriptor = descriptor
 
 
 def symmetric(n):
@@ -106,6 +114,33 @@ def _f2_quadratic(dim, eps):
     return q
 
 
+def _generating_vectors(vectors, image):
+    """The class vectors of the generating set S: each vector outside the
+    closure of those chosen before it under their own transvections or
+    reflections, until that closure is the whole class.  ``image(u, v)`` is
+    the class vector that the transvection or reflection of v maps u to."""
+    chosen = []
+    reached = set()
+    for v in vectors:
+        if v not in reached:
+            chosen.append(v)
+            reached = set(closure(chosen, lambda u: [image(u, w) for w in chosen]))
+            if len(reached) == len(vectors):
+                break
+    return chosen
+
+
+def _f2_class(dim, eps):
+    """Each class vector v (q(v) = 1) mapped to the bitmask of
+    {j : B(e_j, v) = 1}, where B is the polar form of q."""
+    q = _f2_quadratic(dim, eps)
+    return {
+        v: sum((q((1 << j) ^ v) ^ q(1 << j) ^ q(v)) << j for j in range(dim))
+        for v in range(1, 1 << dim)
+        if q(v) == 1
+    }
+
+
 def orthogonal_F2(dim, eps):
     """O_dim^eps(2)-type group generated by the singular-point transvections
     t_v with q(v) = 1."""
@@ -113,14 +148,15 @@ def orthogonal_F2(dim, eps):
         raise CatalogError(f"orthogonal-f2: dim must be one of {ORTHOGONAL_F2_DIMS}")
     if eps not in ("+", "-"):
         raise CatalogError("orthogonal-f2: eps must be '+' or '-'")
-    q = _f2_quadratic(dim, eps)
-    class_vectors = [v for v in range(1, 1 << dim) if q(v) == 1]
-    gens = []
-    for v in class_vectors:
-        bv = 0
-        for j in range(dim):
-            bv |= (q((1 << j) ^ v) ^ q(1 << j) ^ q(v)) << j
-        gens.append(_f2_transvection(dim, v, bv))
+    polar = _f2_class(dim, eps)
+
+    def image(u, v):  # t_v(u) = u + B(u, v) v
+        return u ^ v if (u & polar[v]).bit_count() & 1 else u
+
+    gens = [
+        _f2_transvection(dim, v, polar[v])
+        for v in _generating_vectors(list(polar), image)
+    ]
     return CatalogEntry(
         "orthogonal-f2", {"dim": dim, "eps": eps}, gens, list(gens)
     )
@@ -156,6 +192,31 @@ def orthogonal_F3(dim, form=None, sign=1):
         raise CatalogError("orthogonal-f3: degenerate form (zero diagonal entry)")
     if sign not in (1, 2):
         raise CatalogError("orthogonal-f3: sign must be 1 or 2")
+    vectors = _f3_class(dim, form, sign)
+    if not vectors:
+        raise CatalogError("orthogonal-f3: empty reflection class for this form/sign")
+
+    def image(u, v):  # r_v(u) = u - 2 B(u, v)/q(v) v, up to sign
+        c = 2 * sum(d * x * y for d, x, y in zip(form, u, v)) * sign
+        w = [(x - c * y) % 3 for x, y in zip(u, v)]
+        if next(x for x in w if x) == 2:
+            w = [-x % 3 for x in w]
+        return tuple(w)
+
+    gens = [
+        _f3_reflection(dim, form, v) for v in _generating_vectors(vectors, image)
+    ]
+    return CatalogEntry(
+        "orthogonal-f3",
+        {"dim": dim, "form": "".join(map(str, form)), "sign": sign},
+        gens,
+        list(gens),
+    )
+
+
+def _f3_class(dim, form, sign):
+    """The vectors v with q(v) = sign, one of each pair {v, -v}: the one
+    whose first nonzero entry is 1."""
     vectors = []
     for v in iproduct(range(3), repeat=dim):
         nz = next((x for x in v if x), 0)
@@ -163,15 +224,7 @@ def orthogonal_F3(dim, form=None, sign=1):
             continue
         if sum(d * x * x for d, x in zip(form, v)) % 3 == sign:
             vectors.append(v)
-    if not vectors:
-        raise CatalogError("orthogonal-f3: empty reflection class for this form/sign")
-    gens = [_f3_reflection(dim, form, v) for v in vectors]
-    return CatalogEntry(
-        "orthogonal-f3",
-        {"dim": dim, "form": "".join(map(str, form)), "sign": sign},
-        gens,
-        list(gens),
-    )
+    return vectors
 
 
 def _simple_roots(kind, rank):
@@ -273,7 +326,10 @@ def from_descriptor(descriptor):
             k, sep, v = item.partition("=")
             if not sep:
                 raise CatalogError(f"bad descriptor item {item!r} in {descriptor!r}")
-            params[k.strip()] = v.strip()
+            k = k.strip()
+            if k in params:
+                raise CatalogError(f"duplicate parameter {k!r} in {descriptor!r}")
+            params[k] = v.strip()
     try:
         if family == "symmetric":
             entry = symmetric(int(params.pop("n")))
@@ -286,8 +342,13 @@ def from_descriptor(descriptor):
             form = params.pop("form", None)
             if form is not None:
                 form = tuple(int(c) for c in form)
-            sign = {"+": 1, "-": 2, "1": 1, "2": 2}[params.pop("sign", "+")]
-            entry = orthogonal_F3(dim, form=form, sign=sign)
+            sign = params.pop("sign", "+")
+            if sign not in F3_SIGNS:
+                raise CatalogError(
+                    f"bad parameter 'sign' in {descriptor!r}: "
+                    f"must be '+', '-', '1' or '2', got {sign!r}"
+                )
+            entry = orthogonal_F3(dim, form=form, sign=F3_SIGNS[sign])
         elif family == "weyl":
             entry = weyl(params.pop("type"), int(params.pop("rank")))
         else:

@@ -9,7 +9,8 @@ negative rational is written with '=', as in --alpha=-2/3, because argparse
 reads a separate "-2/3" as an option.  All machine output serializes
 rationals as "p/q" strings and uses canonical (sorted-key) JSON, so emitted
 JSON round-trips byte-identically.  Timings appear only in the human-readable
-text output.
+text output.  Each command imports only the layers it uses, so a short query
+does not pay for loading the rest of the package.
 """
 from __future__ import annotations
 
@@ -19,14 +20,7 @@ import sys
 import time
 from fractions import Fraction
 
-from . import catalog, fischer, groups, matsuo, virasoro
-from .catalog import CatalogError
-from .fischer import NotThreeTranspositionError
-from .groups import EnumerationCapError, GroupError
-from .matsuo import MatsuoError, format_rational
-from .virasoro import NotInTableError, VirasoroError
-
-DEFAULT_MAX_AXES = fischer.DEFAULT_MAX_AXES
+from . import format_rational
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
@@ -91,7 +85,7 @@ def build_parser():
                       metavar="p/q", help="default 1/2; negative: --beta=-1/5")
     p_an.add_argument("--max-order", type=int,
                       help="exit 3 when the group order is above this (no default)")
-    p_an.add_argument("--max-axes", type=int, default=DEFAULT_MAX_AXES)
+    p_an.add_argument("--max-axes", type=int)
     p_an.add_argument("--threads", type=int, default=1)
     p_an.add_argument("--dot", metavar="FILE", help="export the Fischer graph as DOT")
     p_an.add_argument("--gram", metavar="FILE", help="export the Gram matrix as CSV")
@@ -134,6 +128,8 @@ def _emit(payload, json_target, text):
 
 
 def cmd_catalog(args):
+    from . import catalog
+
     rows = [
         {"family": name, "params": info["params"], "example": info["example"]}
         for name, info in sorted(catalog.FAMILIES.items())
@@ -152,12 +148,14 @@ def cmd_catalog(args):
 
 
 def _unity_section(algebra, components):
+    from .matsuo import VerificationError
+
     out = []
     for idx, comp in enumerate(components):
         entry = {"component": idx, "exists": True, "coefficient": None}
         try:
             omega = algebra.unity(comp)
-        except matsuo.VerificationError as exc:
+        except VerificationError as exc:
             entry.update(_verdict("fail", str(exc)))
         else:
             if omega is None:
@@ -169,12 +167,14 @@ def _unity_section(algebra, components):
 
 
 def _spectra_section(algebra, components):
+    from .matsuo import VerificationError
+
     if algebra.alpha in (0, 2):
         return {"per_component": [], **_verdict("not-run", "degenerate-alpha")}
     try:
         dims = [dict(zip(("2", "0", "alpha"), algebra.adjoint_spectrum(i).sizes))
                 for i in range(algebra.n)]
-    except matsuo.VerificationError as exc:
+    except VerificationError as exc:
         return {"per_component": [], **_verdict("fail", str(exc))}
     per_component = [
         {"component": idx, "axis": comp[0], "dims": dims[comp[0]]}
@@ -184,21 +184,22 @@ def _spectra_section(algebra, components):
 
 
 def cmd_analyze(args):
+    from . import catalog, fischer, groups, matsuo
+
     t_start = time.perf_counter()
     entry = catalog.from_descriptor(args.descriptor)
     for flag, value in (("--threads", args.threads), ("--max-order", args.max_order),
                         ("--max-axes", args.max_axes)):
         if value is not None and value < 1:
-            raise CatalogError(f"{flag} must be >= 1")
+            raise catalog.CatalogError(f"{flag} must be >= 1")
+    max_axes = fischer.DEFAULT_MAX_AXES if args.max_axes is None else args.max_axes
 
     # The order cap needs only the generators, so it is checked before the
     # graph phase.
     group_t0 = time.perf_counter()
     group_order = groups.group_order(entry.generators, args.max_order)
     sys_t0 = time.perf_counter()
-    system = fischer.build_system(
-        entry.generators, entry.seed, max_axes=args.max_axes
-    )
+    system = fischer.build_system(entry.generators, entry.seed, max_axes=max_axes)
     comps = fischer.components(system)
     witness = fischer.detect_H_triple(system)
     h_order = fischer.extract_H(system, witness).order if witness else None
@@ -332,9 +333,11 @@ def _analysis_text(report, seconds):
 
 
 def cmd_fusion(args):
+    from . import virasoro
+
     m = args.m
     if m < 1:
-        raise VirasoroError(f"--m must be >= 1, got {m}")
+        raise virasoro.VirasoroError(f"--m must be >= 1, got {m}")
     if args.grid:
         labels = virasoro.irreducibles(m)
         payload = {
@@ -381,7 +384,7 @@ def cmd_fusion(args):
         _emit(payload, args.json, "\n".join(lines) + "\n")
         return EXIT_OK
     if args.left is None or args.right is None:
-        raise VirasoroError("need --left and --right (or --grid / --sector)")
+        raise virasoro.VirasoroError("need --left and --right (or --grid / --sector)")
     product = virasoro.fuse(m, args.left, args.right)
     payload = {
         "m": m,
@@ -432,8 +435,10 @@ def _record_jsonable(rec, ambiguous=False):
 
 
 def cmd_sakuma(args):
+    from . import virasoro
+
     if (args.tag is None) == (args.inner is None):
-        raise NotInTableError("give exactly one of a type tag or --inner p/q")
+        raise virasoro.NotInTableError("give exactly one of a type tag or --inner p/q")
     if args.tag is not None:
         records = (virasoro.lookup_by_type(args.tag),)
     else:
@@ -454,6 +459,28 @@ def cmd_sakuma(args):
     return EXIT_OK
 
 
+def _exit_code(exc):
+    """The exit code for an error a command raised, or None for one that is
+    not a reported error.  The layers are imported here, while an error is
+    handled, so a command that succeeds loads only the layers it uses."""
+    from .catalog import CatalogError
+    from .fischer import NotThreeTranspositionError
+    from .groups import EnumerationCapError, GroupError
+    from .matsuo import MatsuoError
+    from .virasoro import VirasoroError
+
+    for kinds, code in (
+        (NotThreeTranspositionError, EXIT_VERDICT),
+        (EnumerationCapError, EXIT_CAP),
+        (GroupError, EXIT_INTERNAL),
+        ((CatalogError, VirasoroError, OSError), EXIT_USAGE),
+        (MatsuoError, EXIT_VERDICT),
+    ):
+        if isinstance(exc, kinds):
+            return code
+    return None
+
+
 def main(argv=None):
     parser = build_parser()
     try:
@@ -470,24 +497,12 @@ def main(argv=None):
         if args.command == "sakuma":
             return cmd_sakuma(args)
         return EXIT_USAGE
-    except NotThreeTranspositionError as exc:
+    except Exception as exc:
+        code = _exit_code(exc)
+        if code is None:
+            raise
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERDICT
-    except EnumerationCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except GroupError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except (CatalogError, VirasoroError, NotInTableError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except MatsuoError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERDICT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return code
 
 
 def run():

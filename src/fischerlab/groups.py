@@ -110,6 +110,9 @@ class Permutation:
     def key_mul(self):
         return _perm_key_mul
 
+    def key_row_mul(self):
+        return _perm_key_mul
+
     def identity_key(self):
         return tuple(range(len(self.images)))
 
@@ -259,6 +262,40 @@ class FpMatrix:
                     )
                 cache[b] = table
             return tuple(table[r] for r in a)
+
+        return mul
+
+    def key_row_mul(self):
+        """Key product for a varying right factor: row i of a*b combines the
+        rows of b chosen by row i of a (an XOR over F2, a digitwise sum over
+        F3), so no p^dim table is built for b.  The nonzero entries of each
+        left factor are cached."""
+        p, dim = self.p, self.dim
+        cache = {}
+
+        def mul(a, b):
+            terms = cache.get(a)
+            if terms is None:
+                terms = cache[a] = [
+                    [(k, c) for k, c in enumerate(_row_decode(r, p, dim)) if c]
+                    for r in a
+                ]
+            if p == 2:
+                out = []
+                for row in terms:
+                    acc = 0
+                    for k, _ in row:
+                        acc ^= b[k]
+                    out.append(acc)
+                return tuple(out)
+            digits = [_row_decode(r, p, dim) for r in b]
+            return tuple(
+                _row_encode(
+                    [sum(c * digits[k][col] for k, c in row) % p for col in range(dim)],
+                    p,
+                )
+                for row in terms
+            )
 
         return mul
 
@@ -539,18 +576,21 @@ def conjugacy_closure(seed, group_gens, cap=100_000):
     action of each distinct generator g on it.
 
     Returns ``(involutions, actions)`` where ``actions[g.key][j]`` is the
-    index of g^-1 x_j g.  Each conjugate is computed once, by the closure.
+    index of g^-1 x_j g.  Each conjugate is computed once, by the closure:
+    x g through the cached table of g, then g^-1 (x g) through the rows of
+    x g, so no table is built for a class member.
     """
     template = _check_compatible(list(seed) + list(group_gens))
     for s in seed:
         if s.order(2) != 2:
             raise StructuralError(f"seed element is not an involution: {s!r}")
     mul = template.key_mul()
+    row_mul = template.key_row_mul()
     inverses = {g.key: g.inverse().key for g in group_gens}
     images = {}
 
     def step(x):
-        images[x] = [mul(mul(ginv, x), g) for g, ginv in inverses.items()]
+        images[x] = [row_mul(ginv, mul(x, g)) for g, ginv in inverses.items()]
         return images[x]
 
     keys = sorted(closure([s.key for s in seed], step, cap))

@@ -15,13 +15,12 @@ only where a bound on every value shows that nothing can wrap.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
-from dataclasses import dataclass
+from collections import defaultdict, namedtuple
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
 
-from . import groups, virasoro
+from . import format_rational, groups
 
 TWO = Fraction(2)
 HALF = Fraction(1, 2)
@@ -54,11 +53,6 @@ def parse_rational(text):
     return Fraction(str(text))
 
 
-def format_rational(value):
-    f = Fraction(value)
-    return f"{f.numerator}/{f.denominator}"
-
-
 def _exact(bound, *arrays):
     """The numpy arrays as int64 when ``bound`` bounds every value computed
     from them, otherwise as object arrays of Python ints, so no product or
@@ -87,8 +81,9 @@ def _eigenvalue(alpha, sizes, column):
     return Fraction(0) if column < sizes[0] + sizes[1] else alpha
 
 
-@dataclass
-class Elimination:
+class Elimination(
+    namedtuple("Elimination", "rank pivots echelon det minors kernel")
+):
     """Fraction-free reduced echelon form of an integer matrix (Bareiss 1968).
 
     ``echelon`` holds the ``rank`` nonzero rows; in the columns ``pivots`` it
@@ -99,12 +94,7 @@ class Elimination:
     vanishes.
     """
 
-    rank: int
-    pivots: list
-    echelon: list
-    det: int
-    minors: list
-    kernel: list
+    __slots__ = ()
 
 
 def bareiss(matrix):
@@ -168,18 +158,14 @@ def bareiss(matrix):
     return Elimination(rank, pivots, echelon, det, minors, kernel)
 
 
-@dataclass
-class AdjointSpectrum:
+class AdjointSpectrum(namedtuple("AdjointSpectrum", "axis alpha vectors sizes")):
     """Adjoint eigenbasis of one axis.  ``vectors`` lists the basis vectors
     as sparse integer columns {coordinate: value} of at most three entries,
     scaled by 2*den(alpha), in the blocks 2 | 0 | alpha whose sizes are
     ``sizes``; ``basis_2``, ``basis_0`` and ``basis_alpha`` are dense
     Fraction lists built when read."""
 
-    axis: int
-    alpha: Fraction
-    vectors: object
-    sizes: tuple
+    __slots__ = ()
 
     @property
     def dims(self):
@@ -209,10 +195,8 @@ class AdjointSpectrum:
         return self._block(2)
 
 
-@dataclass
-class MiyamotoMap:
-    axis: int
-    mapping: tuple
+class MiyamotoMap(namedtuple("MiyamotoMap", "axis mapping")):
+    __slots__ = ()
 
     def apply(self, vector):
         out = [Fraction(0)] * len(self.mapping)
@@ -224,11 +208,7 @@ class MiyamotoMap:
         return all(self.mapping[self.mapping[j]] == j for j in range(len(self.mapping)))
 
 
-@dataclass
-class SigmaAction:
-    group: object
-    permutations: dict
-    kernel_keys: list
+SigmaAction = namedtuple("SigmaAction", "group permutations kernel_keys")
 
 
 class MatsuoAlgebra:
@@ -544,6 +524,8 @@ class MatsuoAlgebra:
         if value == 0:
             return "2B"
         if value == Fraction(1, 32):
+            from . import virasoro
+
             record = virasoro.lookup_by_type("2A")
             if Fraction(record.inner_product_times_1024, 1024) != value:
                 raise VerificationError("2A inner product disagrees with the dihedral table")

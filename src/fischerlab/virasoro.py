@@ -3,7 +3,6 @@ labels, multiplicity-free fusion products, the tau/sigma sign gradings, and
 the nine dihedral-subalgebra types as queryable records."""
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -125,17 +124,41 @@ def sigma_sign(m, label):
     return -1 if r % 2 == 0 else 1
 
 
-@dataclass(frozen=True)
 class SakumaRecord:
     """One row of the dihedral-subalgebra table for pairs of central-charge
-    1/2 idempotent generators."""
+    1/2 idempotent generators.  Immutable, equal only to a record with the
+    same fields, and hashed as the tuple of its fields."""
 
-    type_tag: str
-    max_tau_order: int
-    inner_product_times_1024: int
-    griess_dim: int
-    ising_count: int
-    miyamoto_kind: str
+    __slots__ = ("type_tag", "max_tau_order", "inner_product_times_1024",
+                 "griess_dim", "ising_count", "miyamoto_kind")
+
+    def __init__(self, type_tag, max_tau_order, inner_product_times_1024,
+                 griess_dim, ising_count, miyamoto_kind):
+        values = (type_tag, max_tau_order, inner_product_times_1024,
+                  griess_dim, ising_count, miyamoto_kind)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"SakumaRecord({fields})"
 
     @property
     def inner_product(self):

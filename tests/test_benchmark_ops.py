@@ -1,7 +1,7 @@
 """The library ops of the benchmark (perfbench/op.py) and one of its CLI ops
-still run on the package and print their recorded goldens byte for byte, and
-the CLI start-up path of its sweep and its analyses with radical 0 stay free
-of numpy."""
+still run on the package and print their recorded goldens byte for byte, the
+CLI start-up path of its sweep and its analyses with radical 0 stay free of
+numpy, and each command loads only the layers it uses."""
 import json
 import os
 import subprocess
@@ -49,6 +49,48 @@ def test_cli_start_up_leaves_numpy_unloaded():
     assert proc.returncode == 0, proc.stderr.decode()
     expected = (ROOT / "perfbench" / "goldens" / "sakuma-3a.json").read_bytes()
     assert proc.stdout == expected
+
+
+# Each command with the golden of its benchmark op, and the package modules
+# it may add to those loaded before it: fusion and sakuma use the Virasoro
+# layer alone, catalog list the catalog and the groups it builds on.
+START_UP = [
+    ("fusion-grid", ["fusion", "--m", "3", "--grid", "--contains", "7/10", "--json"],
+     ["fischerlab.virasoro"]),
+    ("sakuma-3a", ["sakuma", "3A", "--json"], []),
+    ("catalog-list", ["catalog", "list", "--json"],
+     ["fischerlab.catalog", "fischerlab.groups"]),
+]
+
+
+def test_commands_import_only_their_layers():
+    code = (
+        "import contextlib, io, json, sys\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.startswith('fischerlab.'))\n"
+        "import fischerlab.cli\n"
+        "assert loaded() == ['fischerlab.cli'], loaded()\n"
+        "assert 'dataclasses' not in sys.modules, 'import'\n"
+        "out = {}\n"
+        f"for name, argv, added in {START_UP!r}:\n"
+        "    before = loaded()\n"
+        "    with contextlib.redirect_stdout(io.StringIO()) as buf:\n"
+        "        assert fischerlab.cli.main(argv) == 0\n"
+        "    assert sorted(set(loaded()) - set(before)) == added, (name, loaded())\n"
+        "    out[name] = buf.getvalue()\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as buf:\n"
+        "    assert fischerlab.cli.main(['analyze', 'symmetric:n=4', '--json']) == 0\n"
+        "assert 'dataclasses' not in sys.modules, 'analyze'\n"
+        "out['s4-warm'] = buf.getvalue()\n"
+        "print(json.dumps(out))\n"
+    )
+    proc = run(["-c", code])
+    assert proc.returncode == 0, proc.stderr.decode()
+    reports = json.loads(proc.stdout)
+    assert list(reports) == [name for name, _, _ in START_UP] + ["s4-warm"]
+    for name, text in reports.items():
+        expected = (ROOT / "perfbench" / "goldens" / f"{name}.json").read_bytes()
+        assert text.encode() == expected, name
 
 
 # Analyses with radical 0 on the permutation, F2-matrix, F3-matrix and Weyl

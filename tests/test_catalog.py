@@ -85,6 +85,45 @@ class TestOrthogonalF3:
             catalog.orthogonal_F3(6)
 
 
+def whole_class_generators(descriptor):
+    """The whole transvection or reflection class of an orthogonal
+    descriptor, built from every class vector."""
+    params = dict(item.split("=") for item in descriptor.split(":")[1].split(","))
+    dim = int(params["dim"])
+    if descriptor.startswith("orthogonal-f2"):
+        polar = catalog._f2_class(dim, params["eps"])
+        return [catalog._f2_transvection(dim, v, bv) for v, bv in polar.items()]
+    form = tuple(int(c) for c in params.get("form", "1" * dim))
+    sign = catalog.F3_SIGNS[params["sign"]]
+    return [catalog._f3_reflection(dim, form, v)
+            for v in catalog._f3_class(dim, form, sign)]
+
+
+ORTHOGONAL = (
+    [f"orthogonal-f2:dim={d},eps={e}" for d in (4, 6, 8) for e in "+-"]
+    + [f"orthogonal-f3:dim={d},sign={e}" for d in (3, 4, 5) for e in "+-"]
+    + [f"orthogonal-f3:dim=4,form=1112,sign={e}" for e in "+-"]
+)
+
+
+class TestSmallGeneratingSet:
+    @pytest.mark.parametrize("descriptor", ORTHOGONAL)
+    def test_generates_the_whole_class(self, descriptor):
+        entry = catalog.from_descriptor(descriptor)
+        whole = whole_class_generators(descriptor)
+        dim = entry.params["dim"]
+        assert len(entry.generators) <= 2 * dim
+        assert entry.seed == entry.generators
+        small = fischer.build_system(entry.generators, entry.seed)
+        full = fischer.build_system(whole, whole)
+        assert [x.key for x in small.involutions] == [x.key for x in full.involutions]
+        assert small.conj == full.conj
+        assert all(g.key in {x.key for x in whole} for g in entry.generators)
+        assert groups.group_order(entry.generators, None) == groups.group_order(
+            whole, None
+        )
+
+
 class TestWeyl:
     @pytest.mark.parametrize(
         "type_,rank,order",

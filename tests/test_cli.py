@@ -131,6 +131,19 @@ class TestAnalyze:
         code, out, err = run(capsys, "analyze", "symmetric:n=4", f"{flag}={value}")
         assert (code, out, err) == (2, "", f"error: {flag} must be >= 1\n")
 
+    def test_duplicate_parameter_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "analyze", "symmetric:n=4,n=5", "--json")
+        assert (code, out) == (2, "")
+        assert err == "error: duplicate parameter 'n' in 'symmetric:n=4,n=5'\n"
+
+    def test_bad_sign_names_the_sign_parameter(self, capsys):
+        code, out, err = run(capsys, "analyze", "orthogonal-f3:dim=3,sign=x")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: bad parameter 'sign' in 'orthogonal-f3:dim=3,sign=x': "
+            "must be '+', '-', '1' or '2', got 'x'\n"
+        )
+
     def test_symplectic_report(self, capsys):
         code, out, _ = run(capsys, "analyze", "symmetric:n=5", "--json")
         payload = json.loads(out)

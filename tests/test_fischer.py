@@ -17,7 +17,7 @@ from fischerlab.fischer import (
     to_dot,
     valency,
 )
-from fischerlab.groups import Permutation
+from fischerlab.groups import FpMatrix, Permutation
 
 
 def t(n, i, j):
@@ -32,6 +32,26 @@ def oracle_conj(involutions):
         tuple(index[mul(mul(x.key, y.key), x.key)] for y in involutions)
         for x in involutions
     ]
+
+
+def count_carrier_products(monkeypatch, carrier):
+    """A list that gains one entry per product made by either key multiplier
+    of the carrier class."""
+    calls = []
+
+    def counting(make_mul):
+        def wrapped(self):
+            mul = make_mul(self)
+
+            def counted(a, b):
+                calls.append(1)
+                return mul(a, b)
+            return counted
+        return wrapped
+
+    for name in ("key_mul", "key_row_mul"):
+        monkeypatch.setattr(carrier, name, counting(getattr(carrier, name)))
+    return calls
 
 
 # Every descriptor the catalog advertises; all have at most 136 axes.
@@ -106,22 +126,20 @@ class TestBuildSystem:
     def test_carrier_products_bounded_by_class_times_generators(self, monkeypatch):
         # The closure makes 2 products per class member and generator; every
         # E8 generator lies in the class, so no row needs the carrier.
-        calls = []
-        key_mul = Permutation.key_mul
-
-        def counting_key_mul(self):
-            mul = key_mul(self)
-
-            def counted(a, b):
-                calls.append(1)
-                return mul(a, b)
-            return counted
-
+        calls = count_carrier_products(monkeypatch, Permutation)
         entry = catalog.from_descriptor("weyl:type=E,rank=8")
-        monkeypatch.setattr(Permutation, "key_mul", counting_key_mul)
         sys = build_system(entry.generators, entry.seed)
         assert 2 * sys.size * len(entry.generators) == 1920
         assert len(calls) <= 1920
+
+    def test_orthogonal_carrier_products_bounded(self, monkeypatch):
+        # O8-(2) from its small generating set: at most 2*dim generators, so
+        # at most 2 * n * 2*dim products in the closure (whole class: 2n^2).
+        calls = count_carrier_products(monkeypatch, FpMatrix)
+        entry = catalog.from_descriptor("orthogonal-f2:dim=8,eps=-")
+        sys = build_system(entry.generators, entry.seed)
+        assert sys.size == 136
+        assert len(calls) <= 2 * sys.size * 2 * 8 == 4352
 
     def test_axis_cap(self):
         gens = [t(6, i, i + 1) for i in range(5)]
