@@ -8,9 +8,10 @@ table: they read the rows of ``conj`` and one integer Gram table
 (``integer_tables``), and eigenvectors are sparse columns of at most three
 entries.  Every check and the one elimination routine, ``bareiss``, run in
 Python ints, which cannot wrap, so every verification in this module is
-exact.  The quotient's ideal test is the one dense product; it alone imports
-numpy, only when the radical is a proper nonzero subspace, and runs in int64
-only where a bound on every value shows that nothing can wrap.
+exact.  The radical, the quotient and positive definiteness all read the one
+elimination of the Gram table; the quotient rests on the axioms, since the
+radical of an invariant symmetric form is an ideal, and on an exact check
+that the Gram table annihilates the radical rows.
 """
 from __future__ import annotations
 
@@ -24,7 +25,6 @@ from . import format_rational, groups
 
 TWO = Fraction(2)
 HALF = Fraction(1, 2)
-_INT64_MAX = 2**63 - 1
 
 
 class MatsuoError(Exception):
@@ -38,7 +38,8 @@ class DegenerateAlphaError(MatsuoError):
 
 
 class RadicalNotIdealError(MatsuoError):
-    """The form radical fails to absorb multiplication (internal bug guard)."""
+    """The axioms failed, so nothing shows that the form radical is an ideal;
+    the message cites the axioms witness."""
 
 
 class NotSigmaConfigurationError(MatsuoError):
@@ -51,14 +52,6 @@ class VerificationError(MatsuoError):
 
 def parse_rational(text):
     return Fraction(str(text))
-
-
-def _exact(bound, *arrays):
-    """The numpy arrays as int64 when ``bound`` bounds every value computed
-    from them, otherwise as object arrays of Python ints, so no product or
-    sum wraps."""
-    dtype = "int64" if bound <= _INT64_MAX else object
-    return [a.astype(dtype, copy=False) for a in arrays]
 
 
 def _gather(indices):
@@ -81,13 +74,11 @@ def _eigenvalue(alpha, sizes, column):
     return Fraction(0) if column < sizes[0] + sizes[1] else alpha
 
 
-class Elimination(
-    namedtuple("Elimination", "rank pivots echelon det minors kernel")
-):
-    """Fraction-free reduced echelon form of an integer matrix (Bareiss 1968).
+class Elimination(namedtuple("Elimination", "rank pivots det minors kernel")):
+    """Fraction-free elimination of an integer matrix (Bareiss 1968).
 
-    ``echelon`` holds the ``rank`` nonzero rows; in the columns ``pivots`` it
-    is ``det`` times the identity.  ``kernel`` is a basis of the right kernel:
+    ``pivots`` are the ``rank`` pivot columns and ``det`` is the last pivot,
+    a rank x rank minor up to sign.  ``kernel`` is a basis of the right kernel:
     for each free column f, the primitive integer vector with a positive entry
     at f and zeros at the other free columns.  ``minors`` are the leading
     principal minors det A[:k, :k], k = 1, 2, ..., up to the first that
@@ -140,13 +131,6 @@ def bareiss(matrix):
                 acc = [x - coef * y for x, y in zip(acc, reduced[later])]
         lead = m[k][pivots[k]]
         reduced[k] = [x // lead for x in acc]
-    echelon = []
-    for k, c in enumerate(pivots):
-        row = [0] * cols
-        row[c] = det
-        for f, x in zip(free, reduced[k]):
-            row[f] = x
-        echelon.append(row)
     kernel = []
     for q, f in enumerate(free):
         x = [0] * cols
@@ -155,7 +139,7 @@ def bareiss(matrix):
             x[c] = -reduced[k][q]
         g = math.gcd(*x) if det > 0 else -math.gcd(*x)
         kernel.append([v // g for v in x])
-    return Elimination(rank, pivots, echelon, det, minors, kernel)
+    return Elimination(rank, pivots, det, minors, kernel)
 
 
 class AdjointSpectrum(namedtuple("AdjointSpectrum", "axis alpha vectors sizes")):
@@ -354,9 +338,15 @@ class MatsuoAlgebra:
         return [list(v) for v in self.gram_elimination.kernel]
 
     def quotient(self, radical=None):
-        if radical is None:
-            radical = self.gram_radical()
-        return MatsuoQuotient(self, radical)
+        """The quotient by the form radical.  ``radical``, when given, must be
+        the rows of ``gram_radical()``: any other rows raise MatsuoError.
+        Raises RadicalNotIdealError, citing the axioms witness, when the
+        axioms fail."""
+        if radical is not None and [list(row) for row in radical] != (
+            self.gram_elimination.kernel
+        ):
+            raise MatsuoError("the quotient is taken only by the rows of gram_radical()")
+        return MatsuoQuotient(self)
 
     # -- adjoint spectrum and Miyamoto involutions --------------------------
 
@@ -572,15 +562,42 @@ class MatsuoAlgebra:
                 out[s] -= a * v
         return out
 
+    def _gram_times(self, rows):
+        """G R^T for the integer Gram table G and integer rows R, as n tuples
+        of len(rows) entries.  Row i of G is read on its support
+        {j : conj[i][j] != j} u {i}, where ``integer_tables`` puts its only
+        nonzero entries, with the support split by Gram value, so each entry
+        is a sum of value * (sum of gathered row entries): exact, in
+        O(n k r) for valency k and r rows."""
+        conj, gram = self._tables
+        out = []
+        for i, (perm, g) in enumerate(zip(conj, gram)):
+            by_value = defaultdict(list)
+            for j, c in enumerate(perm):
+                if c != j or j == i:
+                    by_value[g[j]].append(j)
+            terms = [(value, _gather(js)) for value, js in by_value.items() if value]
+            out.append(tuple(sum([x * sum(at(r)) for x, at in terms]) for r in rows))
+        return out
+
     @cached_property
     def gram_elimination(self):
-        """The one ``bareiss`` elimination of the Gram table; the radical and
-        positive definiteness both read it."""
+        """The one ``bareiss`` elimination of the Gram table; the radical, the
+        quotient and positive definiteness all read it."""
         return bareiss(self._tables[1])
 
     def verify_axioms(self):
         """Exhaustive exact check of commutativity, form symmetry and
-        invariance (uv|w) = (u|vw) over all basis triples."""
+        invariance (uv|w) = (u|vw) over all basis triples, run once per
+        algebra; a failure raises VerificationError naming its witness."""
+        if self._axioms_witness is not None:
+            raise VerificationError(self._axioms_witness)
+        return True
+
+    @cached_property
+    def _axioms_witness(self):
+        """The witness text of the first failed axiom, or None; ``quotient``
+        reads it too."""
         conj, gram = self.integer_tables()
         # x^i x^j = x^j x^i when i, j are adjacent both ways with one common
         # conjugate, or neither way; at alpha = 0 always.
@@ -588,24 +605,18 @@ class MatsuoAlgebra:
             for i, (row, column) in enumerate(zip(conj, zip(*conj))):
                 for j, (c, d) in enumerate(zip(row, column)):
                     if (c != j) != (d != i) or (c != j and c != d):
-                        raise VerificationError(
-                            f"product is not commutative at pair ({i},{j})"
-                        )
+                        return f"product is not commutative at pair ({i},{j})"
         for i, (row, column) in enumerate(zip(gram, zip(*gram))):
             if tuple(row) != column:
-                raise VerificationError(
-                    f"form is not symmetric at pair ({i},{_first_difference(row, column)})"
-                )
+                return f"form is not symmetric at pair ({i},{_first_difference(row, column)})"
         # Then triple (i, j, k) is invariant when S = G ad(x^i), S[j][k] =
         # (x^j | x^i x^k), has S[j][k] == S[k][j].
         for i in range(self.n):
             if not self._invariant_by_gathers(i):
                 hit = self._asymmetry(i)
                 if hit is not None:
-                    raise VerificationError(
-                        f"form is not invariant at triple ({i},{hit[0]},{hit[1]})"
-                    )
-        return True
+                    return f"form is not invariant at triple ({i},{hit[0]},{hit[1]})"
+        return None
 
     def _invariant_by_gathers(self, i):
         """A sufficient condition, in row gathers, for S = G ad(x^i) to be
@@ -650,39 +661,38 @@ class MatsuoAlgebra:
 
 
 class MatsuoQuotient:
-    """Quotient of a Matsuo algebra by the radical of its form, with the
-    radical verified to be an ideal and the induced form verified
-    non-degenerate."""
+    """Quotient of a Matsuo algebra by the radical of its form, read off the
+    one Gram elimination: the representatives ``rep_indices`` are its pivot
+    columns, the radical rows are its kernel rows, each with its own pivot at
+    a free column, and ``dim`` is its rank.
 
-    def __init__(self, algebra, radical):
-        self.algebra = algebra
-        self.radical = radical
-        n = algebra.n
-        rows = [[Fraction(x) for x in row] for row in radical]
-        if any(len(row) != n for row in rows):
-            raise MatsuoError(f"radical vectors must have length {n}")
-        scales = [math.lcm(*(x.denominator for x in row)) for row in rows]
-        rows = [[int(x * d) for x in row] for row, d in zip(rows, scales)]
-        elim = bareiss(rows)
-        if elim.rank != len(rows):
-            raise MatsuoError("radical basis is linearly dependent")
-        self._pivot_cols = elim.pivots
-        self._echelon = elim.echelon
-        self._det = elim.det
-        pivot_set = set(elim.pivots)
-        self.rep_indices = [c for c in range(n) if c not in pivot_set]
-        self.dim = len(self.rep_indices)
-        self._verify_ideal(rows, elim.kernel)
-        _, gram = algebra.integer_tables()
-        reps = self.rep_indices
-        form = bareiss([[gram[p][q] for q in reps] for p in reps])
-        if form.rank != self.dim:
-            dependent = next(p for p in range(self.dim) if p not in form.pivots)
+    By invariance the radical of the form is an ideal, and a symmetric Gram
+    matrix is non-degenerate on its pivot rows and columns, so the quotient
+    rests on the axioms; when they fail it raises RadicalNotIdealError citing
+    their witness.  The kernel rows are checked exactly against the Gram
+    table (``_gram_times``)."""
+
+    def __init__(self, algebra):
+        witness = algebra._axioms_witness
+        if witness is not None:
+            raise RadicalNotIdealError(f"radical is not known to be an ideal: {witness}")
+        elim = algebra.gram_elimination
+        products = algebra._gram_times(elim.kernel)
+        hit = next(
+            ((q, i) for q in range(len(elim.kernel))
+             for i, row in enumerate(products) if row[q]),
+            None,
+        )
+        if hit is not None:
             raise VerificationError(
-                f"induced form on the quotient is degenerate: rank {form.rank} "
-                f"of {self.dim}, the Gram column of x^{reps[dependent]} depends "
-                f"on earlier ones"
+                f"radical row {hit[0]} is not in the Gram kernel at axis {hit[1]}"
             )
+        self.algebra = algebra
+        self.radical = [list(v) for v in elim.kernel]
+        self.rep_indices = list(elim.pivots)
+        self.dim = elim.rank
+        pivot_set = set(elim.pivots)
+        self._radical_pivots = [c for c in range(algebra.n) if c not in pivot_set]
 
     @cached_property
     def gram(self):
@@ -693,14 +703,16 @@ class MatsuoQuotient:
         ]
 
     def reduce(self, vector):
-        """Canonical coset representative with zero pivot coordinates."""
+        """Canonical coset representative with zero radical-pivot
+        coordinates."""
         v = [Fraction(x) for x in vector]
-        for f, row in zip(self._pivot_cols, self._echelon):
+        for f, row in zip(self._radical_pivots, self.radical):
             c = v[f]
             if c:
+                scale = c / row[f]
                 for col, x in enumerate(row):
                     if x:
-                        v[col] -= c * Fraction(x, self._det)
+                        v[col] -= scale * x
         return v
 
     def coords(self, vector):
@@ -713,45 +725,6 @@ class MatsuoQuotient:
         a = self.algebra
         w = a.multiply(a.axis(self.rep_indices[p]), a.axis(self.rep_indices[q]))
         return self.coords(w)
-
-    def _verify_ideal(self, rows, kernel):
-        """Every product of an axis with a radical row lies in the span of the
-        rows: for each axis j, the kernel K of ``rows`` annihilates ad(x^j)
-        rows^T.  The witness is the first failing (row, axis) pair.  This is
-        the module's one dense product, f x n times n x r per axis, so it
-        runs in numpy, in int64 when a bound shows that nothing wraps."""
-        if not rows or not kernel:
-            return
-        import numpy as np
-
-        a = self.algebra
-        num, unit = a.alpha.numerator, 4 * a.alpha.denominator
-        big_k = max(abs(x) for v in kernel for x in v)
-        big_r = max(abs(x) for v in rows for x in v)
-        bound = a.n * (3 * abs(num) + unit) * big_k * big_r
-        k, r = _exact(bound, np.array(kernel, dtype=object), np.array(rows, dtype=object).T)
-        hits = []
-        for j, perm in enumerate(a.system.conj):
-            # K ad(x^j): column t in N = {t : conj[j][t] != t} is
-            # num * (K[:, t] - K[:, conj[j][t]] + K[:, j]), column j gains
-            # unit * K[:, j], and the other columns are 0, so only the rows
-            # N u {j} of rows^T enter the product.
-            perm = np.array(perm)
-            moved = perm != np.arange(a.n)
-            nbrs = np.flatnonzero(moved)
-            m = np.zeros_like(k)
-            m[:, nbrs] = num * (k[:, nbrs] - k[:, perm[nbrs]] + k[:, [j]])
-            m[:, j] += unit * k[:, j]
-            moved[j] = True
-            support = np.flatnonzero(moved)
-            hit = np.flatnonzero((m[:, support] @ r[support] != 0).any(axis=0))
-            if hit.size:
-                hits.append((int(hit[0]), j))
-        if hits:
-            row, i = min(hits)
-            raise RadicalNotIdealError(
-                f"radical row {row} times axis {i} left the radical"
-            )
 
 
 def export_gram_csv(algebra):

@@ -1,7 +1,7 @@
 """The library ops of the benchmark (perfbench/op.py) and one of its CLI ops
 still run on the package and print their recorded goldens byte for byte, the
-CLI start-up path of its sweep and its analyses with radical 0 stay free of
-numpy, and each command loads only the layers it uses."""
+CLI start-up path of its sweep and its analyses stay free of numpy, and each
+command loads only the layers it uses."""
 import json
 import os
 import subprocess
@@ -9,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from fischerlab import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -93,24 +95,26 @@ def test_commands_import_only_their_layers():
         assert text.encode() == expected, name
 
 
-# Analyses with radical 0 on the permutation, F2-matrix, F3-matrix and Weyl
-# carriers: no check reaches the quotient's ideal test, numpy's one user.
-RADICAL_ZERO = {
-    "s4-warm": "symmetric:n=4",
-    "o6m2-cold": "orthogonal-f2:dim=6,eps=-",
-    "o4f3-warm": "orthogonal-f3:dim=4",
-    "d4-warm": "weyl:type=D,rank=4",
+# Analyses on the permutation, F2-matrix, F3-matrix and Weyl carriers with
+# radical 0, and E6 at alpha = beta = 1 with radical 15, whose quotient runs
+# the kernel check.
+ANALYSES = {
+    "s4-warm": ["symmetric:n=4"],
+    "o6m2-cold": ["orthogonal-f2:dim=6,eps=-"],
+    "o4f3-warm": ["orthogonal-f3:dim=4"],
+    "d4-warm": ["weyl:type=D,rank=4"],
+    "e6-alpha-one": ["weyl:type=E,rank=6", "--alpha", "1", "--beta", "1"],
 }
 
 
-def test_radical_zero_analysis_leaves_numpy_unloaded():
+def test_analysis_leaves_numpy_unloaded():
     code = (
         "import contextlib, io, json, sys\n"
         "import fischerlab.cli\n"
         "out = {}\n"
-        f"for name, descriptor in {RADICAL_ZERO!r}.items():\n"
+        f"for name, argv in {ANALYSES!r}.items():\n"
         "    with contextlib.redirect_stdout(io.StringIO()) as buf:\n"
-        "        assert fischerlab.cli.main(['analyze', descriptor, '--json']) == 0\n"
+        "        assert fischerlab.cli.main(['analyze', *argv, '--json']) == 0\n"
         "    assert 'numpy' not in sys.modules, name\n"
         "    out[name] = buf.getvalue()\n"
         "print(json.dumps(out))\n"
@@ -118,7 +122,13 @@ def test_radical_zero_analysis_leaves_numpy_unloaded():
     proc = run(["-c", code])
     assert proc.returncode == 0, proc.stderr.decode()
     reports = json.loads(proc.stdout)
-    assert list(reports) == list(RADICAL_ZERO)
+    assert list(reports) == list(ANALYSES)
+    # The e6-alpha-one golden comes from op.py's algebra op, which skips the
+    # group step and prints group_order and center_order as null.
+    e6 = json.loads(reports["e6-alpha-one"])
+    assert (e6["group_order"], e6["center_order"]) == (51840, 1)
+    e6["group_order"] = e6["center_order"] = None
+    reports["e6-alpha-one"] = cli._canonical_json(e6)
     for name, text in reports.items():
         expected = (ROOT / "perfbench" / "goldens" / f"{name}.json").read_bytes()
         assert text.encode() == expected, name

@@ -221,6 +221,27 @@ class TestAnalyze:
         expected["matsuo"]["miyamoto"] = {"verdict": "fail", "reason": eigen}
         assert json.loads(out) == expected
 
+    def test_quotient_fails_with_the_axioms(self, capsys, monkeypatch, with_conj_entry):
+        # The S4 table of test_matsuo's TestWitnesses::test_axioms, handed to
+        # the algebra phase alone: conj[3][4] = 2 breaks commutativity, so
+        # nothing shows that the radical (0 on the intact table) is an ideal.
+        real = matsuo.MatsuoAlgebra
+
+        def corrupt(system, alpha, beta):
+            return real(with_conj_entry(system, 3, 4, 2), alpha, beta)
+
+        monkeypatch.setattr(matsuo, "MatsuoAlgebra", corrupt)
+        code, out, err = run(capsys, "analyze", "symmetric:n=4", "--json")
+        assert (code, err) == (1, "")
+        m = json.loads(out)["matsuo"]
+        witness = "product is not commutative at pair (3,4)"
+        assert m["axioms"] == {"verdict": "fail", "reason": witness}
+        assert m["quotient_dimension"] is None
+        assert m["quotient"] == {
+            "verdict": "fail",
+            "reason": f"radical is not known to be an ideal: {witness}",
+        }
+
     @pytest.mark.parametrize("owner, name, error, descriptor, message", [
         pytest.param(
             groups, "group_order", StructuralError("degree mismatch: 4 vs 5"),

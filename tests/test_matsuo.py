@@ -8,7 +8,6 @@ from fischerlab.matsuo import (
     DegenerateAlphaError,
     MatsuoAlgebra,
     NotSigmaConfigurationError,
-    RadicalNotIdealError,
     VerificationError,
     format_rational,
     parse_rational,
@@ -143,10 +142,26 @@ class TestRadicalAndQuotient:
         q = A.quotient(rad)
         assert q.dim == 1
 
-    def test_non_ideal_subspace_rejected(self, B):
-        # span{x^0 - x^1} is in the kernel of nothing and is not an ideal
-        with pytest.raises(RadicalNotIdealError):
-            B.quotient([[1, -1, 0]])
+    # Subspaces other than the Gram kernel, whose ideal and form tests live
+    # in the oracles of test_matsuo_oracle.py.
+    @pytest.mark.parametrize("descriptor, alpha, beta, rows", [
+        pytest.param("symmetric:n=3", HALF, HALF, [[1, -1, 0]], id="vector"),
+        pytest.param("symmetric:n=3", Fraction(-2), HALF, [[1, 1, 1], [1, -1, 0]],
+                     id="radical-plus-vector"),
+        pytest.param("symmetric:n=3", HALF, HALF, [[0, -1, 1], [1, -1, 0]], id="two-rows"),
+        pytest.param("symmetric:n=3", Fraction(-2), HALF, [], id="empty"),
+        pytest.param("symmetric:n=3", Fraction(-2), HALF, [[1, 1]], id="short"),
+        pytest.param("symmetric:n=5", Fraction(2**25 + 1, 2**26 + 3),
+                     Fraction(2**30 - 5, 2**29 + 7), [[1, -1] + [0] * 8], id="not-ideal"),
+        pytest.param("symmetric:n=3", Fraction(-2), Fraction(2**70 + 1, 2**65 + 3),
+                     [[2**70] * 3], id="scaled"),
+    ])
+    def test_other_subspaces_rejected(self, system_factory, descriptor, alpha, beta, rows):
+        A = MatsuoAlgebra(system_factory(descriptor), alpha, beta)
+        with pytest.raises(matsuo.MatsuoError, match=(
+            r"^the quotient is taken only by the rows of gram_radical\(\)$"
+        )):
+            A.quotient(rows)
 
     def test_quotient_products_consistent(self, s3):
         A = MatsuoAlgebra(s3, Fraction(-2), HALF)
@@ -330,28 +345,16 @@ class TestWitnesses:
         with pytest.raises(VerificationError, match=r"^\(omega \| x\^3\) != beta/2$"):
             A.unity()
 
-    def test_ideal(self, s3):
-        # at alpha = -2 the radical is span{x^0 + x^1 + x^2}; the second row
-        # is not in any ideal with it
+    def test_kernel(self, s3):
+        # At alpha = -2 the scaled Gram rows are (4, -2, -2) and its
+        # permutations; a second kernel row (1, 2, 0) is orthogonal to row 0
+        # only, so the witness is radical row 1 at axis 1.
         A = MatsuoAlgebra(s3, Fraction(-2), HALF)
-        with pytest.raises(RadicalNotIdealError, match=(
-            r"^radical row 1 times axis 0 left the radical$"
-        )):
-            A.quotient([[1, 1, 1], [1, -1, 0]])
-        # row 1 leaves the span at axis 0 and row 0 first at axis 1: the
-        # witness is the first row
-        with pytest.raises(RadicalNotIdealError, match=(
-            r"^radical row 0 times axis 1 left the radical$"
-        )):
-            MatsuoAlgebra(s3, HALF, HALF).quotient([[0, -1, 1], [1, -1, 0]])
-
-    def test_degenerate_quotient(self, s3):
-        A = MatsuoAlgebra(s3, Fraction(-2), HALF)
+        A.gram_elimination = A.gram_elimination._replace(kernel=[[1, 1, 1], [1, 2, 0]])
         with pytest.raises(VerificationError, match=(
-            r"^induced form on the quotient is degenerate: rank 2 of 3, the Gram "
-            r"column of x\^2 depends on earlier ones$"
+            r"^radical row 1 is not in the Gram kernel at axis 1$"
         )):
-            A.quotient([])
+            A.quotient()
 
     def test_axioms(self, s4, with_conj_entry):
         # Row 3 is (0, 4, 5, 3, 1, 2) and row 4 is (5, 3, 2, 1, 4, 0).

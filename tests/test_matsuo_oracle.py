@@ -10,6 +10,10 @@ over Fraction.
 The dense oracle is the integer-table code that ran on an n x n x n structure
 tensor before the checks read the conjugation table.  It reproduces each
 verdict and each witness message, also on corrupted tables.
+
+``MatsuoAlgebra.quotient`` accepts only the Gram kernel, so the ideal and
+induced-form tests of other subspaces live on in the two oracles, which
+check each other on them.
 """
 from fractions import Fraction as F
 
@@ -148,7 +152,8 @@ def oracle_quotient_dim(A, radical):
     span is not an ideal and VerificationError when the induced form is
     degenerate."""
     reduced, pivots = rref([[F(x) for x in row] for row in radical])
-    assert len(reduced) == len(radical)
+    if len(reduced) != len(radical):
+        raise MatsuoError("radical basis is linearly dependent")
 
     def in_span(v):
         v = list(v)
@@ -388,7 +393,9 @@ class DenseOracle:
         return omega
 
     def quotient_dim(self, radical):
-        """The steps of ``MatsuoQuotient``, with the ideal test on the tensor."""
+        """The ideal and induced-form tests that ``MatsuoQuotient`` ran on any
+        subspace before it read the Gram elimination, with the ideal test on
+        the tensor."""
         n = self.n
         rows = np.array(radical, dtype=object).reshape(len(radical), n)
         elim = matsuo.bareiss(radical)
@@ -467,9 +474,11 @@ def test_checks_agree_with_fraction_oracle(system_factory, descriptor, alpha, be
     assert A.quotient(radical).dim == oracle_quotient_dim(A, radical)
     vector = data.draw(st.lists(st.integers(-2, 2), min_size=A.n, max_size=A.n))
     if any(vector):
-        assert outcome(lambda: A.quotient([vector]).dim) == outcome(
-            lambda: oracle_quotient_dim(A, [vector])
+        assert outcome(lambda: oracle_quotient_dim(A, [vector])) == outcome(
+            lambda: DenseOracle(A).quotient_dim([vector])
         )
+        if [vector] != radical:
+            assert outcome(lambda: A.quotient([vector])) is MatsuoError
 
     for comp in fischer.components(system):
         assert A.unity(comp) == oracle_unity(A, comp)
@@ -503,9 +512,10 @@ def test_checks_agree_with_dense_oracle(
     n = system.size
     comps = fischer.components(system)
     entry = st.integers(0, n - 1)
-    for i, j, value in data.draw(
+    corruptions = data.draw(
         st.lists(st.tuples(entry, entry, entry), max_size=2), label="conj[i][j] = value"
-    ):
+    )
+    for i, j, value in corruptions:
         system = with_conj_entry(system, i, j, value)
     A = MatsuoAlgebra(system, alpha, beta)
     dense = DenseOracle(A)
@@ -525,10 +535,30 @@ def test_checks_agree_with_dense_oracle(
     assert verdict(lambda: A.miyamoto(i).mapping) == verdict(lambda: dense.miyamoto(i))
     for comp in comps:
         assert verdict(lambda: A.unity(comp)) == verdict(lambda: dense.unity(comp))
+    # The quotient rests on the axioms: when they hold, the dense ideal and
+    # form tests pass on the Gram kernel; when they fail, the quotient cites
+    # their witness.
     radical = A.gram_radical()
+    axioms = verdict(dense.verify_axioms)
+    if axioms[0] == "ok":
+        assert dense.quotient_dim(radical) == A.quotient().dim
+    else:
+        assert verdict(lambda: A.quotient().dim) == (
+            RadicalNotIdealError, f"radical is not known to be an ideal: {axioms[1]}"
+        )
+    # The sparse G R^T equals the dense product, also where conj[i][i] != i
+    # makes gram[i][i] the edge value.
     vector = data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
-    for rows in (radical, radical + [vector]):
-        assert verdict(lambda: A.quotient(rows).dim) == verdict(
+    rows = radical + [vector]
+    dense_rows = np.array(rows, dtype=object).reshape(len(rows), n)
+    assert [list(t) for t in A._gram_times(rows)] == (
+        dense.gram.astype(object) @ dense_rows.T
+    ).tolist()
+    # Other subspaces: the quotient rejects them, and on the catalog's own
+    # table the two oracles agree on them.
+    assert outcome(lambda: A.quotient(rows)) is MatsuoError
+    if not corruptions:
+        assert outcome(lambda: oracle_quotient_dim(A, rows)) == outcome(
             lambda: dense.quotient_dim(rows)
         )
 
@@ -552,26 +582,53 @@ def test_alpha_zero_products_do_not_read_conj(system_factory, with_conj_entry):
     assert A.miyamoto(0).mapping == dense.miyamoto(0)
 
 
-# -- which integer path each check takes ----------------------------------
+# -- caller-supplied subspaces: the oracles' ideal and form tests ----------
+
+
+class TestOracleQuotient:
+    """The witnesses of the ideal and induced-form tests, on subspaces that
+    are not the Gram kernel."""
+
+    def test_ideal(self, system_factory):
+        # At alpha = -2 the radical of S3 is span{x^0 + x^1 + x^2}; the
+        # second row is not in any ideal with it.
+        s3 = system_factory("symmetric:n=3")
+        dense = DenseOracle(MatsuoAlgebra(s3, F(-2), F(1, 2)))
+        with pytest.raises(RadicalNotIdealError, match=(
+            r"^radical row 1 times axis 0 left the radical$"
+        )):
+            dense.quotient_dim([[1, 1, 1], [1, -1, 0]])
+        # Row 1 leaves the span at axis 0 and row 0 first at axis 1: the
+        # witness is the first row.
+        dense = DenseOracle(MatsuoAlgebra(s3, F(1, 2), F(1, 2)))
+        with pytest.raises(RadicalNotIdealError, match=(
+            r"^radical row 0 times axis 1 left the radical$"
+        )):
+            dense.quotient_dim([[0, -1, 1], [1, -1, 0]])
+
+    def test_degenerate_quotient(self, system_factory):
+        A = MatsuoAlgebra(system_factory("symmetric:n=3"), F(-2), F(1, 2))
+        with pytest.raises(VerificationError, match=(
+            r"^induced form on the quotient is degenerate: rank 2 of 3, the Gram "
+            r"column of x\^2 depends on earlier ones$"
+        )):
+            DenseOracle(A).quotient_dim([])
+        with pytest.raises(VerificationError):
+            oracle_quotient_dim(A, [])
+
+    def test_non_ideal_subspace(self, system_factory):
+        # span{x^0 - x^1} is in the kernel of nothing and is not an ideal.
+        A = MatsuoAlgebra(system_factory("symmetric:n=3"), F(1, 2), F(1, 2))
+        with pytest.raises(RadicalNotIdealError):
+            oracle_quotient_dim(A, [[1, -1, 0]])
+        with pytest.raises(RadicalNotIdealError):
+            DenseOracle(A).quotient_dim([[1, -1, 0]])
+
+
+# -- large rationals and E6 ------------------------------------------------
 
 BIG_ALPHA = F(2**25 + 1, 2**26 + 3)
 BIG_BETA = F(2**30 - 5, 2**29 + 7)
-
-
-@pytest.fixture
-def dtypes(monkeypatch):
-    """The dtypes that the quotient's ideal-test product runs in, the one
-    product of matsuo that uses numpy."""
-    seen = set()
-    real = matsuo._exact
-
-    def spy(bound, *arrays):
-        out = real(bound, *arrays)
-        seen.update(str(a.dtype) for a in out)
-        return out
-
-    monkeypatch.setattr(matsuo, "_exact", spy)
-    return seen
 
 
 def test_large_rationals_agree_with_dense_oracle(system_factory):
@@ -595,13 +652,13 @@ def test_large_rationals_agree_with_dense_oracle(system_factory):
         )
         assert A.miyamoto(i).mapping == dense.miyamoto(i)
     assert A.unity() == dense.unity(fischer.components(A.system)[0])
+    assert A.quotient().dim == dense.quotient_dim(A.gram_radical())
     not_ideal = [[1, -1] + [0] * (A.n - 2)]
-    assert verdict(lambda: A.quotient(not_ideal)) == verdict(
-        lambda: dense.quotient_dim(not_ideal)
-    )
+    assert outcome(lambda: oracle_quotient_dim(A, not_ideal)) is RadicalNotIdealError
+    assert outcome(lambda: dense.quotient_dim(not_ideal)) is RadicalNotIdealError
 
 
-def test_object_path_agrees_with_oracle(system_factory, dtypes):
+def test_object_path_agrees_with_oracle(system_factory):
     system = system_factory("symmetric:n=5")
     A = MatsuoAlgebra(system, BIG_ALPHA, BIG_BETA)
     _, gram = A.integer_tables()
@@ -615,32 +672,26 @@ def test_object_path_agrees_with_oracle(system_factory, dtypes):
         A.miyamoto(i)
         assert oracle_miyamoto(A, i)
     assert A.unity() == oracle_unity(A, fischer.components(system)[0])
+    assert A.quotient().dim == oracle_quotient_dim(A, A.gram_radical())
     not_ideal = [[1, -1] + [0] * (A.n - 2)]
     with pytest.raises(RadicalNotIdealError):
-        A.quotient(not_ideal)
-    with pytest.raises(RadicalNotIdealError):
         oracle_quotient_dim(A, not_ideal)
-    # The ideal test's bound, n * (3|num(alpha)| + 4 den(alpha)) * max|K| *
-    # max|R|, is about 2^32 here: beta does not enter it.
-    assert dtypes == {"int64"}
 
 
-def test_object_path_ideal_check(system_factory, dtypes):
+def test_object_path_ideal_check(system_factory):
     # k = 2 and alpha = -2 make the Gram matrix of S3 singular, with the huge
-    # beta in every entry.  The radical row scaled by 2^70 forces the ideal
-    # test's product into Python ints.
+    # beta in every entry, so the kernel check multiplies Gram entries above
+    # 2^70.  The radical row scaled by 2^70 spans the same ideal.
     A = MatsuoAlgebra(system_factory("symmetric:n=3"), F(-2), F(2**70 + 1, 2**65 + 3))
     radical = A.gram_radical()
     assert radical == [[1, 1, 1]]
     assert A.quotient(radical).dim == oracle_quotient_dim(A, radical) == 2
-    assert dtypes == {"int64"}
     scaled = [[2**70] * 3]
-    assert A.quotient(scaled).dim == oracle_quotient_dim(A, scaled) == 2
-    assert dtypes == {"int64", "object"}
+    assert oracle_quotient_dim(A, scaled) == DenseOracle(A).quotient_dim(scaled) == 2
 
 
 @pytest.mark.parametrize("alpha", [F(1), F(1, 2)])
-def test_e6_checks_stay_int64(system_factory, dtypes, alpha):
+def test_e6_checks_stay_int64(system_factory, alpha):
     A = MatsuoAlgebra(system_factory("weyl:type=E,rank=6"), alpha, alpha)
     for i in range(A.n):
         assert A.adjoint_spectrum(i).sizes == (1, 25, 10)
@@ -648,6 +699,6 @@ def test_e6_checks_stay_int64(system_factory, dtypes, alpha):
     assert A.unity() is not None
     radical = A.gram_radical()
     assert len(radical) == (15 if alpha == 1 else 0)
+    assert all(type(x) is int for row in radical for x in row)
     assert A.quotient(radical).dim == 36 - len(radical)
-    # Only a proper nonzero radical reaches the ideal test.
-    assert dtypes == ({"int64"} if alpha == 1 else set())
+    assert A.quotient().dim == DenseOracle(A).quotient_dim(radical)
