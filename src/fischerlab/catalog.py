@@ -21,8 +21,6 @@ from __future__ import annotations
 
 from itertools import product as iproduct
 
-from .groups import FpMatrix, Permutation, StructuralError, closure
-
 SYMMETRIC_MAX_N = 12
 SYMPLECTIC_MAX_N = 3
 ORTHOGONAL_F2_DIMS = (4, 6, 8)
@@ -52,6 +50,8 @@ class CatalogEntry:
 
 def symmetric(n):
     """S_n with the transpositions; adjacent transpositions generate."""
+    from .groups import Permutation
+
     if not 2 <= n <= SYMMETRIC_MAX_N:
         raise CatalogError(f"symmetric: n must be in [2, {SYMMETRIC_MAX_N}], got {n}")
     gens = [Permutation.from_cycles(n, [(i, i + 1)]) for i in range(n - 1)]
@@ -70,6 +70,8 @@ def _sp_form_image(v, dim):
 
 def _f2_transvection(dim, v, bv):
     """t_v : x -> x + B(x, v) v, given bv = bitmask of {j : B(e_j, v) = 1}."""
+    from .groups import FpMatrix
+
     rows = []
     for i in range(dim):
         row = 1 << i
@@ -119,6 +121,8 @@ def _generating_vectors(vectors, image):
     closure of those chosen before it under their own transvections or
     reflections, until that closure is the whole class.  ``image(u, v)`` is
     the class vector that the transvection or reflection of v maps u to."""
+    from .groups import closure
+
     chosen = []
     reached = set()
     for v in vectors:
@@ -164,6 +168,8 @@ def orthogonal_F2(dim, eps):
 
 def _f3_reflection(dim, form, v):
     """r_v : x -> x - 2 B(x,v)/q(v) v for anisotropic v over F3."""
+    from .groups import FpMatrix
+
     qv = sum(d * x * x for d, x in zip(form, v)) % 3
     qinv = qv  # 1 and 2 are self-inverse mod 3
     entries = []
@@ -266,13 +272,10 @@ def _reflect(x, v):
     return tuple(a - c * b for a, b in zip(x, v))
 
 
-def _close_roots(simple):
-    start = set(simple) | {tuple(-a for a in r) for r in simple}
-    return sorted(closure(start, lambda x: [_reflect(x, v) for v in simple]))
-
-
 def weyl(kind, rank):
     """ADE Weyl group represented as permutations of its root set."""
+    from .groups import Permutation, closure
+
     kind = kind.upper()
     if kind not in WEYL_RANKS:
         raise CatalogError("weyl: type must be A, D or E")
@@ -282,7 +285,8 @@ def weyl(kind, rank):
             f"(allowed {list(WEYL_RANKS[kind])})"
         )
     simple = _simple_roots(kind, rank)
-    roots = _close_roots(simple)
+    start = set(simple) | {tuple(-a for a in r) for r in simple}
+    roots = sorted(closure(start, lambda x: [_reflect(x, v) for v in simple]))
     index = {r: i for i, r in enumerate(roots)}
     gens = [
         Permutation(tuple(index[_reflect(x, v)] for x in roots)) for v in simple

@@ -7,6 +7,7 @@ Conjugation is written ``conjugate(x, g) == g^-1 * x * g``.
 from __future__ import annotations
 
 import math
+import operator
 
 DEFAULT_MAX_ORDER = 2_000_000
 DEFAULT_ORDER_CAP = 512
@@ -171,6 +172,25 @@ def _row_encode(digits, p):
     return row
 
 
+def _row_table(p, dim, rows):
+    """Row table of the matrix with these packed rows: entry x is the packed
+    row x times the matrix.  The x below p^(k+1) are those below p^k plus d e_k
+    for d in 1..p-1, so each entry is an earlier one plus d rows[k]."""
+    if p == 2:
+        table = [0]
+        for row in rows:
+            table += [x ^ row for x in table]
+        return table
+    table = [(0,) * dim]
+    for row in rows:
+        row = _row_decode(row, p, dim)
+        layer = table
+        for _ in range(p - 1):
+            layer = [tuple((x + y) % p for x, y in zip(v, row)) for v in layer]
+            table = table + layer
+    return [_row_encode(v, p) for v in table]
+
+
 class FpMatrix:
     """Square matrix over F_p (p = 2 or 3), a group element when invertible.
 
@@ -231,37 +251,18 @@ class FpMatrix:
             return NotImplemented
         if self.p != other.p or self.dim != other.dim:
             raise StructuralError("modulus/dimension mismatch")
-        p, dim = self.p, self.dim
-        cols = list(zip(*(_row_decode(r, p, dim) for r in other.rows)))
-        rows = []
-        for r in self.rows:
-            vec = _row_decode(r, p, dim)
-            rows.append(
-                _row_encode(
-                    [sum(x * c for x, c in zip(vec, col)) % p for col in cols], p
-                )
-            )
-        return FpMatrix._raw(p, dim, tuple(rows))
+        rows = self.key_row_mul()(self.rows, other.rows)
+        return FpMatrix._raw(self.p, self.dim, rows)
 
     def key_mul(self):
         p, dim = self.p, self.dim
-        size = p**dim
         cache = {}
 
         def mul(a, b):
             table = cache.get(b)
             if table is None:
-                cols = [
-                    list(col) for col in zip(*(_row_decode(r, p, dim) for r in b))
-                ]
-                table = [0] * size
-                for val in range(size):
-                    vec = _row_decode(val, p, dim)
-                    table[val] = _row_encode(
-                        [sum(x * c for x, c in zip(vec, col)) % p for col in cols], p
-                    )
-                cache[b] = table
-            return tuple(table[r] for r in a)
+                table = cache[b] = _row_table(p, dim, b)
+            return tuple(map(table.__getitem__, a))
 
         return mul
 
@@ -396,9 +397,7 @@ class GeneratedGroup:
         return len(self.element_keys)
 
     def elements(self):
-        peer = self._template.peer
-        for k in self.element_keys:
-            yield peer(k)
+        return map(self._template.peer, self.element_keys)
 
     def element(self, key):
         return self._template.peer(key)
@@ -446,19 +445,39 @@ def closure(start, step, cap=None):
     return out
 
 
+def _translation(points):
+    """``(encode, table, apply)`` with ``apply(encode(a), table(t))`` encoding
+    ``tuple(t[x] for x in a)`` for keys a, t over range(points): bytes and one
+    bytes.translate up to 256 points, tuples beyond."""
+    if points > 256:
+        return tuple, tuple, lambda a, t: tuple(map(t.__getitem__, a))
+    pad = bytes(range(points, 256))
+    return bytes, lambda t: bytes(t) + pad, bytes.translate
+
+
 def generate(generators, max_order=DEFAULT_MAX_ORDER):
-    """Breadth-first closure of the identity under right multiplication by
-    the generators."""
+    """Breadth-first closure of the identity under the generators.
+
+    A step maps key a through a table per generator g: the images of g for a
+    permutation (the left product g*a), the row table of g for a matrix (the
+    right product a*g).  Both sides reach the same layers, as layer k holds the
+    products of k generators and of no fewer.  Up to 256 points the keys are
+    bytes and a step is one bytes.translate; equal-length bytes sort like the
+    tuples they encode, so the element keys come out as with tuple keys.
+    """
     template = _check_compatible(generators)
+    tables = sorted({g.key for g in generators})
     if isinstance(template, FpMatrix):
         for g in generators:
             g.inverse()  # raises if singular
-    gen_keys = sorted({g.key for g in generators})
-    mul = template.key_mul()
-    elements = closure(
-        [template.identity_key()], lambda a: [mul(a, g) for g in gen_keys], max_order
-    )
-    return GeneratedGroup(generators, elements)
+        tables = [_row_table(template.p, template.dim, g) for g in tables]
+    encode, table, apply = _translation(len(tables[0]))
+    tables = [table(t) for t in tables]
+    identity = encode(template.identity_key())
+    keys = closure([identity], lambda a: [apply(a, t) for t in tables], max_order)
+    for i, key in enumerate(keys):
+        keys[i] = tuple(key)
+    return GeneratedGroup(generators, keys)
 
 
 def permutation_images(g):
@@ -467,25 +486,10 @@ def permutation_images(g):
     vector packed base p like a matrix row."""
     if isinstance(g, Permutation):
         return g.images
+    # g v is the row v times the transpose of g, whose rows are g's columns.
     p, dim = g.p, g.dim
-    columns = list(zip(*(_row_decode(r, p, dim) for r in g.rows)))
-    # The vectors below p^(c+1) are those below p^c plus d times e_c, d in
-    # 1..p-1, so each image is an earlier image plus column c of g: over F2
-    # an XOR of packed columns, over F3 a digitwise sum.
-    if p == 2:
-        images = [0]
-        for column in columns:
-            column = _row_encode(column, p)
-            images += [x ^ column for x in images]
-    else:
-        images = [(0,) * dim]
-        for column in columns:
-            layer = images
-            for _ in range(p - 1):
-                layer = [tuple((x + y) % p for x, y in zip(v, column)) for v in layer]
-                images = images + layer
-        images = [_row_encode(v, p) for v in images]
-    images = tuple(images)
+    columns = zip(*(_row_decode(r, p, dim) for r in g.rows))
+    images = tuple(_row_table(p, dim, [_row_encode(c, p) for c in columns]))
     if len(set(images)) != len(images):
         raise StructuralError("matrix not invertible")
     return images
@@ -609,39 +613,30 @@ def center(group):
     if isinstance(template, FpMatrix):
         out = _matrix_center(template, gen_keys, group.element_keys)
     else:
-        mul = template.key_mul()
-        out = [
-            k
-            for k in group.element_keys
-            if all(mul(k, g) == mul(g, k) for g in gen_keys)
-        ]
+        # Each key is its own table, so k*g and g*k are one apply each.
+        _, table, apply = _translation(template.degree)
+        gens = [table(g) for g in gen_keys]
+        out = []
+        for k in group.element_keys:
+            t = table(k)
+            if all(apply(g, t) == apply(t, g) for g in gens):
+                out.append(k)
     return [template.peer(k) for k in out]
 
 
 def _matrix_center(template, gen_keys, element_keys):
     # Row-by-row comparison of k*g against g*k with early exit; the k*g side
-    # uses the cached row table of g, the g*k side is computed on demand.
+    # uses the cached row table of g, row i of g*k is row i of g times k.
     p, dim = template.p, template.dim
     mul = template.key_mul()
     gens = [(g, [_row_decode(r, p, dim) for r in g]) for g in gen_keys]
     out = []
     for k in element_keys:
-        cols = None
-        ok = True
-        for g, g_digits in gens:
-            left = mul(k, g)
-            if cols is None:
-                cols = list(zip(*(_row_decode(r, p, dim) for r in k)))
-            for i in range(dim):
-                right_row = _row_encode(
-                    [sum(x * c for x, c in zip(g_digits[i], col)) % p for col in cols],
-                    p,
-                )
-                if right_row != left[i]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        cols = list(zip(*(_row_decode(r, p, dim) for r in k)))
+        if all(
+            kg == _row_encode([sum(map(operator.mul, row, col)) % p for col in cols], p)
+            for g, g_digits in gens
+            for kg, row in zip(mul(k, g), g_digits)
+        ):
             out.append(k)
     return out

@@ -60,8 +60,7 @@ START_UP = [
     ("fusion-grid", ["fusion", "--m", "3", "--grid", "--contains", "7/10", "--json"],
      ["fischerlab.virasoro"]),
     ("sakuma-3a", ["sakuma", "3A", "--json"], []),
-    ("catalog-list", ["catalog", "list", "--json"],
-     ["fischerlab.catalog", "fischerlab.groups"]),
+    ("catalog-list", ["catalog", "list", "--json"], ["fischerlab.catalog"]),
 ]
 
 

@@ -109,6 +109,24 @@ class TestFpMatrix:
         b = FpMatrix.from_entries(2, 3, [1, 0, 0, 0, 1, 1, 0, 0, 1])
         assert a.key_mul()(a.key, b.key) == (a * b).key
 
+    @given(st.sampled_from([(2, 1), (2, 4), (2, 8), (3, 2), (3, 5)]), st.data())
+    @settings(max_examples=40)
+    def test_products_match_entrywise_definition(self, shape, data):
+        p, dim = shape
+        size = dim * dim
+        entries = st.lists(st.integers(0, p - 1), min_size=size, max_size=size)
+        a = FpMatrix.from_entries(p, dim, data.draw(entries))
+        b = FpMatrix.from_entries(p, dim, data.draw(entries))
+        x, y = a.entries, b.entries
+        expected = [
+            sum(x[i * dim + k] * y[k * dim + j] for k in range(dim)) % p
+            for i in range(dim)
+            for j in range(dim)
+        ]
+        assert (a * b).entries == tuple(expected)
+        assert a.key_mul()(a.key, b.key) == (a * b).key
+        assert a.key_row_mul()(a.key, b.key) == (a * b).key
+
 
 class TestHelpers:
     def test_compose_order_matches_mul(self):
@@ -240,6 +258,80 @@ SMALL_ROSTER = (
     + [f"weyl:type=D,rank={r}" for r in range(4, 7)]
     + ["weyl:type=E,rank=6"]
 )
+
+
+def reference_generate(generators, max_order=None):
+    """Element keys of the tuple-key enumeration: the identity, then each
+    layer of right products a*g by key_mul, in key order."""
+    gen_keys = sorted({g.key for g in generators})
+    mul = generators[0].key_mul()
+    return closure(
+        [generators[0].identity_key()], lambda a: [mul(a, g) for g in gen_keys],
+        max_order,
+    )
+
+
+def s5_on_300_points():
+    """S5 acting on 60 blocks of 5 points at once."""
+    return [
+        Permutation.from_cycles(300, [(b + i, b + i + 1) for b in range(0, 300, 5)])
+        for i in range(4)
+    ]
+
+
+def f3_reflections_on_729_points():
+    """Reflections of F3^6 in e0, e0+e1 and e1+e2: a group of order 48."""
+    vectors = [(1, 0, 0, 0, 0, 0), (1, 1, 0, 0, 0, 0), (0, 1, 1, 0, 0, 0)]
+    return [catalog._f3_reflection(6, (1,) * 6, v) for v in vectors]
+
+
+# Carriers of at most 256 points, where generate keys by bytes, and two of
+# more, where it keeps tuple keys.
+BYTE_KEYED = [
+    "symmetric:n=6", "symplectic-f2:n=2", "orthogonal-f2:dim=4,eps=-",
+    "orthogonal-f3:dim=3,sign=-", "orthogonal-f3:dim=4", "weyl:type=D,rank=5",
+]
+TUPLE_KEYED = {"s5-on-300": s5_on_300_points, "f3-dim-6": f3_reflections_on_729_points}
+
+
+def generators_of(carrier):
+    if carrier in TUPLE_KEYED:
+        gens = TUPLE_KEYED[carrier]()
+        assert len(permutation_images(gens[0])) > 256
+    else:
+        gens = catalog.from_descriptor(carrier).generators
+        assert len(permutation_images(gens[0])) <= 256
+    return gens
+
+
+class TestGenerateMatchesReference:
+    @pytest.mark.parametrize("carrier", BYTE_KEYED + list(TUPLE_KEYED))
+    def test_same_keys_in_the_same_order(self, carrier):
+        gens = generators_of(carrier)
+        assert generate(gens).element_keys == reference_generate(gens)
+
+    def test_tuple_keyed_orders(self):
+        assert generate(s5_on_300_points()).order == 120
+        group = generate(f3_reflections_on_729_points())
+        assert (group.order, len(center(group))) == (48, 2)
+
+    @pytest.mark.parametrize("carrier", ["symmetric:n=6", "orthogonal-f3:dim=4",
+                                         *TUPLE_KEYED])
+    def test_cap_message(self, carrier):
+        gens = generators_of(carrier)
+        cap = len(reference_generate(gens)) - 1
+        message = f"closure exceeded cap {cap} (reached {cap + 1} elements)"
+        with pytest.raises(EnumerationCapError) as info:
+            generate(gens, max_order=cap)
+        assert str(info.value) == message
+        with pytest.raises(EnumerationCapError) as info:
+            reference_generate(gens, cap)
+        assert str(info.value) == message
+
+    def test_permutation_center_beyond_256_points(self):
+        gens = s5_on_300_points()
+        assert len(center(generate(gens))) == 1
+        assert len(center(generate(gens[:1] + gens[2:3]))) == 4
 
 
 class TestSchreierSims:
