@@ -295,25 +295,30 @@ def weyl(kind, rank):
     return CatalogEntry("weyl", {"type": kind, "rank": rank}, gens, seed)
 
 
+_WEYL_RANK_TEXT = ", ".join(
+    f"{kind}<={ranks[-1]}" if ranks[0] == 1 else f"{kind}={ranks[0]}..{ranks[-1]}"
+    for kind, ranks in WEYL_RANKS.items()
+)
 FAMILIES = {
     "symmetric": {
-        "params": "n=2..12",
+        "params": f"n=2..{SYMMETRIC_MAX_N}",
         "example": "symmetric:n=5",
     },
     "symplectic-f2": {
-        "params": "n=1..3",
+        "params": f"n=1..{SYMPLECTIC_MAX_N}",
         "example": "symplectic-f2:n=3",
     },
     "orthogonal-f2": {
-        "params": "dim=4|6|8, eps=+|-",
+        "params": f"dim={'|'.join(map(str, ORTHOGONAL_F2_DIMS))}, eps=+|-",
         "example": "orthogonal-f2:dim=6,eps=+",
     },
     "orthogonal-f3": {
-        "params": "dim=3..5 [,form=diagonal digits] [,sign=+|-]",
+        "params": f"dim={ORTHOGONAL_F3_DIMS[0]}..{ORTHOGONAL_F3_DIMS[-1]} "
+                  "[,form=diagonal digits] [,sign=+|-]",
         "example": "orthogonal-f3:dim=5",
     },
     "weyl": {
-        "params": "type=A|D|E, rank (A<=7, D=4..6, E=6..8)",
+        "params": f"type={'|'.join(WEYL_RANKS)}, rank ({_WEYL_RANK_TEXT})",
         "example": "weyl:type=E,rank=6",
     },
 }

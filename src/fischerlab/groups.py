@@ -351,10 +351,8 @@ class FpMatrix:
 
 def compose(a, b):
     """Product a*b: apply b first, then a."""
-    out = a * b
-    if out is NotImplemented:
-        raise StructuralError(f"cannot compose {type(a).__name__} with {type(b).__name__}")
-    return out
+    _check_compatible([a, b])
+    return a * b
 
 
 def conjugate(x, g):

@@ -6,11 +6,13 @@ Scalars are Fractions at the interface.  Every product has at most three
 terms read off the conjugation table ``conj``, so the checks store no product
 table: they read the rows of ``conj`` and one integer Gram table
 (``integer_tables``), and eigenvectors are sparse columns of at most three
-entries.  Every check and the one elimination routine, ``bareiss``, run in
-Python ints, which cannot wrap, so every verification in this module is
-exact.  The radical, the quotient and positive definiteness all read the one
-elimination of the Gram table; the quotient rests on the axioms, since the
-radical of an invariant symmetric form is an ideal, and on an exact check
+entries.  The Fraction views ``gram``, ``gram_entry``, ``form`` and
+``multiply`` read the same two tables, so they give only values that the
+checks verified.  Every check and the one elimination routine, ``bareiss``,
+run in Python ints, which cannot wrap, so every verification in this module
+is exact.  The radical, the quotient and positive definiteness all read the
+one elimination of the Gram table; the quotient rests on the axioms, since
+the radical of an invariant symmetric form is an ideal, and on an exact check
 that the Gram table annihilates the radical rows.
 """
 from __future__ import annotations
@@ -201,7 +203,10 @@ class MatsuoAlgebra:
     Basis products: x^i x^i = 2 x^i; for adjacent i, j the product is
     (alpha/2)(x^i + x^j - x^{i o j}); orthogonal otherwise.  The form takes
     beta/2 on the diagonal, alpha*beta/8 on edges, 0 otherwise.  The checks
-    read ``system.conj`` and one integer Gram table (``integer_tables``).
+    read ``system.conj`` and one integer Gram table (``integer_tables``), and
+    so do ``gram``, ``gram_entry``, ``form`` and ``multiply``: the form is the
+    integer table over 8*den(alpha)*den(beta), and the product is ``_ad``
+    over 2*den(alpha).
     """
 
     def __init__(self, system, alpha, beta):
@@ -218,40 +223,28 @@ class MatsuoAlgebra:
     def zero(self):
         return [Fraction(0)] * self.n
 
-    def product_terms(self, i, j):
-        """Sparse structure constants of x^i x^j (at most three terms)."""
-        if i == j:
-            return ((i, TWO),)
-        k = self.system.conj[i][j]
-        if self.alpha and k != j:
-            half_alpha = self.alpha / 2
-            return ((i, half_alpha), (j, half_alpha), (k, -half_alpha))
-        return ()
-
     def gram_entry(self, i, j):
-        if i == j:
-            return self.beta / 2
-        if self.system.adjacent(i, j):
-            return self.alpha * self.beta / 8
-        return Fraction(0)
+        return self.gram[i][j]
 
     @cached_property
     def gram(self):
-        return [[self.gram_entry(i, j) for j in range(self.n)] for i in range(self.n)]
+        """The integer Gram table over its scale 8*den(alpha)*den(beta)."""
+        scale = 8 * self.alpha.denominator * self.beta.denominator
+        return [[Fraction(x, scale) for x in row] for row in self._tables[1]]
 
     def multiply(self, u, v):
+        """u v as the sum over i of u_i ad(x^i) v, read off ``_ad``: x^i on
+        the left."""
         if len(u) != self.n or len(v) != self.n:
             raise MatsuoError(f"vector length must be {self.n}")
-        out = [Fraction(0)] * self.n
-        support_u = [i for i, c in enumerate(u) if c]
-        support_v = [j for j, c in enumerate(v) if c]
-        for i in support_u:
-            ci = u[i]
-            for j in support_v:
-                c = ci * v[j]
-                for t, coeff in self.product_terms(i, j):
-                    out[t] += c * coeff
-        return out
+        sparse_v = {j: c for j, c in enumerate(v) if c}
+        out = defaultdict(int)
+        for i, ci in enumerate(u):
+            if ci:
+                for t, x in self._ad(i, sparse_v).items():
+                    out[t] += ci * x
+        scale = 2 * self.alpha.denominator
+        return [Fraction(out[t], scale) for t in range(self.n)]
 
     def form(self, u, v):
         if len(u) != self.n or len(v) != self.n:
@@ -696,11 +689,8 @@ class MatsuoQuotient:
 
     @cached_property
     def gram(self):
-        a = self.algebra
-        return [
-            [a.gram_entry(p, q) for q in self.rep_indices]
-            for p in self.rep_indices
-        ]
+        at = _gather(self.rep_indices)
+        return [list(at(row)) for row in at(self.algebra.gram)]
 
     def reduce(self, vector):
         """Canonical coset representative with zero radical-pivot

@@ -134,6 +134,10 @@ class TestHelpers:
         b = transposition(3, 1, 2)
         assert compose(a, b) == a * b
 
+    def test_compose_rejects_mixed_kinds(self):
+        with pytest.raises(StructuralError, match=r"^mixed element kinds$"):
+            compose(Permutation.identity(2), FpMatrix.identity(2, 2))
+
     def test_conjugate(self):
         x = transposition(3, 0, 1)
         g = transposition(3, 1, 2)

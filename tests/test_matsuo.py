@@ -83,11 +83,17 @@ class TestProductsAndForm:
 
     @pytest.mark.parametrize("alpha", [Fraction(1), HALF])
     def test_e6_tables_stay_int64(self, system_factory, alpha):
-        # The scaled Gram table holds exactly the Fraction form values.
+        # The scaled Gram table holds exactly the form values: beta/2 on the
+        # diagonal, alpha*beta/8 on edges, 0 otherwise.
         A = MatsuoAlgebra(system_factory("weyl:type=E,rank=6"), alpha, alpha)
         _, gram = A.integer_tables()
         scale = 8 * alpha.denominator**2
-        assert gram == [[x * scale for x in row] for row in A.gram]
+        form = [
+            [alpha / 2 if i == j else alpha**2 / 8 if A.system.adjacent(i, j) else 0
+             for j in range(A.n)]
+            for i in range(A.n)
+        ]
+        assert gram == [[x * scale for x in row] for row in form]
         assert all(type(x) is int for row in gram for x in row)
 
     def test_bilinearity_spot(self, B):

@@ -1,11 +1,13 @@
 """The checks of fischerlab.matsuo against two oracles.
 
 The Fraction oracle is the per-vector and per-pair Fraction code that checked
-the same identities before the checks ran on integer tables: eigenvectors
-multiplied out with ``multiply``, Miyamoto maps compared pair by pair on
-``product_terms`` and ``gram_entry``, the ideal property tested vector by
-vector against a reduced row echelon form, and ranks by Gaussian elimination
-over Fraction.
+the same identities before the checks ran on integer tables, on its own
+closed-form product and form (``product_terms``, ``gram_entry``,
+``multiply`` and ``form`` below, not the views of ``MatsuoAlgebra``, which
+read the checked integer tables): eigenvectors multiplied out with
+``multiply``, Miyamoto maps compared pair by pair on ``product_terms`` and
+``gram_entry``, the ideal property tested vector by vector against a reduced
+row echelon form, and ranks by Gaussian elimination over Fraction.
 
 The dense oracle is the integer-table code that ran on an n x n x n structure
 tensor before the checks read the conjugation table.  It reproduces each
@@ -38,6 +40,49 @@ TWO = F(2)
 # -- the oracle -----------------------------------------------------------
 
 
+def product_terms(A, i, j):
+    """Sparse structure constants of x^i x^j (at most three terms)."""
+    if i == j:
+        return ((i, TWO),)
+    k = A.system.conj[i][j]
+    if A.alpha and k != j:
+        half_alpha = A.alpha / 2
+        return ((i, half_alpha), (j, half_alpha), (k, -half_alpha))
+    return ()
+
+
+def gram_entry(A, i, j):
+    """beta/2 on the diagonal, alpha*beta/8 on edges, 0 otherwise."""
+    if i == j:
+        return A.beta / 2
+    if A.system.adjacent(i, j):
+        return A.alpha * A.beta / 8
+    return F(0)
+
+
+def oracle_gram(A):
+    return [[gram_entry(A, i, j) for j in range(A.n)] for i in range(A.n)]
+
+
+def multiply(A, u, v):
+    out = [F(0)] * A.n
+    support_v = [j for j, c in enumerate(v) if c]
+    for i, ci in enumerate(u):
+        if ci:
+            for j in support_v:
+                for t, coeff in product_terms(A, i, j):
+                    out[t] += ci * v[j] * coeff
+    return out
+
+
+def form(A, u, v):
+    support_v = [j for j, c in enumerate(v) if c]
+    return sum(
+        (ci * v[j] * gram_entry(A, i, j) for i, ci in enumerate(u) if ci for j in support_v),
+        F(0),
+    )
+
+
 def oracle_spectrum(A, i):
     """(basis_2, basis_0, basis_alpha) of ad(x^i), each vector checked to be
     an eigenvector with ``multiply``."""
@@ -67,7 +112,7 @@ def oracle_spectrum(A, i):
     xi = A.axis(i)
     for lam, vecs in ((TWO, basis_2), (F(0), basis_0), (A.alpha, basis_alpha)):
         for v in vecs:
-            assert A.multiply(xi, v) == [lam * c for c in v]
+            assert multiply(A, xi, v) == [lam * c for c in v]
     assert len(basis_2) + len(basis_0) + len(basis_alpha) == A.n
     return basis_2, basis_0, basis_alpha
 
@@ -94,10 +139,10 @@ def oracle_miyamoto(A, i):
             return False
     for j in range(A.n):
         for k in range(j, A.n):
-            mapped = sorted((mapping[t], c) for t, c in A.product_terms(j, k))
-            if mapped != sorted(A.product_terms(mapping[j], mapping[k])):
+            mapped = sorted((mapping[t], c) for t, c in product_terms(A, j, k))
+            if mapped != sorted(product_terms(A, mapping[j], mapping[k])):
                 return False
-            if A.gram_entry(j, k) != A.gram_entry(mapping[j], mapping[k]):
+            if gram_entry(A, j, k) != gram_entry(A, mapping[j], mapping[k]):
                 return False
     return True
 
@@ -114,10 +159,10 @@ def oracle_unity(A, component):
     for i in component:
         omega[i] = coeff
     half = [c / 2 for c in omega]
-    assert A.multiply(half, half) == half
+    assert multiply(A, half, half) == half
     for i in component:
-        assert A.multiply(omega, A.axis(i)) == [2 * c for c in A.axis(i)]
-        assert A.form(omega, A.axis(i)) == A.beta / 2
+        assert multiply(A, omega, A.axis(i)) == [2 * c for c in A.axis(i)]
+        assert form(A, omega, A.axis(i)) == A.beta / 2
     return omega
 
 
@@ -166,10 +211,10 @@ def oracle_quotient_dim(A, radical):
     for row in radical:
         vec = [F(x) for x in row]
         for i in range(A.n):
-            if not in_span(A.multiply(vec, A.axis(i))):
+            if not in_span(multiply(A, vec, A.axis(i))):
                 raise RadicalNotIdealError(f"radical vector times axis {i}")
     reps = [c for c in range(A.n) if c not in pivots]
-    gram = [[A.gram_entry(p, q) for q in reps] for p in reps]
+    gram = [[gram_entry(A, p, q) for q in reps] for p in reps]
     if fraction_rank(gram) != len(reps):
         raise VerificationError("degenerate")
     return len(reps)
@@ -466,13 +511,17 @@ def test_checks_agree_with_fraction_oracle(system_factory, descriptor, alpha, be
     A = MatsuoAlgebra(system, alpha, beta)
     i = data.draw(st.integers(0, A.n - 1), label="axis")
 
+    gram = oracle_gram(A)
+    assert A.gram == gram
     radical = A.gram_radical()
-    assert len(radical) == A.n - fraction_rank(A.gram)
+    assert len(radical) == A.n - fraction_rank(gram)
     for row in radical:
         v = [F(x) for x in row]
-        assert all(A.form(v, A.axis(j)) == 0 for j in range(A.n))
+        assert all(form(A, v, A.axis(j)) == 0 for j in range(A.n))
     assert A.quotient(radical).dim == oracle_quotient_dim(A, radical)
     vector = data.draw(st.lists(st.integers(-2, 2), min_size=A.n, max_size=A.n))
+    assert A.multiply(A.axis(i), vector) == multiply(A, A.axis(i), vector)
+    assert A.form(vector, vector) == form(A, vector, vector)
     if any(vector):
         assert outcome(lambda: oracle_quotient_dim(A, [vector])) == outcome(
             lambda: DenseOracle(A).quotient_dim([vector])
@@ -571,6 +620,32 @@ def test_ad_applies_a_row_that_repeats_a_value(system_factory, with_conj_entry):
     assert dense_ad(A, 0) == DenseOracle(A).tensor[0].T.tolist()
 
 
+def test_gram_views_read_the_integer_table(system_factory, with_conj_entry):
+    # With conj[0][0] = 1 the integer table puts the edge value on the
+    # diagonal at (0, 0); the Fraction views and the CSV print that value,
+    # 1 over the scale 8 * 2 * 2, not beta/2.
+    system = with_conj_entry(system_factory("symmetric:n=4"), 0, 0, 1)
+    A = MatsuoAlgebra(system, F(1, 2), F(1, 2))
+    _, gram = A.integer_tables()
+    row = [F(x, 32) for x in gram[0]]
+    assert A.gram[0] == row
+    assert [A.gram_entry(0, j) for j in range(A.n)] == row
+    csv = matsuo.export_gram_csv(A)
+    assert csv.split("\n")[0] == ",".join(matsuo.format_rational(x) for x in row)
+    assert csv.startswith("1/32,")
+
+
+def test_multiply_keeps_the_left_operand(system_factory, with_conj_entry):
+    # conj[3][4] = 2 while conj[4][3] = 1: x^3 x^4 and x^4 x^3 differ, and
+    # multiply reads row 3 for x^3 on the left, as the oracle does.
+    system = with_conj_entry(system_factory("symmetric:n=4"), 3, 4, 2)
+    A = MatsuoAlgebra(system, F(1, 2), F(1, 2))
+    x3, x4 = A.axis(3), A.axis(4)
+    assert A.multiply(x3, x4) == multiply(A, x3, x4)
+    assert A.multiply(x4, x3) == multiply(A, x4, x3)
+    assert A.multiply(x3, x4) != A.multiply(x4, x3)
+
+
 def test_alpha_zero_products_do_not_read_conj(system_factory, with_conj_entry):
     # At alpha = 0 distinct axes multiply to 0, so a table on which x^3 x^4
     # and x^4 x^3 name different conjugates still gives a commutative
@@ -640,9 +715,10 @@ def test_large_rationals_agree_with_dense_oracle(system_factory):
     scale = 16 * BIG_ALPHA.denominator**2 * BIG_BETA.denominator
     for i in range(A.n):
         for j in range(A.n):
-            product = A.multiply(A.axis(i), A.axis(j))
+            product = multiply(A, A.axis(i), A.axis(j))
+            assert A.multiply(A.axis(i), A.axis(j)) == product
             for k in range(A.n):
-                assert table[i, j, k] == A.form(product, A.axis(k)) * scale
+                assert table[i, j, k] == form(A, product, A.axis(k)) * scale
     assert A.verify_axioms() and dense.verify_axioms()
     for i in range(A.n):
         spectrum = A.adjoint_spectrum(i)
@@ -663,7 +739,7 @@ def test_object_path_agrees_with_oracle(system_factory):
     A = MatsuoAlgebra(system, BIG_ALPHA, BIG_BETA)
     _, gram = A.integer_tables()
     scale = 8 * BIG_ALPHA.denominator * BIG_BETA.denominator
-    assert gram == [[x * scale for x in row] for row in A.gram]
+    assert gram == [[x * scale for x in row] for row in oracle_gram(A)]
     for i in range(A.n):
         spectrum = A.adjoint_spectrum(i)
         assert (spectrum.basis_2, spectrum.basis_0, spectrum.basis_alpha) == (
