@@ -584,7 +584,7 @@ def conjugacy_closure(seed, group_gens, cap=100_000):
     """
     template = _check_compatible(list(seed) + list(group_gens))
     for s in seed:
-        if s.order(2) != 2:
+        if s.is_identity() or not (s * s).is_identity():
             raise StructuralError(f"seed element is not an involution: {s!r}")
     mul = template.key_mul()
     row_mul = template.key_row_mul()

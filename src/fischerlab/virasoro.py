@@ -3,6 +3,7 @@ labels, multiplicity-free fusion products, the tau/sigma sign gradings, and
 the nine dihedral-subalgebra types as queryable records."""
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 
 
@@ -37,12 +38,7 @@ def canonical(m, r, s):
 def weight(m, r, s):
     """h_{r,s} = ((r(m+3) - s(m+2))^2 - 1) / (4(m+2)(m+3)), exactly."""
     _check_label(m, r, s)
-    num = (r * (m + 3) - s * (m + 2)) ** 2 - 1
-    h = Fraction(num, 4 * (m + 2) * (m + 3))
-    rr, ss = m + 2 - r, m + 3 - s
-    if h != Fraction((rr * (m + 3) - ss * (m + 2)) ** 2 - 1, 4 * (m + 2) * (m + 3)):
-        raise VirasoroError("canonical-pair weight invariance violated")  # unreachable
-    return h
+    return Fraction((r * (m + 3) - s * (m + 2)) ** 2 - 1, 4 * (m + 2) * (m + 3))
 
 
 def irreducibles(m):
@@ -78,18 +74,11 @@ def fuse(m, a, b):
 
 def tau_sign(m, label):
     """Sign of the module under the involution defined by the fusion grading:
-    (-1)^(r+1) for even m, (-1)^(s+1) for odd m; well-defined on label orbits."""
+    (-1)^(r+1) for even m, (-1)^(s+1) for odd m.  It is constant on label
+    orbits: m+2-r has the parity of r for even m, m+3-s that of s for odd m."""
     r, s = label
     _check_label(m, r, s)
-    if m % 2 == 0:
-        sign = -1 if r % 2 == 0 else 1
-        other = -1 if (m + 2 - r) % 2 == 0 else 1
-    else:
-        sign = -1 if s % 2 == 0 else 1
-        other = -1 if (m + 3 - s) % 2 == 0 else 1
-    if sign != other:
-        raise VirasoroError("tau sign is not constant on the label orbit")  # unreachable
-    return sign
+    return -1 if (r if m % 2 == 0 else s) % 2 == 0 else 1
 
 
 def sigma_sector(m):
@@ -104,61 +93,38 @@ def sigma_sector(m):
     return sorted({canonical(m, r, s) for r, s in raw})
 
 
+def _sigma_orbit(m, label):
+    """The s of the orbit's h_{1,s} (even m) or the r of its h_{r,1} (odd m),
+    or None when the label is outside P_m.  The orbit of (r, s) is {(r, s),
+    (m+2-r, m+3-s)}."""
+    r, s = label
+    _check_label(m, r, s)
+    if m % 2 == 0:
+        return s if r == 1 else m + 3 - s if r == m + 1 else None
+    return r if s == 1 else m + 2 - r if s == m + 2 else None
+
+
 def in_sigma_sector(m, label):
-    return canonical(m, *label) in set(sigma_sector(m))
+    return _sigma_orbit(m, label) is not None
 
 
 def sigma_sign(m, label):
     """(-1)^(s+1) on h_{1,s} (even m) / (-1)^(r+1) on h_{r,1} (odd m)."""
-    r, s = canonical(m, *label)
-    if m % 2 == 0:
-        if r != 1:
-            r, s = m + 2 - r, m + 3 - s
-        if r != 1:
-            raise VirasoroError(f"label {label} is outside the sigma sector P_{m}")
-        return -1 if s % 2 == 0 else 1
-    if s != 1:
-        r, s = m + 2 - r, m + 3 - s
-    if s != 1:
+    k = _sigma_orbit(m, label)
+    if k is None:
         raise VirasoroError(f"label {label} is outside the sigma sector P_{m}")
-    return -1 if r % 2 == 0 else 1
+    return -1 if k % 2 == 0 else 1
 
 
-class SakumaRecord:
+class SakumaRecord(namedtuple(
+    "SakumaRecord",
+    "type_tag max_tau_order inner_product_times_1024 griess_dim ising_count "
+    "miyamoto_kind",
+)):
     """One row of the dihedral-subalgebra table for pairs of central-charge
-    1/2 idempotent generators.  Immutable, equal only to a record with the
-    same fields, and hashed as the tuple of its fields."""
+    1/2 idempotent generators."""
 
-    __slots__ = ("type_tag", "max_tau_order", "inner_product_times_1024",
-                 "griess_dim", "ising_count", "miyamoto_kind")
-
-    def __init__(self, type_tag, max_tau_order, inner_product_times_1024,
-                 griess_dim, ising_count, miyamoto_kind):
-        values = (type_tag, max_tau_order, inner_product_times_1024,
-                  griess_dim, ising_count, miyamoto_kind)
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _fields(self):
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
-        return f"SakumaRecord({fields})"
+    __slots__ = ()
 
     @property
     def inner_product(self):

@@ -256,8 +256,9 @@ class TestAnalyze:
             "non-constant valency in the component of #0: #0 has 4 neighbors, #1 has 3",
             id="IrregularComponentError"),
         pytest.param(
-            fischer, "extract_H", UnexpectedSubgroupError(18, None),
-            "orthogonal-f3:dim=5", "triple generates a group of order 18, expected 54",
+            fischer, "extract_H", UnexpectedSubgroupError((0, 1, 3), 18, None),
+            "orthogonal-f3:dim=5",
+            "triple (0, 1, 3) generates a group of order 18, expected 54",
             id="UnexpectedSubgroupError"),
         pytest.param(
             fischer, "components", GroupError(

@@ -255,6 +255,10 @@ class TestExtractH:
         with pytest.raises(UnexpectedSubgroupError) as info:
             extract_H(sys, (a, b, c))
         assert info.value.order == 24
+        assert info.value.triple == (a, b, c)
+        assert str(info.value) == (
+            f"triple ({a}, {b}, {c}) generates a group of order 24, expected 54"
+        )
 
 
 class TestDot:

@@ -224,6 +224,18 @@ class TestConjugacyClosure:
         with pytest.raises(GroupError):
             conjugacy_closure([bad], [bad])
 
+    @pytest.mark.parametrize("bad", [
+        Permutation.from_cycles(4, [(0, 1, 2)]),
+        FpMatrix.from_entries(2, 2, [0, 1, 1, 1]),
+    ], ids=["Permutation", "FpMatrix"])
+    def test_order_three_seed_is_named(self, bad):
+        # An order above 2 is a malformed seed, not an order overflow.
+        assert bad.order() == 3
+        with pytest.raises(StructuralError, match=(
+            r"^seed element is not an involution: "
+        )):
+            conjugacy_closure([bad], [bad])
+
     def test_cap(self):
         gens = [transposition(6, i, i + 1) for i in range(5)]
         with pytest.raises(EnumerationCapError):

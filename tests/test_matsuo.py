@@ -240,23 +240,9 @@ class TestMiyamoto:
         for i in range(A.n):
             assert A.miyamoto(i).is_involution()
 
-def with_corrupt_column(monkeypatch, column, row):
-    """Make every eigenbasis carry one extra unit at (row, column)."""
-    real = MatsuoAlgebra._eigenbasis
-
-    def corrupt(self, i):
-        basis, sizes = real(self, i)
-        basis = list(basis)
-        basis[column] = dict(basis[column])
-        basis[column][row] = basis[column].get(row, 0) + 1
-        return basis, sizes
-
-    monkeypatch.setattr(MatsuoAlgebra, "_eigenbasis", corrupt)
-
-
 class TestWitnesses:
     """Each failure message of the table checks names its witness; every
-    test corrupts one conjugation-table or Gram entry, or eigenvector column.
+    test corrupts one conjugation-table or Gram entry.
 
     On S4 at alpha = beta = 1/2, conj row 0 is (0, 2, 1, 3, 5, 4): axis 3
     commutes with axis 0, and the neighbours pair up as {1, 2} and {4, 5}, so
@@ -290,20 +276,6 @@ class TestWitnesses:
         A = MatsuoAlgebra(with_conj_entry(s4, 0, 5, 5), HALF, HALF)
         with pytest.raises(VerificationError, match=(
             r"^miyamoto map of axis 0 is not an involution: x\^4 -> x\^5 -> x\^5$"
-        )):
-            A.miyamoto(0)
-
-    def test_miyamoto_plus_one(self, A, monkeypatch):
-        with_corrupt_column(monkeypatch, column=1, row=1)
-        with pytest.raises(VerificationError, match=(
-            r"^miyamoto map of axis 0 moved a \+1 eigenvector \(eigenvalue 0, column 1\)$"
-        )):
-            A.miyamoto(0)
-
-    def test_miyamoto_minus_one(self, A, monkeypatch):
-        with_corrupt_column(monkeypatch, column=4, row=3)
-        with pytest.raises(VerificationError, match=(
-            r"^miyamoto map of axis 0 failed to negate an alpha eigenvector \(column 4\)$"
         )):
             A.miyamoto(0)
 

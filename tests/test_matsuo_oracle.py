@@ -17,6 +17,7 @@ verdict and each witness message, also on corrupted tables.
 induced-form tests of other subspaces live on in the two oracles, which
 check each other on them.
 """
+import itertools
 from fractions import Fraction as F
 
 import numpy as np
@@ -610,6 +611,30 @@ def test_checks_agree_with_dense_oracle(
         assert outcome(lambda: oracle_quotient_dim(A, rows)) == outcome(
             lambda: dense.quotient_dim(rows)
         )
+
+
+@pytest.mark.parametrize("alpha", [F(1, 2), F(2, 5), F(-1)], ids=str)
+def test_miyamoto_agrees_on_every_single_entry_corruption(
+    system_factory, with_conj_entry, alpha
+):
+    # The dense oracle keeps the test that the map acts by +1 on the {2, 0}
+    # eigenvectors and by -1 on the alpha eigenvectors; A.miyamoto relies on
+    # the eigenbasis being built from the same row.  Every changed entry of
+    # the S4 table, on every axis, must give the same verdict and witness.
+    system = system_factory("symmetric:n=4")
+    n = system.size
+    compared = 0
+    for i, j, value in itertools.product(range(n), repeat=3):
+        if system.conj[i][j] == value:
+            continue
+        A = MatsuoAlgebra(with_conj_entry(system, i, j, value), alpha, F(1, 2))
+        dense = DenseOracle(A)
+        for axis in range(n):
+            assert verdict(lambda: A.miyamoto(axis).mapping) == verdict(
+                lambda: dense.miyamoto(axis)
+            ), (i, j, value, axis)
+            compared += 1
+    assert compared == (n**3 - n**2) * n
 
 
 def test_ad_applies_a_row_that_repeats_a_value(system_factory, with_conj_entry):

@@ -1,11 +1,12 @@
 """Unitary-series data: weights, fusion, sign gradings, dihedral table."""
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fischerlab import virasoro
+from fischerlab import cli, virasoro
 from fischerlab.virasoro import (
     SAKUMA_TABLE,
     W3_CHARGE_4_5_MODULES,
@@ -166,6 +167,46 @@ class TestSigmaSector:
         with pytest.raises(VirasoroError):
             sigma_sign(2, (2, 1))
 
+    def test_membership_and_sign_match_the_listed_sector(self):
+        # The listed sector decides membership; the sign is read off the
+        # orbit member on the first row (even m) or first column (odd m).
+        for m in range(1, 41):
+            sector = set(sigma_sector(m))
+            for r in range(1, m + 2):
+                for s in range(1, m + 3):
+                    label = (r, s)
+                    inside = canonical(m, r, s) in sector
+                    assert in_sigma_sector(m, label) == inside, (m, label)
+                    if not inside:
+                        with pytest.raises(VirasoroError) as info:
+                            sigma_sign(m, label)
+                        assert str(info.value) == (
+                            f"label {label} is outside the sigma sector P_{m}"
+                        )
+                        continue
+                    orbit = (label, (m + 2 - r, m + 3 - s))
+                    if m % 2 == 0:
+                        k = next(b for a, b in orbit if a == 1)
+                    else:
+                        k = next(a for a, b in orbit if b == 1)
+                    assert sigma_sign(m, label) == (-1) ** (k + 1), (m, label)
+
+    def test_membership_does_not_list_the_sector(self, monkeypatch, capsys):
+        def listing(m):
+            raise AssertionError(f"listed P_{m}")
+
+        monkeypatch.setattr(virasoro, "sigma_sector", listing)
+        assert in_sigma_sector(10**12, (1, 3))
+        assert sigma_sign(10**12, (1, 3)) == 1
+        assert sigma_sign(10**12 + 1, (2, 1)) == -1
+        code = cli.main(
+            ["fusion", "--m", "1000000", "--left", "1,1", "--right", "1,1", "--json"]
+        )
+        assert code == 0
+        (row,) = json.loads(capsys.readouterr().out)["product"]
+        assert row == {"r": 1, "s": 1, "weight": "0/1", "tau_sign": 1,
+                       "in_sigma_sector": True, "sigma_sign": 1}
+
 
 class TestSakumaTable:
     def test_nine_rows(self):
@@ -179,6 +220,19 @@ class TestSakumaTable:
         assert lookup_by_type("2A").inner_product == F(1, 32)
         assert lookup_by_type("2B").inner_product == 0
         assert lookup_by_type("1A").inner_product == F(1, 4)
+
+    def test_record_repr_hash_and_immutability(self):
+        rec = lookup_by_type("3A")
+        assert repr(rec) == (
+            "SakumaRecord(type_tag='3A', max_tau_order=3, inner_product_times_1024=13, "
+            "griess_dim=4, ising_count=3, miyamoto_kind='tau')"
+        )
+        assert hash(rec) == hash(("3A", 3, 13, 4, 3, "tau"))
+        assert rec == lookup_by_type("3a") and rec != lookup_by_type("3C")
+        with pytest.raises(AttributeError):
+            rec.griess_dim = 5
+        with pytest.raises(AttributeError):
+            rec.note = "extra"
 
     def test_case_insensitive(self):
         assert lookup_by_type("6a").type_tag == "6A"
