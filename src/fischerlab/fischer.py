@@ -94,8 +94,9 @@ class TranspositionSystem:
             self.conj[self.index_of(g)] for g in self.generators
         )
 
-    def orders(self, max_order=groups.DEFAULT_MAX_ORDER):
-        """(|G|, |Z(G)|) without enumerating G (may raise EnumerationCapError).
+    def orders(self, max_order=None):
+        """(|G|, |Z(G)|) without enumerating G (may raise EnumerationCapError
+        when |G| exceeds ``max_order``; None: no cap).
 
         |G| comes from Schreier-Sims on a faithful permutation action.
         """
@@ -152,7 +153,7 @@ def build_system(generators, seed, max_axes=DEFAULT_MAX_AXES):
         for j in range(i + 1, n):
             if row[j] != j and row[j] != conj[j][i]:
                 raise NotThreeTranspositionError(
-                    i, j, groups.element_order(involutions[i] * involutions[j])
+                    i, j, (involutions[i] * involutions[j]).order()
                 )
     return TranspositionSystem(involutions, conj, list(generators))
 

@@ -7,10 +7,8 @@ Conjugation is written ``conjugate(x, g) == g^-1 * x * g``.
 from __future__ import annotations
 
 import math
-import operator
 
 DEFAULT_MAX_ORDER = 2_000_000
-DEFAULT_ORDER_CAP = 512
 
 
 class GroupError(Exception):
@@ -19,12 +17,6 @@ class GroupError(Exception):
 
 class StructuralError(GroupError):
     """Incompatible or malformed group elements (degree/modulus mismatch)."""
-
-
-class OrderOverflowError(GroupError):
-    def __init__(self, cap):
-        super().__init__(f"element order exceeds cap {cap}")
-        self.cap = cap
 
 
 class EnumerationCapError(GroupError):
@@ -91,7 +83,8 @@ class Permutation:
     def is_identity(self):
         return all(i == j for i, j in enumerate(self.images))
 
-    def order(self, cap=DEFAULT_ORDER_CAP):
+    def order(self):
+        """The lcm of the cycle lengths."""
         seen = [False] * len(self.images)
         result = 1
         for start in range(len(self.images)):
@@ -104,8 +97,6 @@ class Permutation:
                 j = self.images[j]
                 length += 1
             result = math.lcm(result, length)
-        if result > cap:
-            raise OrderOverflowError(cap)
         return result
 
     def key_mul(self):
@@ -326,13 +317,11 @@ class FpMatrix:
         rows = tuple(_row_encode(row[dim:], p) for row in aug)
         return FpMatrix._raw(p, dim, rows)
 
-    def order(self, cap=DEFAULT_ORDER_CAP):
-        acc = self
-        for k in range(1, cap + 1):
-            if acc.is_identity():
-                return k
-            acc = acc * self
-        raise OrderOverflowError(cap)
+    def order(self):
+        """Order of the permutation the matrix makes of F_p^dim: the action on
+        vectors is faithful, so the two orders agree.  Raises StructuralError
+        for a singular matrix."""
+        return Permutation._raw(permutation_images(self)).order()
 
     def __eq__(self, other):
         return (
@@ -358,10 +347,6 @@ def compose(a, b):
 def conjugate(x, g):
     """x^g = g^-1 x g."""
     return g.inverse() * x * g
-
-
-def element_order(g, cap=DEFAULT_ORDER_CAP):
-    return g.order(cap)
 
 
 def _check_compatible(elements):
@@ -559,7 +544,7 @@ def permutation_group_order(generators):
     return math.prod(len(orbit) for orbit in orbits)
 
 
-def group_order(generators, max_order=DEFAULT_MAX_ORDER):
+def group_order(generators, max_order=None):
     """Exact order of the generated group without enumerating it: Schreier–Sims
     on a faithful permutation action.  Raises EnumerationCapError when the
     order exceeds ``max_order`` (None: no cap)."""
@@ -605,36 +590,15 @@ def conjugacy_closure(seed, group_gens, cap=100_000):
 
 
 def center(group):
-    """Elements commuting with every generator of an enumerated group."""
+    """Elements of an enumerated group commuting with every generator: k is
+    kept when k*g == g*k for each generator key g, where k*g goes through the
+    cached table of g and g*k through the cached rows of g."""
     template = group._template
-    gen_keys = sorted({g.key for g in group.generators})
-    if isinstance(template, FpMatrix):
-        out = _matrix_center(template, gen_keys, group.element_keys)
-    else:
-        # Each key is its own table, so k*g and g*k are one apply each.
-        _, table, apply = _translation(template.degree)
-        gens = [table(g) for g in gen_keys]
-        out = []
-        for k in group.element_keys:
-            t = table(k)
-            if all(apply(g, t) == apply(t, g) for g in gens):
-                out.append(k)
-    return [template.peer(k) for k in out]
-
-
-def _matrix_center(template, gen_keys, element_keys):
-    # Row-by-row comparison of k*g against g*k with early exit; the k*g side
-    # uses the cached row table of g, row i of g*k is row i of g times k.
-    p, dim = template.p, template.dim
     mul = template.key_mul()
-    gens = [(g, [_row_decode(r, p, dim) for r in g]) for g in gen_keys]
-    out = []
-    for k in element_keys:
-        cols = list(zip(*(_row_decode(r, p, dim) for r in k)))
-        if all(
-            kg == _row_encode([sum(map(operator.mul, row, col)) % p for col in cols], p)
-            for g, g_digits in gens
-            for kg, row in zip(mul(k, g), g_digits)
-        ):
-            out.append(k)
-    return out
+    row_mul = template.key_row_mul()
+    gen_keys = sorted({g.key for g in group.generators})
+    return [
+        template.peer(k)
+        for k in group.element_keys
+        if all(mul(k, g) == row_mul(g, k) for g in gen_keys)
+    ]

@@ -7,7 +7,7 @@ import pytest
 
 from fischerlab import cli, fischer, groups, matsuo
 from fischerlab.fischer import IrregularComponentError, UnexpectedSubgroupError
-from fischerlab.groups import GroupError, OrderOverflowError, StructuralError
+from fischerlab.groups import GroupError, StructuralError
 
 
 GOLDEN = json.loads((Path(__file__).parent / "fixtures" / "analyze_golden.json").read_text())
@@ -246,9 +246,6 @@ class TestAnalyze:
         pytest.param(
             groups, "group_order", StructuralError("degree mismatch: 4 vs 5"),
             "symmetric:n=4", "degree mismatch: 4 vs 5", id="StructuralError"),
-        pytest.param(
-            groups, "group_order", OrderOverflowError(10000), "symmetric:n=4",
-            "element order exceeds cap 10000", id="OrderOverflowError"),
         pytest.param(
             fischer, "valency", IrregularComponentError(
                 "non-constant valency in the component of #0: #0 has 4 neighbors, "

@@ -82,7 +82,7 @@ class TestBuildSystem:
     def test_rejects_order_4_product(self):
         a = t(4, 0, 1)
         b = Permutation.from_cycles(4, [(0, 2), (1, 3)])
-        assert groups.element_order(a * b) == 4
+        assert (a * b).order() == 4
         with pytest.raises(NotThreeTranspositionError) as info:
             build_system([a, b], [a, b])
         assert info.value.order == 4
@@ -93,6 +93,18 @@ class TestBuildSystem:
         bad = [(i, j) for i in range(n) for j in range(i + 1, n)
                if conj[i][j] not in (j, conj[j][i])]
         assert info.value.pair == bad[0]
+
+    def test_rejects_product_of_order_above_512(self):
+        # Reflections x -> -x and x -> 1 - x of Z/515: their product is a
+        # rotation of order 515, which the verdict names in full.
+        m = 515
+        a = Permutation([-x % m for x in range(m)])
+        b = Permutation([(1 - x) % m for x in range(m)])
+        assert (a * b).order() == 515
+        with pytest.raises(NotThreeTranspositionError) as info:
+            build_system([a, b], [a], max_axes=1000)
+        assert info.value.pair == (0, 1)
+        assert info.value.order == 515
 
     def test_conjugate_left_the_class(self):
         # D = {(1 2), (0 2)} is closed under (0 1), but (1 2) conjugates
@@ -159,7 +171,7 @@ class TestBuildSystem:
         for i in range(sys.size):
             for j in range(sys.size):
                 assert invs[sys.conj[i][j]] == invs[i] * invs[j] * invs[i]
-                order = groups.element_order(invs[i] * invs[j])
+                order = (invs[i] * invs[j]).order()
                 assert sys.adjacent(i, j) == (order == 3)
 
 

@@ -20,7 +20,6 @@ from fischerlab.groups import (
     compose,
     conjugacy_closure,
     conjugate,
-    element_order,
     generate,
     group_order,
     permutation_group_order,
@@ -104,6 +103,10 @@ class TestFpMatrix:
         with pytest.raises(GroupError):
             FpMatrix.from_entries(2, 2, [1, 1, 1, 1]).inverse()
 
+    def test_singular_order_raises(self):
+        with pytest.raises(StructuralError, match=r"^matrix not invertible$"):
+            FpMatrix.from_entries(2, 2, [1, 1, 1, 1]).order()
+
     def test_key_mul_matches_mul(self):
         a = FpMatrix.from_entries(2, 3, [1, 1, 0, 0, 1, 0, 0, 0, 1])
         b = FpMatrix.from_entries(2, 3, [1, 0, 0, 0, 1, 1, 0, 0, 1])
@@ -144,7 +147,7 @@ class TestHelpers:
         assert conjugate(x, g) == transposition(3, 0, 2)
 
     def test_element_order(self):
-        assert element_order(Permutation.from_cycles(5, [(0, 1, 2, 3, 4)])) == 5
+        assert Permutation.from_cycles(5, [(0, 1, 2, 3, 4)]).order() == 5
 
 
 class TestClosure:
@@ -229,7 +232,7 @@ class TestConjugacyClosure:
         FpMatrix.from_entries(2, 2, [0, 1, 1, 1]),
     ], ids=["Permutation", "FpMatrix"])
     def test_order_three_seed_is_named(self, bad):
-        # An order above 2 is a malformed seed, not an order overflow.
+        # An order above 2 is named as a malformed seed.
         assert bad.order() == 3
         with pytest.raises(StructuralError, match=(
             r"^seed element is not an involution: "
@@ -350,6 +353,22 @@ class TestGenerateMatchesReference:
         assert len(center(generate(gens[:1] + gens[2:3]))) == 4
 
 
+class TestCenterMatchesSympy:
+    @pytest.mark.parametrize("carrier", [
+        "weyl:type=D,rank=4", "weyl:type=D,rank=6", "orthogonal-f3:dim=3",
+        "orthogonal-f3:dim=4", "orthogonal-f2:dim=4,eps=+", "orthogonal-f2:dim=4,eps=-",
+        *TUPLE_KEYED,
+    ])
+    def test_same_elements(self, carrier):
+        combinatorics = pytest.importorskip("sympy.combinatorics")
+        gens = generators_of(carrier)
+        oracle = combinatorics.PermutationGroup([
+            combinatorics.Permutation(list(permutation_images(g))) for g in gens
+        ])
+        expected = {tuple(z.array_form) for z in oracle.center().generate()}
+        assert {permutation_images(z) for z in center(generate(gens))} == expected
+
+
 class TestSchreierSims:
     def test_matrix_images_are_a_homomorphism(self):
         a = FpMatrix.from_entries(3, 2, [1, 2, 1, 1])
@@ -391,7 +410,7 @@ class TestSchreierSims:
     ])
     def test_theory_values(self, system_factory, descriptor, order, center_order):
         system = system_factory(descriptor)
-        assert system.orders(max_order=order) == (order, center_order)
+        assert system.orders() == (order, center_order)
 
     @pytest.mark.parametrize("descriptor", [
         "symmetric:n=9", "symplectic-f2:n=3", "orthogonal-f3:dim=5",
@@ -405,7 +424,7 @@ class TestSchreierSims:
             for g in system.generators
         ])
         expected = (oracle.order(), oracle.center().order())
-        assert system.orders(max_order=expected[0]) == expected
+        assert system.orders() == expected
 
     @pytest.mark.parametrize("descriptor", [
         "orthogonal-f2:dim=8,eps=+", "orthogonal-f2:dim=8,eps=-",
