@@ -184,23 +184,24 @@ def _f3_reflection(dim, form, v):
 def orthogonal_F3(dim, form=None, sign=1):
     """F3 orthogonal group generated by the reflections r_v with q(v) = sign.
 
-    ``form`` is the diagonal of the bilinear form (entries 1 or 2 mod 3);
+    ``form`` is the diagonal of the bilinear form (entries 1 or 2);
     ``sign`` in {1, 2} selects the reflection class by the value of q(v).
+    The class is never empty: for the first two form entries d, d', q takes
+    the values d, d' and d + d' mod 3 at e_1, e_2 and e_1 + e_2, and these
+    cover 1 and 2.
     """
     if not ORTHOGONAL_F3_DIMS[0] <= dim <= ORTHOGONAL_F3_DIMS[-1]:
         raise CatalogError(f"orthogonal-f3: dim must be in {ORTHOGONAL_F3_DIMS}")
     if form is None:
         form = (1,) * dim
-    form = tuple(x % 3 for x in form)
+    form = tuple(form)
     if len(form) != dim:
         raise CatalogError("orthogonal-f3: form length must equal dim")
-    if any(x == 0 for x in form):
-        raise CatalogError("orthogonal-f3: degenerate form (zero diagonal entry)")
+    if any(x not in (1, 2) for x in form):
+        raise CatalogError(f"orthogonal-f3: form entries must be 1 or 2, got {form}")
     if sign not in (1, 2):
         raise CatalogError("orthogonal-f3: sign must be 1 or 2")
     vectors = _f3_class(dim, form, sign)
-    if not vectors:
-        raise CatalogError("orthogonal-f3: empty reflection class for this form/sign")
 
     def image(u, v):  # r_v(u) = u - 2 B(u, v)/q(v) v, up to sign
         c = 2 * sum(d * x * y for d, x, y in zip(form, u, v)) * sign

@@ -338,6 +338,15 @@ def cmd_fusion(args):
     m = args.m
     if m < 1:
         raise virasoro.VirasoroError(f"--m must be >= 1, got {m}")
+    # Each query reads only its own flags; a flag it would drop is an error.
+    if args.grid and args.sector:
+        raise virasoro.VirasoroError("--sector cannot be combined with --grid")
+    if args.contains is not None and not args.grid:
+        raise virasoro.VirasoroError("--contains needs --grid")
+    query = "--grid" if args.grid else "--sector" if args.sector else None
+    for flag, label in (("--left", args.left), ("--right", args.right)):
+        if query and label is not None:
+            raise virasoro.VirasoroError(f"{flag} cannot be combined with {query}")
     if args.grid:
         labels = virasoro.irreducibles(m)
         payload = {

@@ -182,6 +182,16 @@ def _row_table(p, dim, rows):
     return [_row_encode(v, p) for v in table]
 
 
+def _invertible_row_table(g, rows):
+    """The row table of the matrix with these packed rows, g or its
+    transpose, checked to be a permutation of F_p^dim: it is one exactly when
+    g is invertible."""
+    table = _row_table(g.p, g.dim, rows)
+    if len(set(table)) != len(table):
+        raise StructuralError(f"matrix not invertible: {g!r}")
+    return table
+
+
 class FpMatrix:
     """Square matrix over F_p (p = 2 or 3), a group element when invertible.
 
@@ -298,24 +308,11 @@ class FpMatrix:
         return self.rows == self.identity_key()
 
     def inverse(self):
-        p, dim = self.p, self.dim
-        aug = [
-            _row_decode(r, p, dim) + [1 if j == i else 0 for j in range(dim)]
-            for i, r in enumerate(self.rows)
-        ]
-        for col in range(dim):
-            piv = next((r for r in range(col, dim) if aug[r][col]), None)
-            if piv is None:
-                raise StructuralError("matrix not invertible")
-            aug[col], aug[piv] = aug[piv], aug[col]
-            inv = pow(aug[col][col], -1, p)
-            aug[col] = [x * inv % p for x in aug[col]]
-            for r in range(dim):
-                if r != col and aug[r][col]:
-                    f = aug[r][col]
-                    aug[r] = [(x - f * y) % p for x, y in zip(aug[r], aug[col])]
-        rows = tuple(_row_encode(row[dim:], p) for row in aug)
-        return FpMatrix._raw(p, dim, rows)
+        """Row i of the inverse is the packed row x with x * self = e_i: the
+        preimage of p^i in the row table."""
+        table = _invertible_row_table(self, self.rows)
+        rows = tuple(map(table.index, self.identity_key()))
+        return FpMatrix._raw(self.p, self.dim, rows)
 
     def order(self):
         """Order of the permutation the matrix makes of F_p^dim: the action on
@@ -451,9 +448,7 @@ def generate(generators, max_order=DEFAULT_MAX_ORDER):
     template = _check_compatible(generators)
     tables = sorted({g.key for g in generators})
     if isinstance(template, FpMatrix):
-        for g in generators:
-            g.inverse()  # raises if singular
-        tables = [_row_table(template.p, template.dim, g) for g in tables]
+        tables = [_invertible_row_table(template.peer(g), g) for g in tables]
     encode, table, apply = _translation(len(tables[0]))
     tables = [table(t) for t in tables]
     identity = encode(template.identity_key())
@@ -472,10 +467,7 @@ def permutation_images(g):
     # g v is the row v times the transpose of g, whose rows are g's columns.
     p, dim = g.p, g.dim
     columns = zip(*(_row_decode(r, p, dim) for r in g.rows))
-    images = tuple(_row_table(p, dim, [_row_encode(c, p) for c in columns]))
-    if len(set(images)) != len(images):
-        raise StructuralError("matrix not invertible")
-    return images
+    return tuple(_invertible_row_table(g, [_row_encode(c, p) for c in columns]))
 
 
 def permutation_group_order(generators):

@@ -5,15 +5,17 @@ quotient, adjoint eigenstructure, and Miyamoto involutions.
 Scalars are Fractions at the interface.  Every product has at most three
 terms read off the conjugation table ``conj``, so the checks store no product
 table: they read the rows of ``conj`` and one integer Gram table
-(``integer_tables``), and eigenvectors are sparse columns of at most three
-entries.  The Fraction views ``gram``, ``gram_entry``, ``form`` and
-``multiply`` read the same two tables, so they give only values that the
-checks verified.  Every check and the one elimination routine, ``bareiss``,
-run in Python ints, which cannot wrap, so every verification in this module
-is exact.  The radical, the quotient and positive definiteness all read the
-one elimination of the Gram table; the quotient rests on the axioms, since
-the radical of an invariant symmetric form is an ideal, and on an exact check
-that the Gram table annihilates the radical rows.
+(``integer_tables``), itself a function of ``conj``, so form symmetry and a
+Miyamoto isometry at alpha != 0 follow from the scans of ``conj``.
+Eigenvectors are sparse columns of at most three entries.  The Fraction views
+``gram``, ``gram_entry``, ``form`` and ``multiply`` read the same two tables,
+so they give only values that the checks verified.  Every check and the one
+elimination routine, ``bareiss``, run in Python ints, which cannot wrap, so
+every verification in this module is exact.  The radical, the quotient and
+positive definiteness all read the one elimination of the Gram table; the
+quotient rests on the axioms, since the radical of an invariant symmetric
+form is an ideal, and on an exact check that the Gram table annihilates the
+radical rows.
 """
 from __future__ import annotations
 
@@ -419,9 +421,11 @@ class MatsuoAlgebra:
         if self.alpha not in (0, 2):
             self._eigenbasis(i)
         # The involution perm is an automorphism when conj[perm[j]][perm[k]]
-        # == perm[conj[j][k]], and always at alpha = 0; an isometry when
-        # gram[perm[j]][perm[k]] == gram[j][k].  Rows j and perm[j] state the
-        # same condition, so the first failing row has j <= perm[j].
+        # == perm[conj[j][k]].  That keeps whether conj[j][k] = k, and so, by
+        # ``integer_tables``, gram[j][k]: perm is an isometry.  At alpha = 0,
+        # where every map is an automorphism, the isometry is scanned.  Rows j
+        # and perm[j] state the same condition, so the first failing row has
+        # j <= perm[j].
         at_perm = _gather(perm)
         rows = [j for j in range(n) if j <= perm[j]]
         if self.alpha:
@@ -433,13 +437,14 @@ class MatsuoAlgebra:
                         f"miyamoto map of axis {i} is not an automorphism at "
                         f"pair ({j},{k})"
                     )
-        for j in rows:
-            if at_perm(gram[perm[j]]) != tuple(gram[j]):
-                k = _first_difference(at_perm(gram[perm[j]]), gram[j])
-                raise VerificationError(
-                    f"miyamoto map of axis {i} is not an isometry at pair "
-                    f"({j},{k})"
-                )
+        else:
+            for j in rows:
+                if at_perm(gram[perm[j]]) != tuple(gram[j]):
+                    k = _first_difference(at_perm(gram[perm[j]]), gram[j])
+                    raise VerificationError(
+                        f"miyamoto map of axis {i} is not an isometry at pair "
+                        f"({j},{k})"
+                    )
         return MiyamotoMap(i, mapping)
 
     def sigma_action(self, group):
@@ -484,15 +489,12 @@ class MatsuoAlgebra:
             )
         if i == j:
             return "1A"
+        from . import virasoro
+
         value = self.gram_entry(i, j)
         if value == 0:
             return "2B"
-        if value == Fraction(1, 32):
-            from . import virasoro
-
-            record = virasoro.lookup_by_type("2A")
-            if Fraction(record.inner_product_times_1024, 1024) != value:
-                raise VerificationError("2A inner product disagrees with the dihedral table")
+        if value == virasoro.lookup_by_type("2A").inner_product:
             return "2A"
         raise NotSigmaConfigurationError(f"form value {value} is not a sigma configuration")
 
@@ -561,7 +563,7 @@ class MatsuoAlgebra:
         return bareiss(self._tables[1])
 
     def verify_axioms(self):
-        """Exhaustive exact check of commutativity, form symmetry and
+        """Exhaustive exact check of commutativity (hence form symmetry) and
         invariance (uv|w) = (u|vw) over all basis triples, run once per
         algebra; a failure raises VerificationError naming its witness."""
         if self._axioms_witness is not None:
@@ -571,18 +573,19 @@ class MatsuoAlgebra:
     @cached_property
     def _axioms_witness(self):
         """The witness text of the first failed axiom, or None; ``quotient``
-        reads it too."""
-        conj, gram = self.integer_tables()
+        reads it too.  At alpha = 0 all hold: x^i x^j = 2 delta_ij x^i, and
+        the form is diagonal.  Off the diagonal, gram[i][j] is the edge value
+        exactly when conj[i][j] != j, so the commutativity scan, which checks
+        conj[i][j] != j <=> conj[j][i] != i, also proves form symmetry."""
+        if not self.alpha:
+            return None
+        conj = self._tables[0]
         # x^i x^j = x^j x^i when i, j are adjacent both ways with one common
-        # conjugate, or neither way; at alpha = 0 always.
-        if self.alpha:
-            for i, (row, column) in enumerate(zip(conj, zip(*conj))):
-                for j, (c, d) in enumerate(zip(row, column)):
-                    if (c != j) != (d != i) or (c != j and c != d):
-                        return f"product is not commutative at pair ({i},{j})"
-        for i, (row, column) in enumerate(zip(gram, zip(*gram))):
-            if tuple(row) != column:
-                return f"form is not symmetric at pair ({i},{_first_difference(row, column)})"
+        # conjugate, or neither way.
+        for i, (row, column) in enumerate(zip(conj, zip(*conj))):
+            for j, (c, d) in enumerate(zip(row, column)):
+                if (c != j) != (d != i) or (c != j and c != d):
+                    return f"product is not commutative at pair ({i},{j})"
         # Then triple (i, j, k) is invariant when S = G ad(x^i), S[j][k] =
         # (x^j | x^i x^k), has S[j][k] == S[k][j].
         for i in range(self.n):
@@ -594,28 +597,20 @@ class MatsuoAlgebra:
 
     def _invariant_by_gathers(self, i):
         """A sufficient condition, in row gathers, for S = G ad(x^i) to be
-        symmetric when G is.  Column k of S is a*(G[:, i] + G[:, k] -
-        G[:, conj[i][k]]) for k in N = {k : conj[i][k] != k}, column i gains
-        unit*G[:, i], and the other columns are 0.  With i not in N, S is
-        symmetric when G[i][k] is one value on N and 0 off N u {i}, when
-        G[k][conj[i][j]] = G[conj[i][k]][j] for every k in N and every j, and
-        when row i and column i of S agree."""
+        symmetric at alpha != 0 when G is.  Column k of S is a*(G[:, i] +
+        G[:, k] - G[:, conj[i][k]]) for k in N = {k : conj[i][k] != k}, column
+        i gains unit*G[:, i], and the other columns are 0.  With i not in N,
+        ``integer_tables`` makes G[i] the edge value on N and 0 off N u {i},
+        and S is symmetric when G[k][conj[i][j]] = G[conj[i][k]][j] for every
+        k in N and every j: at j = i, with a*G[i][i] = unit*G[i][k] on N, this
+        also makes row i and column i of S agree."""
         conj, gram = self._tables
-        perm, g_i = conj[i], gram[i]
-        a, unit = self.alpha.numerator, 4 * self.alpha.denominator
-        nbrs = [k for k, c in enumerate(perm) if c != k]
-        if a == 0 or not nbrs:
-            return not any(x for j, x in enumerate(g_i) if j != i)
-        inside = {*nbrs, i}
-        if (
-            perm[i] != i
-            or len({g_i[k] for k in nbrs}) != 1
-            or any(x for j, x in enumerate(g_i) if j not in inside)
-        ):
+        perm = conj[i]
+        if perm[i] != i:
             return False
         at_perm = _gather(perm)
-        return all(at_perm(gram[k]) == tuple(gram[perm[k]]) for k in nbrs) and all(
-            a * (g_i[i] + g_i[k] - g_i[perm[k]]) == unit * g_i[k] for k in nbrs
+        return all(
+            at_perm(gram[k]) == tuple(gram[c]) for k, c in enumerate(perm) if c != k
         )
 
     def _asymmetry(self, i):

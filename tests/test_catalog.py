@@ -84,6 +84,13 @@ class TestOrthogonalF3:
         with pytest.raises(CatalogError):
             catalog.orthogonal_F3(6)
 
+    @pytest.mark.parametrize("form", ["110", "113", "444"])
+    def test_form_entries_are_1_or_2(self, form):
+        with pytest.raises(CatalogError) as exc:
+            catalog.from_descriptor(f"orthogonal-f3:dim=3,form={form}")
+        digits = tuple(map(int, form))
+        assert str(exc.value) == f"orthogonal-f3: form entries must be 1 or 2, got {digits}"
+
 
 def whole_class_generators(descriptor):
     """The whole transvection or reflection class of an orthogonal

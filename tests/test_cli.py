@@ -328,6 +328,15 @@ class TestFusion:
         code, _, _ = run(capsys, "fusion", "--m", "2", "--left", "11", "--right", "1,1")
         assert code == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (("--sector", "--contains", "1/2"), "--contains needs --grid"),
+        (("--grid", "--left", "1,1", "--right", "1,2"), "--left cannot be combined with --grid"),
+        (("--grid", "--sector"), "--sector cannot be combined with --grid"),
+    ], ids=["sector-contains", "grid-left", "grid-sector"])
+    def test_dropped_flag_is_usage_error(self, capsys, argv, message):
+        code, out, err = run(capsys, "fusion", "--m", "2", *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
 
 class TestSakuma:
     def test_tag_lookup(self, capsys):

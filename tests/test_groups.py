@@ -96,16 +96,31 @@ class TestFpMatrix:
         assert a.order() == 3
 
     def test_inverse(self):
-        a = FpMatrix.from_entries(3, 2, [1, 2, 1, 1])
-        assert (a * a.inverse()).is_identity()
+        matrices = [FpMatrix.from_entries(3, 2, [1, 2, 1, 1])]
+        for descriptor in ("orthogonal-f3:dim=5", "symplectic-f2:n=3"):
+            gens = catalog.from_descriptor(descriptor).generators
+            product = gens[0]
+            for g in gens[1:]:
+                product = product * g
+            matrices += gens + [product]
+        for a in matrices:
+            assert (a * a.inverse()).is_identity()
+            assert (a.inverse() * a).is_identity()
+
+    SINGULAR = r"^matrix not invertible: FpMatrix\(p=2, dim=2, entries=\(1, 1, 1, 1\)\)$"
 
     def test_singular_inverse_raises(self):
-        with pytest.raises(GroupError):
+        with pytest.raises(StructuralError, match=self.SINGULAR):
             FpMatrix.from_entries(2, 2, [1, 1, 1, 1]).inverse()
 
     def test_singular_order_raises(self):
-        with pytest.raises(StructuralError, match=r"^matrix not invertible$"):
+        with pytest.raises(StructuralError, match=self.SINGULAR):
             FpMatrix.from_entries(2, 2, [1, 1, 1, 1]).order()
+
+    def test_singular_generator_raises(self):
+        singular = FpMatrix.from_entries(2, 2, [1, 1, 1, 1])
+        with pytest.raises(StructuralError, match=self.SINGULAR):
+            generate([FpMatrix.identity(2, 2), singular])
 
     def test_key_mul_matches_mul(self):
         a = FpMatrix.from_entries(2, 3, [1, 1, 0, 0, 1, 0, 0, 0, 1])

@@ -613,22 +613,32 @@ def test_checks_agree_with_dense_oracle(
         )
 
 
-@pytest.mark.parametrize("alpha", [F(1, 2), F(2, 5), F(-1)], ids=str)
+@pytest.mark.parametrize("alpha, beta", [
+    pytest.param(F(1, 2), F(1, 2), id="1/2"),
+    pytest.param(F(2, 5), F(1, 2), id="2/5"),
+    pytest.param(F(-1), F(1, 2), id="-1"),
+    pytest.param(F(0), F(1, 2), id="0"),
+    pytest.param(F(2), F(1, 2), id="2"),
+    pytest.param(F(1, 2), F(0), id="1/2,beta=0"),
+])
 def test_miyamoto_agrees_on_every_single_entry_corruption(
-    system_factory, with_conj_entry, alpha
+    system_factory, with_conj_entry, alpha, beta
 ):
     # The dense oracle keeps the test that the map acts by +1 on the {2, 0}
     # eigenvectors and by -1 on the alpha eigenvectors; A.miyamoto relies on
-    # the eigenbasis being built from the same row.  Every changed entry of
-    # the S4 table, on every axis, must give the same verdict and witness.
+    # the eigenbasis being built from the same row.  It also keeps the form
+    # symmetry and isometry scans, which A reads off the conjugation scans
+    # except for the isometry scan at alpha = 0.  Every changed entry of the
+    # S4 table, on every axis, must give the same verdict and witness.
     system = system_factory("symmetric:n=4")
     n = system.size
     compared = 0
     for i, j, value in itertools.product(range(n), repeat=3):
         if system.conj[i][j] == value:
             continue
-        A = MatsuoAlgebra(with_conj_entry(system, i, j, value), alpha, F(1, 2))
+        A = MatsuoAlgebra(with_conj_entry(system, i, j, value), alpha, beta)
         dense = DenseOracle(A)
+        assert verdict(A.verify_axioms) == verdict(dense.verify_axioms), (i, j, value)
         for axis in range(n):
             assert verdict(lambda: A.miyamoto(axis).mapping) == verdict(
                 lambda: dense.miyamoto(axis)
