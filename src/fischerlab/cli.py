@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 mathematical-verdict failure, 2 usage error (a
 --max-order, --max-axes or --threads value below 1 included) or an output
 file that cannot be written, 3 resource cap exceeded: the group order
-is above --max-order (no cap unless given) or the class is larger than
---max-axes, 4 an internal-consistency error of the group or graph layer.  A
+is above --max-order or the class is larger than --max-axes (neither capped
+unless given), 4 an internal-consistency error of the group or graph layer.  A
 negative rational is written with '=', as in --alpha=-2/3, because argparse
 reads a separate "-2/3" as an option.  All machine output serializes
 rationals as "p/q" strings and uses canonical (sorted-key) JSON, so emitted
@@ -85,7 +85,8 @@ def build_parser():
                       metavar="p/q", help="default 1/2; negative: --beta=-1/5")
     p_an.add_argument("--max-order", type=int,
                       help="exit 3 when the group order is above this (no default)")
-    p_an.add_argument("--max-axes", type=int)
+    p_an.add_argument("--max-axes", type=int,
+                      help="exit 3 when the class is larger than this (no default)")
     p_an.add_argument("--threads", type=int, default=1)
     p_an.add_argument("--dot", metavar="FILE", help="export the Fischer graph as DOT")
     p_an.add_argument("--gram", metavar="FILE", help="export the Gram matrix as CSV")
@@ -192,14 +193,13 @@ def cmd_analyze(args):
                         ("--max-axes", args.max_axes)):
         if value is not None and value < 1:
             raise catalog.CatalogError(f"{flag} must be >= 1")
-    max_axes = fischer.DEFAULT_MAX_AXES if args.max_axes is None else args.max_axes
 
     # The order cap needs only the generators, so it is checked before the
     # graph phase.
     group_t0 = time.perf_counter()
     group_order = groups.group_order(entry.generators, args.max_order)
     sys_t0 = time.perf_counter()
-    system = fischer.build_system(entry.generators, entry.seed, max_axes=max_axes)
+    system = fischer.build_system(entry.generators, entry.seed, max_axes=args.max_axes)
     comps = fischer.components(system)
     witness = fischer.detect_H_triple(system)
     h_order = fischer.extract_H(system, witness).order if witness else None

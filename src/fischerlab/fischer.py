@@ -7,20 +7,19 @@ t_i t_j t_i.  Adjacency, the common conjugate i o j of an adjacent pair, the
 product orders, the conjugacy orbits and the Miyamoto maps of the Matsuo
 layer are all read from it.
 
+A system is the class D of its generators: each generator is an involution
+in D and each conjugacy orbit of D holds a generator, so G = <D>.
 ``build_system`` fills the table from the action sigma_g of each generator g
-on the class, which the conjugacy closure records as it goes.  A generator
-in the class has row sigma_g, and i = sigma_g[j] gives row i =
-sigma_g o row j o sigma_g^-1, so the rows spread along the closure's moves
-with index compositions alone.  The carrier conjugates only the first member
-of an orbit that no generator row reaches: 2*n*|S| carrier products in all,
-plus 2n per such orbit, instead of 2*n^2 more after the closure.
+on the class, which the conjugacy closure records as it goes.  Generator g
+has row sigma_g, and i = sigma_g[j] gives row i = sigma_g o row j o sigma_g,
+as sigma_g is its own inverse, so the rows spread along the closure's moves
+with index compositions alone: 2*n*|S| carrier products in all, all in the
+closure, instead of 2*n^2 more after it.
 """
 from __future__ import annotations
 
 from . import groups
 from .groups import GroupError
-
-DEFAULT_MAX_AXES = 512
 
 
 class NotThreeTranspositionError(GroupError):
@@ -81,15 +80,9 @@ class TranspositionSystem:
     def class_action_order(self):
         """|G acting on D| by Schreier-Sims on the rows of the generators.
 
-        Every generator must lie in the class D, so that G = <D> and Z(G) is
-        the kernel of this action: |Z(G)| = |G| / |G acting on D|.
+        ``build_system`` makes G = <D>, so Z(G) is the kernel of this
+        action: |Z(G)| = |G| / |G acting on D|.
         """
-        outside = [g for g in self.generators if g.key not in self._index]
-        if outside:
-            raise GroupError(
-                f"generator {outside[0]!r} is not in the transposition class; "
-                "the center is read off the class action only when G = <D>"
-            )
         return groups.permutation_group_order(
             self.conj[self.index_of(g)] for g in self.generators
         )
@@ -104,10 +97,12 @@ class TranspositionSystem:
         return order, order // self.class_action_order()
 
 
-def build_system(generators, seed, max_axes=DEFAULT_MAX_AXES):
+def build_system(generators, seed, max_axes=None):
     """Conjugacy-close the seed and build its conjugation table, failing
-    loudly if any product of two class members has order above 3.  The
-    closure stops as soon as it passes ``max_axes`` involutions.
+    loudly if a generator is not an involution of the class, if an orbit of
+    the class holds no generator, or if any product of two class members has
+    order above 3.  The closure stops as soon as it passes ``max_axes``
+    involutions (None: no cap).
 
     Conjugation is a homomorphism G -> Sym(D), so the rows spread from the
     generators' actions as the module docstring describes.
@@ -116,38 +111,31 @@ def build_system(generators, seed, max_axes=DEFAULT_MAX_AXES):
     n = len(involutions)
     index = {x.key: i for i, x in enumerate(involutions)}
     conj = [None] * n
-    for g, sigma in actions.items():
-        if g in index:
-            conj[index[g]] = sigma
-    moves = [
-        (sigma, sorted(range(n), key=sigma.__getitem__)) for sigma in actions.values()
-    ]
+    for g in generators:
+        if g.key not in index:
+            raise GroupError(
+                f"generator {g!r} is not in the transposition class; "
+                "the center is read off the class action only when G = <D>"
+            )
+        conj[index[g.key]] = actions[g.key]
 
     def derive(j):
         # Fill the rows one move away from row j; return the new indices.
         row = conj[j]
         filled = []
-        for sigma, inverse in moves:
+        for sigma in actions.values():
             i = sigma[j]
             if conj[i] is None:
-                conj[i] = tuple([sigma[row[m]] for m in inverse])
+                conj[i] = tuple([sigma[row[m]] for m in sigma])
                 filled.append(i)
         return filled
 
-    groups.closure([i for i in range(n) if conj[i] is not None], derive)
-    # An orbit's conjugations either all stay in the class or all leave it,
-    # so the first unfilled row is the first one that can leave it.
-    mul = involutions[0].key_mul()
-    keys = [x.key for x in involutions]
-    for i, ki in enumerate(keys):
-        if conj[i] is None:
-            try:
-                conj[i] = tuple(index[mul(mul(ki, kj), ki)] for kj in keys)
-            except KeyError:
-                raise GroupError(
-                    f"a conjugate by involution #{i} left the class"
-                ) from None
-            groups.closure([i], derive)
+    groups.closure({index[g] for g in actions}, derive)
+    if None in conj:
+        raise GroupError(
+            f"no generator is conjugate to involution #{conj.index(None)}; "
+            "the class must be the class of its generators"
+        )
     for i in range(n):
         row = conj[i]
         for j in range(i + 1, n):

@@ -2,11 +2,11 @@
 breadth-first closure enumeration, and group orders by Schreier–Sims.
 
 Composition convention (fixed globally): ``a * b`` means "apply b first, then a".
-Conjugation is written ``conjugate(x, g) == g^-1 * x * g``.
 """
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 DEFAULT_MAX_ORDER = 2_000_000
 
@@ -341,11 +341,6 @@ def compose(a, b):
     return a * b
 
 
-def conjugate(x, g):
-    """x^g = g^-1 x g."""
-    return g.inverse() * x * g
-
-
 def _check_compatible(elements):
     if not elements:
         raise StructuralError("need at least one element")
@@ -370,7 +365,6 @@ class GeneratedGroup:
         self.generators = list(generators)
         self.element_keys = list(element_keys)
         self._template = self.generators[0]
-        self._index = None
 
     @property
     def order(self):
@@ -382,14 +376,14 @@ class GeneratedGroup:
     def element(self, key):
         return self._template.peer(key)
 
+    @cached_property
+    def _index(self):
+        return {k: i for i, k in enumerate(self.element_keys)}
+
     def index(self, key):
-        if self._index is None:
-            self._index = {k: i for i, k in enumerate(self.element_keys)}
         return self._index[key]
 
     def __contains__(self, item):
-        if self._index is None:
-            self._index = {k: i for i, k in enumerate(self.element_keys)}
         key = item.key if hasattr(item, "key") else item
         return key in self._index
 
@@ -549,35 +543,35 @@ def group_order(generators, max_order=None):
     return order
 
 
-def conjugacy_closure(seed, group_gens, cap=100_000):
+def conjugacy_closure(seed, group_gens, cap=None):
     """Smallest set D containing the seed involutions and closed under
-    conjugation by the given generators, in canonical key order, with the
+    conjugation by the given involutions, in canonical key order, with the
     action of each distinct generator g on it.
 
     Returns ``(involutions, actions)`` where ``actions[g.key][j]`` is the
-    index of g^-1 x_j g.  Each conjugate is computed once, by the closure:
-    x g through the cached table of g, then g^-1 (x g) through the rows of
-    x g, so no table is built for a class member.
+    index of g x_j g.  Each conjugate is computed once, by the closure: x g
+    through the cached table of g, then g (x g) through the rows of x g, so
+    no table is built for a class member and no generator is inverted.
+    Raises EnumerationCapError as soon as D passes ``cap`` (None: no cap).
     """
     template = _check_compatible(list(seed) + list(group_gens))
-    for s in seed:
-        if s.is_identity() or not (s * s).is_identity():
-            raise StructuralError(f"seed element is not an involution: {s!r}")
+    for kind, elements in (("seed", seed), ("generator", group_gens)):
+        for x in elements:
+            if x.is_identity() or not (x * x).is_identity():
+                raise StructuralError(f"{kind} element is not an involution: {x!r}")
     mul = template.key_mul()
     row_mul = template.key_row_mul()
-    inverses = {g.key: g.inverse().key for g in group_gens}
+    gens = list(dict.fromkeys(g.key for g in group_gens))
     images = {}
 
     def step(x):
-        images[x] = [row_mul(ginv, mul(x, g)) for g, ginv in inverses.items()]
+        images[x] = [row_mul(g, mul(x, g)) for g in gens]
         return images[x]
 
     keys = sorted(closure([s.key for s in seed], step, cap))
     index = {k: i for i, k in enumerate(keys)}
     columns = zip(*(images[k] for k in keys))
-    actions = {
-        g: tuple(index[k] for k in column) for g, column in zip(inverses, columns)
-    }
+    actions = {g: tuple(index[k] for k in column) for g, column in zip(gens, columns)}
     return [template.peer(k) for k in keys], actions
 
 

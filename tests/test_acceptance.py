@@ -12,12 +12,14 @@ import sys
 import time
 from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from fischerlab import catalog, fischer, groups, matsuo, virasoro
 
 F = Fraction
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 # Every supported catalog instance with at most 100 transpositions.
 ROSTER = (
@@ -249,7 +251,7 @@ def test_criterion_11_determinism_across_threads(capsys, tmp_path):
                 [sys.executable, "-m", "fischerlab.cli", "analyze",
                  "symplectic-f2:n=3", "--threads", str(threads), "--json"],
                 capture_output=True,
-                env=os.environ.copy(),
+                env=dict(os.environ, PYTHONPATH=str(SRC)),
                 check=True,
             )
             outputs.append(proc.stdout)

@@ -107,13 +107,33 @@ class TestBuildSystem:
         assert info.value.order == 515
 
     def test_conjugate_left_the_class(self):
-        # D = {(1 2), (0 2)} is closed under (0 1), but (1 2) conjugates
-        # (0 2) to (0 1), which is not in D.
+        # D = {(1 2), (0 2)} is closed under (0 1) but does not hold it, and
+        # (1 2) conjugates (0 2) to (0 1): the build names the generator.
         with pytest.raises(
             groups.GroupError,
-            match=r"^a conjugate by involution #0 left the class$",
+            match=r"^generator Permutation\(\(0, 1\)\) is not in the "
+            r"transposition class; the center is read off the class action "
+            r"only when G = <D>$",
         ):
             build_system([t(3, 0, 1)], [t(3, 1, 2)])
+        # With (1 2) a generator too, D holds all three and G = S3.
+        sys = build_system([t(3, 0, 1), t(3, 1, 2)], [t(3, 1, 2)])
+        assert sys.size == 3
+        assert sys.orders() == (6, 1)
+
+    @pytest.mark.parametrize("descriptor", [
+        "orthogonal-f3:dim=5", "weyl:type=E,rank=6",
+    ])
+    def test_build_inverts_nothing(self, monkeypatch, descriptor):
+        # Every generator is an involution, so the build conjugates by g*x*g.
+        def no_inverse(self):
+            raise AssertionError("build_system inverted an element")
+
+        for carrier in (Permutation, FpMatrix):
+            monkeypatch.setattr(carrier, "inverse", no_inverse)
+        entry = catalog.from_descriptor(descriptor)
+        sys = build_system(entry.generators, entry.seed)
+        assert sys.conj == oracle_conj(sys.involutions)
 
     @pytest.mark.parametrize("descriptor", CATALOG)
     def test_conj_table_matches_oracle(self, system_factory, descriptor):
@@ -123,26 +143,52 @@ class TestBuildSystem:
     @pytest.mark.parametrize("generators, seed", [
         # a seed that is not a generator; the generators' rows reach it
         ([t(5, i, i + 1) for i in range(4)], [t(5, 1, 3)]),
-        # one non-involution generator, one generator in the class
-        ([Permutation.from_cycles(5, [(0, 1, 2, 3, 4)]), t(5, 0, 1)], [t(5, 1, 3)]),
-        # no generator in the class: one carrier row, then derived rows
-        ([Permutation.from_cycles(5, [(0, 1, 2, 3, 4)]),
-          Permutation.from_cycles(5, [(0, 1, 2, 3)])], [t(5, 1, 3)]),
-        # two orbits, {(0 1), (1 2), (0 2)} and {(3 4)}, each rooted by the carrier
-        ([Permutation.from_cycles(5, [(0, 1, 2)])], [t(5, 3, 4), t(5, 0, 1)]),
+        # a repeated generator and a seed that is not one
+        ([t(5, 0, 1), t(5, 1, 2), t(5, 0, 1), t(5, 2, 3)], [t(5, 1, 3)]),
+        # every class member a generator: no row is derived
+        ([t(4, i, j) for i in range(4) for j in range(i + 1, 4)], [t(4, 2, 3)]),
+        # two orbits, {(0 1), (1 2), (0 2)} and {(3 4)}, each with a generator
+        ([t(5, 0, 1), t(5, 1, 2), t(5, 3, 4)], [t(5, 3, 4), t(5, 0, 1)]),
     ])
     def test_conj_table_matches_oracle_off_catalog(self, generators, seed):
         sys = build_system(generators, seed)
         assert sys.conj == oracle_conj(sys.involutions)
 
+    @pytest.mark.parametrize("generators, seed, error, message", [
+        # one non-involution generator, one generator in the class
+        ([Permutation.from_cycles(5, [(0, 1, 2, 3, 4)]), t(5, 0, 1)], [t(5, 1, 3)],
+         groups.StructuralError,
+         r"^generator element is not an involution: Permutation\(\(0, 1, 2, 3, 4\)\)$"),
+        # no generator in the class
+        ([Permutation.from_cycles(5, [(0, 1, 2, 3, 4)]),
+          Permutation.from_cycles(5, [(0, 1, 2, 3)])], [t(5, 1, 3)],
+         groups.StructuralError,
+         r"^generator element is not an involution: Permutation\(\(0, 1, 2, 3, 4\)\)$"),
+        # two orbits, {(0 1), (1 2), (0 2)} and {(3 4)}, neither with a generator
+        ([Permutation.from_cycles(5, [(0, 1, 2)])], [t(5, 3, 4), t(5, 0, 1)],
+         groups.StructuralError,
+         r"^generator element is not an involution: Permutation\(\(0, 1, 2\)\)$"),
+        # D = {(1 2), (0 1), (0 2)} holds the generator (0 1), but <(0 1)>
+        # does not reach #0 = (1 2): G = <(0 1)> is not <D>, and the class
+        # action would give |Z(G)| = 1 where Z(G) = G has order 2.
+        ([t(3, 0, 1)], [t(3, 0, 1), t(3, 0, 2)], groups.GroupError,
+         r"^no generator is conjugate to involution #0; "
+         r"the class must be the class of its generators$"),
+    ], ids=["cycle-and-class-member", "no-class-member", "two-orbits", "wrong-center"])
+    def test_rejects_generators_that_are_not_the_class(
+        self, generators, seed, error, message
+    ):
+        with pytest.raises(error, match=message):
+            build_system(generators, seed)
+
     def test_carrier_products_bounded_by_class_times_generators(self, monkeypatch):
-        # The closure makes 2 products per class member and generator; every
-        # E8 generator lies in the class, so no row needs the carrier.
+        # The closure makes 2 products per class member and generator, and
+        # the build itself makes none.
         calls = count_carrier_products(monkeypatch, Permutation)
         entry = catalog.from_descriptor("weyl:type=E,rank=8")
         sys = build_system(entry.generators, entry.seed)
         assert 2 * sys.size * len(entry.generators) == 1920
-        assert len(calls) <= 1920
+        assert len(calls) == 1920
 
     def test_orthogonal_carrier_products_bounded(self, monkeypatch):
         # O8-(2) from its small generating set: at most 2*dim generators, so

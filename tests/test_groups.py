@@ -1,8 +1,10 @@
 """Group-element arithmetic, closure enumeration, center computation, and
 group orders by Schreier-Sims checked against independent oracles."""
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,12 +21,14 @@ from fischerlab.groups import (
     closure,
     compose,
     conjugacy_closure,
-    conjugate,
     generate,
     group_order,
     permutation_group_order,
     permutation_images,
 )
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def transposition(n, i, j):
@@ -156,11 +160,6 @@ class TestHelpers:
         with pytest.raises(StructuralError, match=r"^mixed element kinds$"):
             compose(Permutation.identity(2), FpMatrix.identity(2, 2))
 
-    def test_conjugate(self):
-        x = transposition(3, 0, 1)
-        g = transposition(3, 1, 2)
-        assert conjugate(x, g) == transposition(3, 0, 2)
-
     def test_element_order(self):
         assert Permutation.from_cycles(5, [(0, 1, 2, 3, 4)]).order() == 5
 
@@ -226,16 +225,22 @@ class TestConjugacyClosure:
         assert all(x.order() == 2 for x in cls)
 
     def test_actions_are_conjugation_by_each_distinct_generator(self):
-        # A duplicate generator gets one action; a non-involution is kept.
-        cycle = Permutation.from_cycles(5, [(0, 1, 2, 3, 4)])
-        gens = [cycle, transposition(5, 0, 1), cycle]
+        # A duplicate generator gets one action, in first-seen order.
+        gens = [transposition(5, 2, 3), transposition(5, 0, 1),
+                transposition(5, 2, 3), transposition(5, 1, 2),
+                transposition(5, 3, 4)]
         cls, actions = conjugacy_closure([transposition(5, 1, 3)], gens)
         assert len(cls) == 10
-        assert list(actions) == [cycle.key, gens[1].key]
+        assert list(actions) == [gens[0].key, gens[1].key, gens[3].key, gens[4].key]
         for g in gens:
-            assert [cls[i] for i in actions[g.key]] == [
-                g.inverse() * x * g for x in cls
-            ]
+            assert [cls[i] for i in actions[g.key]] == [g * x * g for x in cls]
+        # A generator that is not an involution is named, after the seeds.
+        cycle = Permutation.from_cycles(5, [(0, 1, 2, 3, 4)])
+        with pytest.raises(StructuralError, match=(
+            r"^generator element is not an involution: "
+            r"Permutation\(\(0, 1, 2, 3, 4\)\)$"
+        )):
+            conjugacy_closure([transposition(5, 1, 3)], [cycle, gens[1], cycle])
 
     def test_seed_must_be_involution(self):
         bad = Permutation.from_cycles(4, [(0, 1, 2)])
@@ -455,10 +460,16 @@ class TestSchreierSims:
 
     def test_generator_outside_class_rejected(self):
         gens = [transposition(5, 0, 1), transposition(5, 1, 2), transposition(5, 3, 4)]
-        system = fischer.build_system(gens, [gens[0]])
-        assert system.size == 3
-        with pytest.raises(GroupError, match="not in the transposition class"):
-            system.orders()
+        with pytest.raises(GroupError, match=(
+            r"^generator Permutation\(\(3, 4\)\) is not in the transposition "
+            r"class; the center is read off the class action only when G = <D>$"
+        )):
+            fischer.build_system(gens, [gens[0]])
+        # Seeded with both classes, D = {(0 1), (1 2), (0 2), (3 4)} generates
+        # G = S3 x C2, whose center <(3 4)> is the kernel of the class action.
+        system = fischer.build_system(gens, [gens[0], gens[2]])
+        assert system.size == 4
+        assert system.orders() == (12, len(center(generate(gens)))) == (12, 2)
 
     def test_capped_analyze_exits_without_enumerating(self):
         start = time.perf_counter()
@@ -466,6 +477,7 @@ class TestSchreierSims:
             [sys.executable, "-m", "fischerlab.cli", "analyze", "symmetric:n=12",
              "--max-order", "1000"],
             capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=SRC),
         )
         assert proc.returncode == 3
         assert "479001600" in proc.stderr and "1000" in proc.stderr
