@@ -77,27 +77,12 @@ class Permutation:
             raise StructuralError(f"degree mismatch: {len(a)} vs {len(b)}")
         return Permutation._raw(tuple(map(a.__getitem__, b)))
 
-    def inverse(self):
-        return Permutation._raw(_perm_inverse(self.images))
-
     def is_identity(self):
         return all(i == j for i, j in enumerate(self.images))
 
     def order(self):
         """The lcm of the cycle lengths."""
-        seen = [False] * len(self.images)
-        result = 1
-        for start in range(len(self.images)):
-            if seen[start]:
-                continue
-            length = 0
-            j = start
-            while not seen[j]:
-                seen[j] = True
-                j = self.images[j]
-                length += 1
-            result = math.lcm(result, length)
-        return result
+        return math.lcm(*map(len, self.cycles()))
 
     def key_mul(self):
         return _perm_key_mul
@@ -307,13 +292,6 @@ class FpMatrix:
     def is_identity(self):
         return self.rows == self.identity_key()
 
-    def inverse(self):
-        """Row i of the inverse is the packed row x with x * self = e_i: the
-        preimage of p^i in the row table."""
-        table = _invertible_row_table(self, self.rows)
-        rows = tuple(map(table.index, self.identity_key()))
-        return FpMatrix._raw(self.p, self.dim, rows)
-
     def order(self):
         """Order of the permutation the matrix makes of F_p^dim: the action on
         vectors is faithful, so the two orders agree.  Raises StructuralError
@@ -333,12 +311,6 @@ class FpMatrix:
 
     def __repr__(self):
         return f"FpMatrix(p={self.p}, dim={self.dim}, entries={self.entries})"
-
-
-def compose(a, b):
-    """Product a*b: apply b first, then a."""
-    _check_compatible([a, b])
-    return a * b
 
 
 def _check_compatible(elements):
@@ -373,22 +345,13 @@ class GeneratedGroup:
     def elements(self):
         return map(self._template.peer, self.element_keys)
 
-    def element(self, key):
-        return self._template.peer(key)
-
     @cached_property
-    def _index(self):
-        return {k: i for i, k in enumerate(self.element_keys)}
-
-    def index(self, key):
-        return self._index[key]
+    def _keys(self):
+        return set(self.element_keys)
 
     def __contains__(self, item):
         key = item.key if hasattr(item, "key") else item
-        return key in self._index
-
-    def __len__(self):
-        return len(self.element_keys)
+        return key in self._keys
 
 
 def closure(start, step, cap=None):

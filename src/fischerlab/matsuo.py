@@ -54,10 +54,6 @@ class VerificationError(MatsuoError):
     """An identity that must hold by construction failed (signals a table bug)."""
 
 
-def parse_rational(text):
-    return Fraction(str(text))
-
-
 def _gather(indices):
     """The function taking a sequence s to the tuple of s[k], k in
     ``indices``: one ``itemgetter`` call per sequence."""
@@ -449,22 +445,25 @@ class MatsuoAlgebra:
 
     def sigma_action(self, group):
         """The conjugation action of an enumerated group on the basis, with
-        its kernel verified to equal the group center."""
-        sys = self.system
+        its kernel verified to equal the group center.
+
+        sigma_g(j) is the index m with t_m*g == g*t_j.  For each element g the
+        n keys t_m*g (through the cached rows of t_m) map back to m, and each
+        g*t_j (through the cached table of t_j) is looked up there, so no
+        element is inverted."""
         template = group._template
         mul = template.key_mul()
-        index = {x.key: i for i, x in enumerate(sys.involutions)}
-        axis_keys = [x.key for x in sys.involutions]
+        row_mul = template.key_row_mul()
+        axis_keys = [x.key for x in self.system.involutions]
         perms = {}
         for gk in group.element_keys:
-            ginv = group.element(gk).inverse().key
+            index = {row_mul(t, gk): m for m, t in enumerate(axis_keys)}
             try:
-                perm = tuple(index[mul(mul(gk, k), ginv)] for k in axis_keys)
+                perms[gk] = tuple(index[mul(gk, t)] for t in axis_keys)
             except KeyError:
                 raise MatsuoError(
                     "group does not stabilize the transposition class"
                 ) from None
-            perms[gk] = perm
         gen_keys = [g.key for g in group.generators]
         for a in gen_keys:
             for b in gen_keys:

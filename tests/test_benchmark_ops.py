@@ -1,5 +1,6 @@
 """The library ops of the benchmark (perfbench/op.py) and one of its CLI ops
-still run on the package and print their recorded goldens byte for byte, the
+still run on the package and print their recorded goldens byte for byte,
+traced or not, the traced ops keep every span name they recorded, the
 CLI start-up path of its sweep and its analyses stay free of numpy, and each
 command loads only the layers it uses."""
 import json
@@ -37,6 +38,37 @@ def test_op_matches_golden(golden):
     assert proc.returncode == 0, proc.stderr.decode()
     expected = (ROOT / "perfbench" / "goldens" / f"{golden}.json").read_bytes()
     assert proc.stdout == expected
+
+
+# Every span name the traced op records.  op.py's tracer skips a layer call
+# that no longer exists, so a call renamed or deleted in the package would
+# drop its per-layer metric without an error.
+TRACED = {
+    "o5f3-graph": [
+        "catalog.from_descriptor", "fischer.build_system", "fischer.components",
+        "fischer.detect_H_triple", "fischer.extract_H", "fischer.to_dot",
+        "fischer.valency", "groups.center", "groups.conjugacy_closure",
+        "groups.generate",
+    ],
+    "e6-alpha-one": [
+        "catalog.from_descriptor", "cli.positive_definite", "fischer.build_system",
+        "fischer.components", "fischer.detect_H_triple", "fischer.valency",
+        "groups.conjugacy_closure", "matsuo.gram_radical", "matsuo.miyamoto",
+        "matsuo.quotient", "matsuo.spectra", "matsuo.unity", "matsuo.verify_axioms",
+    ],
+}
+
+
+@pytest.mark.parametrize("golden", TRACED)
+def test_traced_op_records_every_layer(golden, tmp_path):
+    script, *args = OPS[golden]
+    trace = tmp_path / "trace.json"
+    proc = run([script, "--trace", str(trace), *args])
+    assert proc.returncode == 0, proc.stderr.decode()
+    expected = (ROOT / "perfbench" / "goldens" / f"{golden}.json").read_bytes()
+    assert proc.stdout == expected
+    spans = {span[0] for span in json.loads(trace.read_text())["spans"]}
+    assert spans >= set(TRACED[golden]), set(TRACED[golden]) - spans
 
 
 def test_cli_start_up_leaves_numpy_unloaded():

@@ -4,13 +4,15 @@ from fractions import Fraction
 import pytest
 
 from fischerlab import matsuo
+from fischerlab.fischer import build_system
+from fischerlab.groups import Permutation, generate
 from fischerlab.matsuo import (
     DegenerateAlphaError,
     MatsuoAlgebra,
+    MatsuoError,
     NotSigmaConfigurationError,
     VerificationError,
     format_rational,
-    parse_rational,
 )
 
 HALF = Fraction(1, 2)
@@ -32,10 +34,6 @@ def B(s3):
 
 
 class TestRationalIO:
-    def test_parse(self):
-        assert parse_rational("2/5") == Fraction(2, 5)
-        assert parse_rational("3") == 3
-
     def test_format_always_has_denominator(self):
         assert format_rational(Fraction(3)) == "3/1"
         assert format_rational(Fraction(-1, 2)) == "-1/2"
@@ -352,12 +350,33 @@ class TestSigmaAction:
         action = A.sigma_action(s4.group())
         assert len(action.kernel_keys) == 1
 
-    def test_permutations_are_conjugation(self, s3):
+    def test_permutations_are_conjugation(self, system_factory, s3):
         A = MatsuoAlgebra(s3, HALF, HALF)
         action = A.sigma_action(s3.group())
         # conjugation by transposition #0 fixes it and swaps the other two
         key0 = s3.involutions[0].key
         assert action.permutations[key0] == (0, 2, 1)
+        # sigma comes from carrier products and conj from the class closure;
+        # each generator's sigma is its row of conj.
+        for descriptor in ("symmetric:n=3", "symmetric:n=4", "symplectic-f2:n=2"):
+            system = system_factory(descriptor)
+            A = MatsuoAlgebra(system, HALF, HALF)
+            action = A.sigma_action(system.group())
+            for g in system.generators:
+                row = system.conj[system.index_of(g)]
+                assert action.permutations[g.key] == tuple(row)
+
+    def test_group_must_stabilize_the_class(self):
+        # D = {(0 1), (1 2), (0 2)}, and (2 3) conjugates (1 2) to (1 3).
+        def t(i, j):
+            return Permutation.from_cycles(4, [(i, j)])
+
+        system = build_system([t(0, 1), t(1, 2)], [t(0, 1)])
+        A = MatsuoAlgebra(system, HALF, HALF)
+        with pytest.raises(
+            MatsuoError, match=r"^group does not stabilize the transposition class$"
+        ):
+            A.sigma_action(generate([t(2, 3)]))
 
 
 class TestPairType:
