@@ -267,6 +267,8 @@ def _dot(u, v):
 
 def _reflect(x, v):
     num = 2 * _dot(x, v)
+    if not num:
+        return x
     den = _dot(v, v)
     assert num % den == 0
     c = num // den
@@ -287,10 +289,19 @@ def weyl(kind, rank):
         )
     simple = _simple_roots(kind, rank)
     start = set(simple) | {tuple(-a for a in r) for r in simple}
-    roots = sorted(closure(start, lambda x: [_reflect(x, v) for v in simple]))
+    # Each root is reflected by each simple root once, by the closure, and
+    # the generators read those images.
+    images = {}
+
+    def step(x):
+        images[x] = [_reflect(x, v) for v in simple]
+        return images[x]
+
+    roots = sorted(closure(start, step))
     index = {r: i for i, r in enumerate(roots)}
     gens = [
-        Permutation(tuple(index[_reflect(x, v)] for x in roots)) for v in simple
+        Permutation(tuple(index[y] for y in column))
+        for column in zip(*(images[x] for x in roots))
     ]
     seed = [gens[0]]
     return CatalogEntry("weyl", {"type": kind, "rank": rank}, gens, seed)

@@ -173,12 +173,13 @@ def _spectra_section(algebra, components):
     if algebra.alpha in (0, 2):
         return {"per_component": [], **_verdict("not-run", "degenerate-alpha")}
     try:
-        dims = [dict(zip(("2", "0", "alpha"), algebra.adjoint_spectrum(i).sizes))
-                for i in range(algebra.n)]
+        algebra.verify_spectra()
     except VerificationError as exc:
         return {"per_component": [], **_verdict("fail", str(exc))}
     per_component = [
-        {"component": idx, "axis": comp[0], "dims": dims[comp[0]]}
+        {"component": idx, "axis": comp[0], "dims": dict(
+            zip(("2", "0", "alpha"), algebra.adjoint_spectrum(comp[0]).sizes)
+        )}
         for idx, comp in enumerate(components)
     ]
     return {"per_component": per_component, **_verdict("pass")}

@@ -18,6 +18,8 @@ closure, instead of 2*n^2 more after it.
 """
 from __future__ import annotations
 
+from functools import cached_property
+
 from . import groups
 from .groups import GroupError
 
@@ -71,7 +73,13 @@ class TranspositionSystem:
         return self.conj[i][j] != j
 
     def neighbors(self, i):
-        return [j for j, c in enumerate(self.conj[i]) if c != j]
+        return self._neighbors[i]
+
+    @cached_property
+    def _neighbors(self):
+        """The Fischer-graph neighbors of every vertex in increasing order,
+        read off the table once per system."""
+        return [[j for j, c in enumerate(row) if c != j] for row in self.conj]
 
     def group(self, max_order=groups.DEFAULT_MAX_ORDER):
         """Enumerate the generated group (may raise EnumerationCapError)."""
@@ -86,15 +94,6 @@ class TranspositionSystem:
         return groups.permutation_group_order(
             self.conj[self.index_of(g)] for g in self.generators
         )
-
-    def orders(self, max_order=None):
-        """(|G|, |Z(G)|) without enumerating G (may raise EnumerationCapError
-        when |G| exceeds ``max_order``; None: no cap).
-
-        |G| comes from Schreier-Sims on a faithful permutation action.
-        """
-        order = groups.group_order(self.generators, max_order)
-        return order, order // self.class_action_order()
 
 
 def build_system(generators, seed, max_axes=None):
@@ -199,15 +198,18 @@ def classify_triple(sys, a, b, c):
 
 def detect_H_triple(sys):
     """Lexicographically first pairwise-adjacent triple with (abac) of order 3,
-    or None.  A None verdict certifies symplectic type."""
+    or None.  A None verdict certifies symplectic type.  Each neighbor set is
+    an int bitmask, so the least c of a pair (a, b) is the lowest set bit of
+    the common neighbors of a, b and aba."""
     conj = sys.conj
-    nbrs = [set(sys.neighbors(i)) for i in range(sys.size)]
-    for a, row_a in enumerate(conj):
-        for b in sorted(nbrs[a]):
+    nbrs = sys._neighbors
+    masks = [sum(1 << j for j in nb) for nb in nbrs]
+    for a, (row_a, mask_a) in enumerate(zip(conj, masks)):
+        for b in nbrs[a]:
             # c must be adjacent to a, b and aba (c == aba is the S3 collapse)
-            common = nbrs[a] & nbrs[b] & nbrs[row_a[b]]
+            common = mask_a & masks[b] & masks[row_a[b]]
             if common:
-                return (a, b, min(common))
+                return (a, b, (common & -common).bit_length() - 1)
     return None
 
 

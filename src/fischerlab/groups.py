@@ -6,7 +6,7 @@ Composition convention (fixed globally): ``a * b`` means "apply b first, then a"
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 DEFAULT_MAX_ORDER = 2_000_000
 
@@ -90,6 +90,21 @@ class Permutation:
     def key_row_mul(self):
         return _perm_key_mul
 
+    def key_conj(self, gens):
+        """``(encode, decode, conj)``: ``conj(x)`` lists the encoded keys of
+        g*x*g, whose images are g[x[g[i]]], for the keys g in ``gens`` and an
+        encoded key x.  Each is two translations through ``_translation``: g
+        by the table of x, which the generators share, then by the table of
+        g, built once."""
+        encode, table, apply = _translation(len(self.images))
+        pairs = [(encode(g), table(g)) for g in gens]
+
+        def conj(x):
+            tx = table(x)
+            return [apply(apply(g, tx), tg) for g, tg in pairs]
+
+        return encode, tuple, conj
+
     def identity_key(self):
         return tuple(range(len(self.images)))
 
@@ -146,6 +161,20 @@ def _row_encode(digits, p):
     for d in reversed(digits):
         row = row * p + d
     return row
+
+
+@lru_cache(maxsize=None)
+def _spread_rows(p, dim):
+    """``(spread, fields, mask)``: spread[x] holds digit j of the packed row
+    x in bit field j, each ``mask`` wide, so a sum of dim rows times digits
+    does not carry between fields; ``fields`` pairs the bit offset of field j
+    with the weight p^j of digit j in a packed row."""
+    width = ((p - 1) ** 2 * dim).bit_length()
+    spread = [0]
+    for j in range(dim):
+        spread = [x + (d << width * j) for d in range(p) for x in spread]
+    fields = tuple((width * j, p**j) for j in range(dim))
+    return tuple(spread), fields, (1 << width) - 1
 
 
 def _row_table(p, dim, rows):
@@ -256,7 +285,9 @@ class FpMatrix:
         """Key product for a varying right factor: row i of a*b combines the
         rows of b chosen by row i of a (an XOR over F2, a digitwise sum over
         F3), so no p^dim table is built for b.  The nonzero entries of each
-        left factor are cached."""
+        left factor are cached.  Over F3 each row of b is decoded once, by
+        ``_spread_rows``, and row i of a*b is one integer sum of those,
+        reduced digit by digit."""
         p, dim = self.p, self.dim
         cache = {}
 
@@ -275,16 +306,29 @@ class FpMatrix:
                         acc ^= b[k]
                     out.append(acc)
                 return tuple(out)
-            digits = [_row_decode(r, p, dim) for r in b]
-            return tuple(
-                _row_encode(
-                    [sum(c * digits[k][col] for k, c in row) % p for col in range(dim)],
-                    p,
-                )
-                for row in terms
-            )
+            spread, fields, mask = _spread_rows(p, dim)
+            rows = [spread[r] for r in b]
+            out = []
+            for row in terms:
+                acc = 0
+                for k, c in row:
+                    acc += c * rows[k]
+                out.append(sum((acc >> shift & mask) % p * q for shift, q in fields))
+            return tuple(out)
 
         return mul
+
+    def key_conj(self, gens):
+        """``(encode, decode, conj)`` as for a Permutation, on the key tuples
+        themselves: g*x*g is x*g through the cached table of g, then g*(x*g)
+        through the rows of x*g, so no table is built for x."""
+        mul = self.key_mul()
+        row_mul = self.key_row_mul()
+
+        def conj(x):
+            return [row_mul(g, mul(x, g)) for g in gens]
+
+        return tuple, tuple, conj
 
     def identity_key(self):
         return tuple(self.p**i for i in range(self.dim))
@@ -341,9 +385,6 @@ class GeneratedGroup:
     @property
     def order(self):
         return len(self.element_keys)
-
-    def elements(self):
-        return map(self._template.peer, self.element_keys)
 
     @cached_property
     def _keys(self):
@@ -512,30 +553,30 @@ def conjugacy_closure(seed, group_gens, cap=None):
     action of each distinct generator g on it.
 
     Returns ``(involutions, actions)`` where ``actions[g.key][j]`` is the
-    index of g x_j g.  Each conjugate is computed once, by the closure: x g
-    through the cached table of g, then g (x g) through the rows of x g, so
-    no table is built for a class member and no generator is inverted.
-    Raises EnumerationCapError as soon as D passes ``cap`` (None: no cap).
+    index of g x_j g.  Each conjugate is computed once, by the closure,
+    through the carrier's ``key_conj`` kernel, and no generator is inverted.
+    Encoded keys sort as the keys do, so the class order does not depend on
+    the encoding.  Raises EnumerationCapError as soon as D passes ``cap``
+    (None: no cap).
     """
     template = _check_compatible(list(seed) + list(group_gens))
     for kind, elements in (("seed", seed), ("generator", group_gens)):
         for x in elements:
             if x.is_identity() or not (x * x).is_identity():
                 raise StructuralError(f"{kind} element is not an involution: {x!r}")
-    mul = template.key_mul()
-    row_mul = template.key_row_mul()
     gens = list(dict.fromkeys(g.key for g in group_gens))
+    encode, decode, conj = template.key_conj(gens)
     images = {}
 
     def step(x):
-        images[x] = [row_mul(g, mul(x, g)) for g in gens]
+        images[x] = conj(x)
         return images[x]
 
-    keys = sorted(closure([s.key for s in seed], step, cap))
+    keys = sorted(closure([encode(s.key) for s in seed], step, cap))
     index = {k: i for i, k in enumerate(keys)}
     columns = zip(*(images[k] for k in keys))
     actions = {g: tuple(index[k] for k in column) for g, column in zip(gens, columns)}
-    return [template.peer(k) for k in keys], actions
+    return [template.peer(decode(k)) for k in keys], actions
 
 
 def center(group):

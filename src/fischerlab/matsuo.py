@@ -7,15 +7,16 @@ terms read off the conjugation table ``conj``, so the checks store no product
 table: they read the rows of ``conj`` and one integer Gram table
 (``integer_tables``), itself a function of ``conj``, so form symmetry and a
 Miyamoto isometry at alpha != 0 follow from the scans of ``conj``.
-Eigenvectors are sparse columns of at most three entries.  The Fraction views
-``gram``, ``gram_entry``, ``form`` and ``multiply`` read the same two tables,
-so they give only values that the checks verified.  Every check and the one
-elimination routine, ``bareiss``, run in Python ints, which cannot wrap, so
-every verification in this module is exact.  The radical, the quotient and
-positive definiteness all read the one elimination of the Gram table; the
-quotient rests on the axioms, since the radical of an invariant symmetric
-form is an ideal, and on an exact check that the Gram table annihilates the
-radical rows.
+Eigenvectors are sparse columns of at most three entries, and a per-axis
+check that passes is carried along the orbits of the generator rows
+(``_axis_checks``).  The Fraction views ``gram``, ``gram_entry``, ``form``
+and ``multiply`` read the same two tables, so they give only values that the
+checks verified.  Every check and the one elimination routine, ``bareiss``,
+run in Python ints, which cannot wrap, so every verification in this module
+is exact.  The radical, the quotient and positive definiteness all read the
+one elimination of the Gram table; the quotient rests on the axioms, since
+the radical of an invariant symmetric form is an ideal, and on an exact
+check that the Gram table annihilates the radical rows.
 """
 from __future__ import annotations
 
@@ -177,6 +178,15 @@ class AdjointSpectrum(namedtuple("AdjointSpectrum", "axis alpha vectors sizes"))
     @property
     def basis_alpha(self):
         return self._block(2)
+
+
+class AxisCheck(namedtuple("AxisCheck", "axis basis spectrum miyamoto")):
+    """The verdict of one axis, made at ``axis``: the columns and block sizes
+    that ``_eigenbasis`` returned there (None at alpha in {0, 2} or when it
+    failed), and the witness texts of the eigen-equation and Miyamoto checks,
+    each None when it passed."""
+
+    __slots__ = ()
 
 
 class MiyamotoMap(namedtuple("MiyamotoMap", "axis mapping")):
@@ -393,29 +403,119 @@ class MatsuoAlgebra:
         return basis, sizes
 
     def adjoint_spectrum(self, i):
-        basis, sizes = self._eigenbasis(i)
+        """The adjoint eigenbasis of axis i, read off its verdict: the basis
+        that the direct check of axis i built, or, where the verdict was
+        carried to axis i, one built now."""
+        if self.alpha == 0 or self.alpha == 2:
+            raise DegenerateAlphaError(self.alpha)
+        check = self._axis_checks[i]
+        if check.spectrum is not None:
+            raise VerificationError(check.spectrum)
+        basis, sizes = check.basis if check.axis == i else self._eigenbasis(i)
         return AdjointSpectrum(i, self.alpha, basis, sizes)
+
+    def verify_spectra(self):
+        """The eigen-equations of every axis, read off the axis verdicts;
+        raises the VerificationError of the first failing axis in index
+        order."""
+        if self.alpha == 0 or self.alpha == 2:
+            raise DegenerateAlphaError(self.alpha)
+        witness = next((c.spectrum for c in self._axis_checks if c.spectrum), None)
+        if witness is not None:
+            raise VerificationError(witness)
+        return True
 
     def miyamoto(self, i):
         """The Miyamoto involution of axis i as a basis permutation (row i of
         the conjugation table), verified to be an involution, an algebra
-        automorphism and an isometry of the form; ``_eigenbasis`` checks the
-        eigen-equations of axis i.  The action by +1 on the {2, 0} eigenspaces
-        and -1 on the alpha eigenspace holds by construction: the eigenbasis
-        is built from this row, so an involutive row that passes the
-        eigen-equations fixes x^i and swaps the two entries of each pair."""
-        mapping = self.system.conj[i]
+        automorphism and an isometry of the form, with the eigen-equations of
+        axis i checked; the verdict is read off ``_axis_checks``."""
+        witness = self._axis_checks[i].miyamoto
+        if witness is not None:
+            raise VerificationError(witness)
+        return MiyamotoMap(i, self.system.conj[i])
+
+    @cached_property
+    def _axis_checks(self):
+        """One ``AxisCheck`` per axis, made by ``_check_axis`` at the axis
+        itself or carried from the least axis of its orbit under the
+        generator rows.
+
+        Every generator axis is checked directly.  When all of them pass at
+        alpha != 0, each generator row P is an involution with
+        conj[P(j)][P(k)] = P(conj[j][k]) for all j, k, and then a check that
+        passes at an axis r passes at P(r) with the same eigenspace sizes:
+        this is the conjugation rule tau_{x^g} = g^-1 tau_x g of Miyamoto
+        involutions (Miyamoto, J. Algebra 179, 1996; Hall-Rehren-Shpectorov,
+        J. Algebra 437, 2015).  Proof.  Taking j = r, as P = P^-1, row P(r)
+        is P o row r o P.  So row P(r) is an involution when row r is, and an
+        automorphism of the table when row r is, being a product of
+        automorphisms.  The map phi: x^t -> x^P(t) takes ad(x^r) to
+        ad(x^P(r)), as ``_ad`` reads only row r and alpha, and it preserves
+        the Gram table, which ``integer_tables`` reads off whether
+        conj[j][k] = k.  The fixed points and 2-cycles of row P(r) are the
+        images under P of those of row r, so its eigenbasis is phi of the one
+        at r up to the order of the columns and the sign of the alpha
+        columns: the block sizes agree and the eigen-equations hold.  By
+        induction on words in the generator rows, the pass carries over the
+        orbit of r.
+
+        So the least axis of each orbit is checked directly, and its verdict
+        is carried over the orbit when it passes.  The axes of an orbit that
+        fails, and all axes when a generator fails or alpha = 0 (where no
+        automorphism is scanned), are checked directly, so every verdict and
+        witness is the one ``_check_axis`` gives at that axis.
+        """
+        conj = self.system.conj
+        checks = [None] * self.n
+        gens = sorted({self.system.index_of(g) for g in self.system.generators})
+        for g in gens:
+            checks[g] = self._check_axis(g)
+        transport = self.alpha and all(checks[g].miyamoto is None for g in gens)
+        rows = [conj[g] for g in gens]
+        reached = set()
+        for r in range(self.n):
+            if checks[r] is None:
+                checks[r] = self._check_axis(r)
+            if transport and r not in reached:
+                orbit = groups.closure([r], lambda v: [row[v] for row in rows])
+                reached.update(orbit)
+                if checks[r].miyamoto is None:
+                    for j in orbit:
+                        if checks[j] is None:
+                            checks[j] = checks[r]
+        return checks
+
+    def _check_axis(self, i):
+        """The ``AxisCheck`` of axis i, checked directly.  Row i is checked to
+        be an involution, an algebra automorphism and an isometry of the
+        form, and ``_eigenbasis`` checks the eigen-equations of axis i, once
+        for both witnesses.  The action by +1 on the {2, 0} eigenspaces and -1
+        on the alpha eigenspace holds by construction: the eigenbasis is built
+        from this row, so an involutive row that passes the eigen-equations
+        fixes x^i and swaps the two entries of each pair."""
+        basis = spectrum = None
+        if self.alpha not in (0, 2):
+            try:
+                basis = self._eigenbasis(i)
+            except VerificationError as exc:
+                spectrum = str(exc)
+        return AxisCheck(i, basis, spectrum, self._miyamoto_witness(i, spectrum))
+
+    def _miyamoto_witness(self, i, spectrum):
+        """The witness text of the first failed Miyamoto check of axis i, or
+        None; ``spectrum`` is the eigen-equation witness of axis i."""
         conj, gram = self.integer_tables()
         perm = conj[i]
         n = self.n
         j = next((j for j in range(n) if perm[perm[j]] != j), None)
         if j is not None:
-            raise VerificationError(
+            return (
                 f"miyamoto map of axis {i} is not an involution: "
                 f"x^{j} -> x^{perm[j]} -> x^{perm[perm[j]]}"
             )
-        if self.alpha not in (0, 2):
-            self._eigenbasis(i)
+        if spectrum is not None:
+            return spectrum
         # The involution perm is an automorphism when conj[perm[j]][perm[k]]
         # == perm[conj[j][k]].  That keeps whether conj[j][k] = k, and so, by
         # ``integer_tables``, gram[j][k]: perm is an isometry.  At alpha = 0,
@@ -429,7 +529,7 @@ class MatsuoAlgebra:
                 image = _gather(conj[j])(perm)
                 if at_perm(conj[perm[j]]) != image:
                     k = _first_difference(at_perm(conj[perm[j]]), image)
-                    raise VerificationError(
+                    return (
                         f"miyamoto map of axis {i} is not an automorphism at "
                         f"pair ({j},{k})"
                     )
@@ -437,11 +537,11 @@ class MatsuoAlgebra:
             for j in rows:
                 if at_perm(gram[perm[j]]) != tuple(gram[j]):
                     k = _first_difference(at_perm(gram[perm[j]]), gram[j])
-                    raise VerificationError(
+                    return (
                         f"miyamoto map of axis {i} is not an isometry at pair "
                         f"({j},{k})"
                     )
-        return MiyamotoMap(i, mapping)
+        return None
 
     def sigma_action(self, group):
         """The conjugation action of an enumerated group on the basis, with

@@ -1,7 +1,8 @@
-"""Shared fixtures: memoized system builders."""
+"""Shared fixtures: memoized system builders, a conjugation-table corruptor
+and the group and center orders of a system."""
 import pytest
 
-from fischerlab import catalog, fischer
+from fischerlab import catalog, fischer, groups
 
 
 @pytest.fixture(scope="session")
@@ -30,3 +31,16 @@ def with_conj_entry():
         return fischer.TranspositionSystem(system.involutions, conj, system.generators)
 
     return corrupt
+
+
+@pytest.fixture(scope="session")
+def orders():
+    """(|G|, |Z(G)|) of a system without enumerating G: |G| by Schreier-Sims
+    on a faithful permutation action, and Z(G) as the kernel of the class
+    action, which ``build_system`` makes G = <D>."""
+
+    def orders(system):
+        order = groups.group_order(system.generators)
+        return order, order // system.class_action_order()
+
+    return orders

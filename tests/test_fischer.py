@@ -1,4 +1,6 @@
 """Fischer graphs: adjacency, components, triple classification, H detection."""
+import itertools
+
 import pytest
 
 from fischerlab import catalog, groups
@@ -36,7 +38,8 @@ def oracle_conj(involutions):
 
 def count_carrier_products(monkeypatch, carrier):
     """A list that gains one entry per product made by either key multiplier
-    of the carrier class."""
+    of the carrier class, and one per conjugate g*x*g made by its
+    conjugation kernel ``key_conj``."""
     calls = []
 
     def counting(make_mul):
@@ -49,8 +52,19 @@ def count_carrier_products(monkeypatch, carrier):
             return counted
         return wrapped
 
+    def counting_conj(make_conj):
+        def wrapped(self, gens):
+            encode, decode, conj = make_conj(self, gens)
+
+            def counted(x):
+                calls.extend([1] * len(gens))
+                return conj(x)
+            return encode, decode, counted
+        return wrapped
+
     for name in ("key_mul", "key_row_mul"):
         monkeypatch.setattr(carrier, name, counting(getattr(carrier, name)))
+    monkeypatch.setattr(carrier, "key_conj", counting_conj(carrier.key_conj))
     return calls
 
 
@@ -106,7 +120,7 @@ class TestBuildSystem:
         assert info.value.pair == (0, 1)
         assert info.value.order == 515
 
-    def test_conjugate_left_the_class(self):
+    def test_conjugate_left_the_class(self, orders):
         # D = {(1 2), (0 2)} is closed under (0 1) but does not hold it, and
         # (1 2) conjugates (0 2) to (0 1): the build names the generator.
         with pytest.raises(
@@ -119,7 +133,7 @@ class TestBuildSystem:
         # With (1 2) a generator too, D holds all three and G = S3.
         sys = build_system([t(3, 0, 1), t(3, 1, 2)], [t(3, 1, 2)])
         assert sys.size == 3
-        assert sys.orders() == (6, 1)
+        assert orders(sys) == (6, 1)
 
     @pytest.mark.parametrize("descriptor", CATALOG)
     def test_conj_table_matches_oracle(self, system_factory, descriptor):
@@ -168,21 +182,26 @@ class TestBuildSystem:
             build_system(generators, seed)
 
     def test_carrier_products_bounded_by_class_times_generators(self, monkeypatch):
-        # The closure makes 2 products per class member and generator, and
-        # the build itself makes none.
+        # The closure makes one conjugate per class member and generator,
+        # through the translate kernel, and the build itself makes none.
         calls = count_carrier_products(monkeypatch, Permutation)
         entry = catalog.from_descriptor("weyl:type=E,rank=8")
         sys = build_system(entry.generators, entry.seed)
-        assert 2 * sys.size * len(entry.generators) == 1920
-        assert len(calls) == 1920
+        assert sys.size * len(entry.generators) == 960
+        assert len(calls) == 960
 
     def test_orthogonal_carrier_products_bounded(self, monkeypatch):
         # O8-(2) from its small generating set: at most 2*dim generators, so
         # at most 2 * n * 2*dim products in the closure (whole class: 2n^2).
+        # A matrix conjugate counts once in the kernel and once for each of
+        # its two key products; the involution check squares each of the 10
+        # seeds and 10 generators once more.
         calls = count_carrier_products(monkeypatch, FpMatrix)
         entry = catalog.from_descriptor("orthogonal-f2:dim=8,eps=-")
         sys = build_system(entry.generators, entry.seed)
         assert sys.size == 136
+        assert len(entry.generators) == len(entry.seed) == 10
+        assert len(calls) == 3 * sys.size * 10 + 2 * 10
         assert len(calls) <= 2 * sys.size * 2 * 8 == 4352
 
     def test_axis_cap(self):
@@ -281,6 +300,42 @@ class TestTripleClassification:
 
     def test_symmetric_has_no_h_triple(self, system_factory):
         assert detect_H_triple(system_factory("symmetric:n=6")) is None
+
+
+def detect_H_triple_by_sets(sys):
+    """The set scan that ``detect_H_triple`` replaced, kept as its oracle:
+    neighbor sets read off the table, c the least common neighbor of a, b
+    and aba."""
+    conj = sys.conj
+    nbrs = [{j for j, c in enumerate(row) if c != j} for row in conj]
+    for a, row_a in enumerate(conj):
+        for b in sorted(nbrs[a]):
+            common = nbrs[a] & nbrs[b] & nbrs[row_a[b]]
+            if common:
+                return (a, b, min(common))
+    return None
+
+
+class TestHTripleBitsets:
+    @pytest.mark.parametrize("descriptor", CATALOG)
+    def test_matches_set_scan(self, system_factory, descriptor):
+        sys = system_factory(descriptor)
+        assert detect_H_triple(sys) == detect_H_triple_by_sets(sys)
+
+    def test_matches_set_scan_on_every_single_entry_corruption(
+        self, system_factory, with_conj_entry
+    ):
+        system = system_factory("symmetric:n=4")
+        n = system.size
+        witnesses = set()
+        for i, j, value in itertools.product(range(n), repeat=3):
+            if system.conj[i][j] != value:
+                sys = with_conj_entry(system, i, j, value)
+                witness = detect_H_triple(sys)
+                assert witness == detect_H_triple_by_sets(sys), (i, j, value)
+                witnesses.add(witness)
+        # Some corruptions make an H triple, some do not.
+        assert None in witnesses and len(witnesses) > 1
 
 
 class TestExtractH:

@@ -1,4 +1,5 @@
 """Matsuo algebras: products, forms, unity, radical, spectra, Miyamoto maps."""
+import json
 from fractions import Fraction
 
 import pytest
@@ -401,3 +402,24 @@ class TestExports:
         assert len(rows) == 3
         assert rows[0].split(",")[0] == "1/4"
 
+
+
+def test_analyze_builds_each_eigenbasis_once(monkeypatch, capsys):
+    # E6 has 6 generators and one orbit: the generator axes and the least
+    # axis are checked, and the other axes carry their verdict (today's
+    # count without the orbit rule: 72, two per axis).
+    from fischerlab import cli
+
+    built = []
+    eigenbasis = MatsuoAlgebra._eigenbasis
+
+    def counting(self, i):
+        built.append(i)
+        return eigenbasis(self, i)
+
+    monkeypatch.setattr(MatsuoAlgebra, "_eigenbasis", counting)
+    assert cli.main(["analyze", "weyl:type=E,rank=6", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)["matsuo"]
+    assert report["spectra"]["verdict"] == report["miyamoto"]["verdict"] == "pass"
+    assert report["spectra"]["per_component"][0]["dims"] == {"2": 1, "0": 25, "alpha": 10}
+    assert len(built) == len(set(built)) <= 6 + 1

@@ -813,3 +813,81 @@ def test_e6_checks_stay_int64(system_factory, alpha):
     assert all(type(x) is int for row in radical for x in row)
     assert A.quotient(radical).dim == 36 - len(radical)
     assert A.quotient().dim == DenseOracle(A).quotient_dim(radical)
+
+
+# -- one check per orbit of the generator rows -----------------------------
+
+
+def assert_agrees_with_full_scan(A):
+    """Every axis verdict of A, carried along the generator orbits or not,
+    equals the dense oracle's check at that axis: the Miyamoto witnesses,
+    the eigenbases and the first failing eigen-equation in index order."""
+    dense = DenseOracle(A)
+    n = A.n
+    for i in range(n):
+        assert verdict(lambda: A.miyamoto(i).mapping) == verdict(
+            lambda: dense.miyamoto(i)
+        ), i
+    spectra = [verdict(lambda: dense.eigenbasis(i)) for i in range(n)]
+    first_failure = next((v for v in spectra if v[0] != "ok"), ("ok", True))
+    assert verdict(A.verify_spectra) == first_failure
+    for i, expected in enumerate(spectra):
+        got = verdict(lambda: A.adjoint_spectrum(i))
+        if got[0] == "ok":
+            got = "ok", (dense_columns(got[1].vectors, n), got[1].sizes)
+        if expected[0] == "ok":
+            expected = "ok", (expected[1][0].tolist(), expected[1][1])
+        assert got == expected, i
+
+
+def test_orbit_verdicts_agree_on_non_generator_row_corruptions(
+    system_factory, with_conj_entry
+):
+    # O4+(2) has the generator axes 2, 3, 4, 5 and two orbits, {0, 3, 4} and
+    # {1, 2, 5}, whose least axes 0 and 1 are not generators.  Every change
+    # of one entry of row 0 or row 1 must give the witnesses of the full
+    # scan.
+    system = system_factory("orthogonal-f2:dim=4,eps=+")
+    gens = sorted(system.index_of(g) for g in system.generators)
+    assert gens == [2, 3, 4, 5]
+    assert fischer.components(system) == [[0, 3, 4], [1, 2, 5]]
+    n = system.size
+    compared = 0
+    for i in (0, 1):
+        for j, value in itertools.product(range(n), repeat=2):
+            if system.conj[i][j] != value:
+                A = MatsuoAlgebra(with_conj_entry(system, i, j, value), F(1, 2), F(1, 2))
+                assert_agrees_with_full_scan(A)
+                compared += 1
+    assert compared == 2 * (n * n - n)
+
+
+def test_failing_orbit_without_a_generator_is_checked_axis_by_axis(system_factory):
+    # With axis 5 as the only generator, whose row swaps axes 1 and 2, the
+    # orbit {1, 2} holds no generator.  Changing conj[1][3] and conj[2][3]
+    # from 3 to 4 keeps row 5 an automorphism, so the verdicts are carried,
+    # but row 1 stops being an involution: both axes of the orbit are then
+    # checked directly and name their own witnesses.
+    system = system_factory("orthogonal-f2:dim=4,eps=+")
+    generator = [system.involutions[5]]
+    clean = fischer.TranspositionSystem(system.involutions, system.conj, generator)
+    A = MatsuoAlgebra(clean, F(1, 2), F(1, 2))
+    assert [check.axis for check in A._axis_checks] == [0, 1, 1, 3, 4, 5]
+    assert_agrees_with_full_scan(A)
+
+    conj = list(system.conj)
+    for i in (1, 2):
+        row = list(conj[i])
+        assert row[3] == 3
+        row[3] = 4
+        conj[i] = tuple(row)
+    A = MatsuoAlgebra(
+        fischer.TranspositionSystem(system.involutions, conj, generator), F(1, 2), F(1, 2)
+    )
+    assert [check.axis for check in A._axis_checks] == [0, 1, 2, 3, 4, 5]
+    assert A._axis_checks[5].miyamoto is None
+    assert verdict(lambda: A.miyamoto(2)) == (
+        VerificationError,
+        "miyamoto map of axis 2 is not an involution: x^3 -> x^4 -> x^4",
+    )
+    assert_agrees_with_full_scan(A)
