@@ -180,20 +180,21 @@ def _spread_rows(p, dim):
 def _row_table(p, dim, rows):
     """Row table of the matrix with these packed rows: entry x is the packed
     row x times the matrix.  The x below p^(k+1) are those below p^k plus d e_k
-    for d in 1..p-1, so each entry is an earlier one plus d rows[k]."""
+    for d in 1..p-1, so each entry is an earlier one plus d rows[k], over F3
+    in the bit fields of ``_spread_rows``, each entry reduced once at the end."""
+    table = [0]
     if p == 2:
-        table = [0]
         for row in rows:
             table += [x ^ row for x in table]
         return table
-    table = [(0,) * dim]
+    spread, fields, mask = _spread_rows(p, dim)
     for row in rows:
-        row = _row_decode(row, p, dim)
+        row = spread[row]
         layer = table
         for _ in range(p - 1):
-            layer = [tuple((x + y) % p for x, y in zip(v, row)) for v in layer]
+            layer = [x + row for x in layer]
             table = table + layer
-    return [_row_encode(v, p) for v in table]
+    return [sum((x >> shift & mask) % p * q for shift, q in fields) for x in table]
 
 
 def _invertible_row_table(g, rows):

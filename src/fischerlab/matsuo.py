@@ -8,15 +8,16 @@ table: they read the rows of ``conj`` and one integer Gram table
 (``integer_tables``), itself a function of ``conj``, so form symmetry and a
 Miyamoto isometry at alpha != 0 follow from the scans of ``conj``.
 Eigenvectors are sparse columns of at most three entries, and a per-axis
-check that passes is carried along the orbits of the generator rows
-(``_axis_checks``).  The Fraction views ``gram``, ``gram_entry``, ``form``
-and ``multiply`` read the same two tables, so they give only values that the
-checks verified.  Every check and the one elimination routine, ``bareiss``,
-run in Python ints, which cannot wrap, so every verification in this module
-is exact.  The radical, the quotient and positive definiteness all read the
-one elimination of the Gram table; the quotient rests on the axioms, since
-the radical of an invariant symmetric form is an ideal, and on an exact
-check that the Gram table annihilates the radical rows.
+Miyamoto check that passes is carried along the orbits of the generator rows
+(``_axis_checks``) and shows invariance at its axis.  The Fraction views
+``gram``, ``gram_entry``, ``form`` and ``multiply`` read the same two tables,
+so they give only values that the checks verified.  Every check and the one
+elimination routine, ``bareiss``, run in Python ints, which cannot wrap, so
+every verification in this module is exact.  The radical, the quotient and
+positive definiteness all read the one elimination of the Gram table; the
+quotient rests on the axioms, since the radical of an invariant symmetric
+form is an ideal, and on an exact check that the Gram table annihilates the
+radical rows.
 """
 from __future__ import annotations
 
@@ -75,15 +76,14 @@ def _eigenvalue(alpha, sizes, column):
     return Fraction(0) if column < sizes[0] + sizes[1] else alpha
 
 
-class Elimination(namedtuple("Elimination", "rank pivots det minors kernel")):
+class Elimination(namedtuple("Elimination", "rank pivots minors kernel")):
     """Fraction-free elimination of an integer matrix (Bareiss 1968).
 
-    ``pivots`` are the ``rank`` pivot columns and ``det`` is the last pivot,
-    a rank x rank minor up to sign.  ``kernel`` is a basis of the right kernel:
-    for each free column f, the primitive integer vector with a positive entry
-    at f and zeros at the other free columns.  ``minors`` are the leading
-    principal minors det A[:k, :k], k = 1, 2, ..., up to the first that
-    vanishes.
+    ``pivots`` are the ``rank`` pivot columns.  ``kernel`` is a basis of the
+    right kernel: for each free column f, the primitive integer vector with a
+    positive entry at f and zeros at the other free columns.  ``minors`` are
+    the leading principal minors det A[:k, :k], k = 1, 2, ..., up to the
+    first that vanishes.
     """
 
     __slots__ = ()
@@ -140,7 +140,7 @@ def bareiss(matrix):
             x[c] = -reduced[k][q]
         g = math.gcd(*x) if det > 0 else -math.gcd(*x)
         kernel.append([v // g for v in x])
-    return Elimination(rank, pivots, det, minors, kernel)
+    return Elimination(rank, pivots, minors, kernel)
 
 
 class AdjointSpectrum(namedtuple("AdjointSpectrum", "axis alpha vectors sizes")):
@@ -664,7 +664,8 @@ class MatsuoAlgebra:
     def verify_axioms(self):
         """Exhaustive exact check of commutativity (hence form symmetry) and
         invariance (uv|w) = (u|vw) over all basis triples, run once per
-        algebra; a failure raises VerificationError naming its witness."""
+        algebra, with invariance at each axis read off its Miyamoto verdict;
+        a failure raises VerificationError naming its witness."""
         if self._axioms_witness is not None:
             raise VerificationError(self._axioms_witness)
         return True
@@ -675,7 +676,23 @@ class MatsuoAlgebra:
         reads it too.  At alpha = 0 all hold: x^i x^j = 2 delta_ij x^i, and
         the form is diagonal.  Off the diagonal, gram[i][j] is the edge value
         exactly when conj[i][j] != j, so the commutativity scan, which checks
-        conj[i][j] != j <=> conj[j][i] != i, also proves form symmetry."""
+        conj[i][j] != j <=> conj[j][i] != i, also proves form symmetry.
+
+        Triple (i, j, k) is invariant when S = G ad(x^i), S[j][k] =
+        (x^j | x^i x^k), has S[j][k] == S[k][j]; ``_asymmetry`` builds and
+        scans S only at the axes whose Miyamoto verdict (``_axis_checks``)
+        fails.  A pass is enough.  With P = conj[i] and N = {k : P(k) != k},
+        column k of S is a*(G[:, i] + G[:, k] - G[:, P(k)]) for k in N,
+        column i gains unit*G[:, i], and the other columns are 0.  With i not
+        in N, ``integer_tables`` makes G[i] the edge value on N and 0 off
+        N u {i}, so, G being symmetric, S is symmetric when G[k][P(j)] =
+        G[P(k)][j] for all k in N and all j: at j = i, as a*G[i][i] =
+        unit*G[i][k] on N, this also makes row i and column i of S agree.  A
+        pass makes P an involutive automorphism of ``conj``, so P keeps
+        whether conj[j][k] = k and is an isometry of G; and P(i) = i, or
+        m = P(i) has conj[i][m] = i and conj[m][i] = m, which the
+        commutativity scan, run first, rejects.  So G[P(k)][j] =
+        G[P(P(k))][P(j)] = G[k][P(j)]."""
         if not self.alpha:
             return None
         conj = self._tables[0]
@@ -685,32 +702,12 @@ class MatsuoAlgebra:
             for j, (c, d) in enumerate(zip(row, column)):
                 if (c != j) != (d != i) or (c != j and c != d):
                     return f"product is not commutative at pair ({i},{j})"
-        # Then triple (i, j, k) is invariant when S = G ad(x^i), S[j][k] =
-        # (x^j | x^i x^k), has S[j][k] == S[k][j].
-        for i in range(self.n):
-            if not self._invariant_by_gathers(i):
+        for i, check in enumerate(self._axis_checks):
+            if check.miyamoto is not None:
                 hit = self._asymmetry(i)
                 if hit is not None:
                     return f"form is not invariant at triple ({i},{hit[0]},{hit[1]})"
         return None
-
-    def _invariant_by_gathers(self, i):
-        """A sufficient condition, in row gathers, for S = G ad(x^i) to be
-        symmetric at alpha != 0 when G is.  Column k of S is a*(G[:, i] +
-        G[:, k] - G[:, conj[i][k]]) for k in N = {k : conj[i][k] != k}, column
-        i gains unit*G[:, i], and the other columns are 0.  With i not in N,
-        ``integer_tables`` makes G[i] the edge value on N and 0 off N u {i},
-        and S is symmetric when G[k][conj[i][j]] = G[conj[i][k]][j] for every
-        k in N and every j: at j = i, with a*G[i][i] = unit*G[i][k] on N, this
-        also makes row i and column i of S agree."""
-        conj, gram = self._tables
-        perm = conj[i]
-        if perm[i] != i:
-            return False
-        at_perm = _gather(perm)
-        return all(
-            at_perm(gram[k]) == tuple(gram[c]) for k, c in enumerate(perm) if c != k
-        )
 
     def _asymmetry(self, i):
         """The first (j, k) with S[j][k] != S[k][j] for S = G ad(x^i), built

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fischerlab import catalog, fischer
+from fischerlab import catalog, fischer, groups
 from fischerlab.groups import (
     EnumerationCapError,
     FpMatrix,
@@ -122,6 +122,43 @@ class TestFpMatrix:
         assert (a * b).entries == tuple(expected)
         assert a.key_mul()(a.key, b.key) == (a * b).key
         assert a.key_row_mul()(a.key, b.key) == (a * b).key
+
+
+def digit_row_table(p, dim, rows):
+    """The F_p row table built on digit tuples: entry x is an earlier entry
+    plus d rows[k], summed digit by digit mod p and packed at the end."""
+    table = [(0,) * dim]
+    for row in rows:
+        row = groups._row_decode(row, p, dim)
+        layer = table
+        for _ in range(p - 1):
+            layer = [tuple((x + y) % p for x, y in zip(v, row)) for v in layer]
+            table = table + layer
+    return [groups._row_encode(v, p) for v in table]
+
+
+F3_CATALOG = (
+    [f"orthogonal-f3:dim={d},sign={e}" for d in (3, 4, 5) for e in "+-"]
+    + [f"orthogonal-f3:dim=4,form=1112,sign={e}" for e in "+-"]
+)
+
+
+class TestRowTable:
+    @pytest.mark.parametrize("descriptor", F3_CATALOG)
+    def test_f3_catalog_generators_match_digit_tables(self, descriptor):
+        for g in catalog.from_descriptor(descriptor).generators:
+            columns = zip(*(groups._row_decode(r, g.p, g.dim) for r in g.rows))
+            transpose = [groups._row_encode(c, g.p) for c in columns]
+            for rows in (g.rows, transpose):
+                expected = digit_row_table(g.p, g.dim, rows)
+                assert groups._row_table(g.p, g.dim, rows) == expected
+
+    @given(st.integers(1, 7), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_random_f3_matrices_match_digit_tables(self, dim, data):
+        row = st.integers(0, 3**dim - 1)
+        rows = data.draw(st.lists(row, min_size=dim, max_size=dim))
+        assert groups._row_table(3, dim, rows) == digit_row_table(3, dim, rows)
 
 
 class TestHelpers:

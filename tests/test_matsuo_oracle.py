@@ -821,9 +821,12 @@ def test_e6_checks_stay_int64(system_factory, alpha):
 def assert_agrees_with_full_scan(A):
     """Every axis verdict of A, carried along the generator orbits or not,
     equals the dense oracle's check at that axis: the Miyamoto witnesses,
-    the eigenbases and the first failing eigen-equation in index order."""
+    the eigenbases and the first failing eigen-equation in index order; the
+    axioms, whose invariance scan reads these verdicts, give the dense
+    oracle's witness."""
     dense = DenseOracle(A)
     n = A.n
+    assert verdict(A.verify_axioms) == verdict(dense.verify_axioms)
     for i in range(n):
         assert verdict(lambda: A.miyamoto(i).mapping) == verdict(
             lambda: dense.miyamoto(i)
