@@ -1,15 +1,14 @@
 """Constructors for the standard 3-transposition families.
 
 Each constructor returns a :class:`CatalogEntry` holding a small generating
-set together with the designated transposition seed; the full transposition
-class is recovered downstream by conjugacy closure.
+set S of transposition class members; the class is recovered downstream as
+the conjugacy closure of S.
 
-The orthogonal families choose their generating set S from the class
-vectors, in order: a vector joins S when it lies outside the closure of the
-vectors already in S under their own transvections (over F2) or reflections
-(over F3), and the choice stops once that closure is the whole class.  The
-class then lies in <S>, so <S> is the group the class generates; every
-generator is a class member, and S is also the seed.
+The symplectic and orthogonal families choose S from the class vectors, in
+order: a vector joins S when it lies outside the closure of the vectors
+already in S under their own transvections (over F2) or reflections (over
+F3), and the choice stops once that closure is the whole class.  The class
+then lies in <S>, so <S> is the group the class generates.
 
 Fixed standard forms:
   * symplectic over F2: B pairs coordinates (0,1), (2,3), ...;
@@ -34,17 +33,19 @@ class CatalogError(ValueError):
 
 
 class CatalogEntry:
-    """Generators and transposition seed of one family member; the
+    """Generators of one family member, all in its transposition class; the
     descriptor defaults to ``family:key=value,...``."""
 
-    def __init__(self, family, params, generators, seed, descriptor=""):
+    def __init__(self, family, params, generators, descriptor=""):
         if not descriptor:
             items = ",".join(f"{k}={v}" for k, v in params.items())
             descriptor = f"{family}:{items}" if items else family
         self.family = family
         self.params = params
         self.generators = generators
-        self.seed = seed
+        # Only perfbench/op.py reads the seed, as build_system's second
+        # argument; the generators are always in their own class.
+        self.seed = generators
         self.descriptor = descriptor
 
 
@@ -55,17 +56,7 @@ def symmetric(n):
     if not 2 <= n <= SYMMETRIC_MAX_N:
         raise CatalogError(f"symmetric: n must be in [2, {SYMMETRIC_MAX_N}], got {n}")
     gens = [Permutation.from_cycles(n, [(i, i + 1)]) for i in range(n - 1)]
-    seed = [Permutation.from_cycles(n, [(0, 1)])]
-    return CatalogEntry("symmetric", {"n": n}, gens, seed)
-
-
-def _sp_form_image(v, dim):
-    """Bitmask of j with B(e_j, v) = 1 for the standard symplectic form."""
-    out = 0
-    for j in range(dim):
-        if v >> (j ^ 1) & 1:
-            out |= 1 << j
-    return out
+    return CatalogEntry("symmetric", {"n": n}, gens)
 
 
 def _f2_transvection(dim, v, bv):
@@ -81,18 +72,32 @@ def _f2_transvection(dim, v, bv):
     return FpMatrix(2, dim, rows)
 
 
+def _f2_transvection_entry(family, params, dim, polar):
+    """The entry generated by the transvections t_v of the class vectors v
+    chosen by ``_generating_vectors``, where ``polar[v]`` is the bitmask of
+    {j : B(e_j, v) = 1} for every class vector v."""
+
+    def image(u, v):  # t_v(u) = u + B(u, v) v
+        return u ^ v if (u & polar[v]).bit_count() & 1 else u
+
+    gens = [
+        _f2_transvection(dim, v, polar[v])
+        for v in _generating_vectors(list(polar), image)
+    ]
+    return CatalogEntry(family, params, gens)
+
+
 def symplectic_F2(n):
-    """Sp_{2n}(2) with the transvection class."""
+    """Sp_{2n}(2) with the transvection class: every nonzero vector v, with
+    B(e_j, v) = 1 exactly when v has bit j ^ 1."""
     if not 1 <= n <= SYMPLECTIC_MAX_N:
         raise CatalogError(f"symplectic-f2: n must be in [1, {SYMPLECTIC_MAX_N}], got {n}")
     dim = 2 * n
-    # Basis transvections only generate a product of Sp_2 blocks; the extra
-    # e_{2i-1}+e_{2i} vectors bridge consecutive hyperbolic pairs.
-    vectors = [1 << i for i in range(dim)]
-    vectors += [(1 << (2 * i + 1)) | (1 << (2 * i + 2)) for i in range(n - 1)]
-    gens = [_f2_transvection(dim, v, _sp_form_image(v, dim)) for v in vectors]
-    seed = [gens[0]]
-    return CatalogEntry("symplectic-f2", {"n": n}, gens, seed)
+    polar = {
+        v: sum((v >> (j ^ 1) & 1) << j for j in range(dim))
+        for v in range(1, 1 << dim)
+    }
+    return _f2_transvection_entry("symplectic-f2", {"n": n}, dim, polar)
 
 
 def _f2_quadratic(dim, eps):
@@ -152,18 +157,8 @@ def orthogonal_F2(dim, eps):
         raise CatalogError(f"orthogonal-f2: dim must be one of {ORTHOGONAL_F2_DIMS}")
     if eps not in ("+", "-"):
         raise CatalogError("orthogonal-f2: eps must be '+' or '-'")
-    polar = _f2_class(dim, eps)
-
-    def image(u, v):  # t_v(u) = u + B(u, v) v
-        return u ^ v if (u & polar[v]).bit_count() & 1 else u
-
-    gens = [
-        _f2_transvection(dim, v, polar[v])
-        for v in _generating_vectors(list(polar), image)
-    ]
-    return CatalogEntry(
-        "orthogonal-f2", {"dim": dim, "eps": eps}, gens, list(gens)
-    )
+    params = {"dim": dim, "eps": eps}
+    return _f2_transvection_entry("orthogonal-f2", params, dim, _f2_class(dim, eps))
 
 
 def _f3_reflection(dim, form, v):
@@ -217,7 +212,6 @@ def orthogonal_F3(dim, form=None, sign=1):
         "orthogonal-f3",
         {"dim": dim, "form": "".join(map(str, form)), "sign": sign},
         gens,
-        list(gens),
     )
 
 
@@ -303,8 +297,7 @@ def weyl(kind, rank):
         Permutation(tuple(index[y] for y in column))
         for column in zip(*(images[x] for x in roots))
     ]
-    seed = [gens[0]]
-    return CatalogEntry("weyl", {"type": kind, "rank": rank}, gens, seed)
+    return CatalogEntry("weyl", {"type": kind, "rank": rank}, gens)
 
 
 _WEYL_RANK_TEXT = ", ".join(

@@ -200,7 +200,7 @@ def cmd_analyze(args):
     group_t0 = time.perf_counter()
     group_order = groups.group_order(entry.generators, args.max_order)
     sys_t0 = time.perf_counter()
-    system = fischer.build_system(entry.generators, entry.seed, max_axes=args.max_axes)
+    system = fischer.build_system(entry.generators, max_axes=args.max_axes)
     comps = fischer.components(system)
     witness = fischer.detect_H_triple(system)
     h_order = fischer.extract_H(system, witness).order if witness else None

@@ -7,14 +7,15 @@ t_i t_j t_i.  Adjacency, the common conjugate i o j of an adjacent pair, the
 product orders, the conjugacy orbits and the Miyamoto maps of the Matsuo
 layer are all read from it.
 
-A system is the class D of its generators: each generator is an involution
-in D and each conjugacy orbit of D holds a generator, so G = <D>.
-``build_system`` fills the table from the action sigma_g of each generator g
-on the class, which the conjugacy closure records as it goes.  Generator g
-has row sigma_g, and i = sigma_g[j] gives row i = sigma_g o row j o sigma_g,
-as sigma_g is its own inverse, so the rows spread along the closure's moves
-with index compositions alone: 2*n*|S| carrier products in all, all in the
-closure, instead of 2*n^2 more after it.
+A system is the class D of its generators S, their closure under
+conjugation by S.  Each generator lies in D and each member of D is a
+conjugate of one, so each conjugacy orbit of D holds a generator and
+G = <S> = <D>.  ``build_system`` fills the table from the action sigma_g of
+each generator g on the class, which the conjugacy closure records as it
+goes.  Generator g has row sigma_g, and i = sigma_g[j] gives row i =
+sigma_g o row j o sigma_g, as sigma_g is its own inverse, so the rows spread
+along the closure's moves with index compositions alone: 2*n*|S| carrier
+products in all, all in the closure, instead of 2*n^2 more after it.
 """
 from __future__ import annotations
 
@@ -88,35 +89,34 @@ class TranspositionSystem:
     def class_action_order(self):
         """|G acting on D| by Schreier-Sims on the rows of the generators.
 
-        ``build_system`` makes G = <D>, so Z(G) is the kernel of this
-        action: |Z(G)| = |G| / |G acting on D|.
+        D is the class of the generators, so G = <D> and Z(G) is the
+        kernel of this action: |Z(G)| = |G| / |G acting on D|.
         """
         return groups.permutation_group_order(
             self.conj[self.index_of(g)] for g in self.generators
         )
 
 
-def build_system(generators, seed, max_axes=None):
-    """Conjugacy-close the seed and build its conjugation table, failing
-    loudly if a generator is not an involution of the class, if an orbit of
-    the class holds no generator, or if any product of two class members has
-    order above 3.  The closure stops as soon as it passes ``max_axes``
-    involutions (None: no cap).
+def build_system(generators, seed=None, max_axes=None):
+    """The class of the generators with its conjugation table, failing
+    loudly if a generator is not an involution, if a ``seed`` element is not
+    in the class, or if any product of two class members has order above 3.
+    The closure stops as soon as it passes ``max_axes`` involutions (None:
+    no cap).
 
-    Conjugation is a homomorphism G -> Sym(D), so the rows spread from the
-    generators' actions as the module docstring describes.
+    Every class member is a conjugate of a generator, so the rows spread
+    from the generators' actions to the whole class, as the module
+    docstring describes.
     """
-    involutions, actions = groups.conjugacy_closure(seed, generators, cap=max_axes)
+    involutions, actions = groups.conjugacy_closure(generators, cap=max_axes)
+    for s in seed or ():
+        if s not in involutions:
+            raise GroupError(f"seed {s!r} is not in the class of the generators")
     n = len(involutions)
     index = {x.key: i for i, x in enumerate(involutions)}
     conj = [None] * n
-    for g in generators:
-        if g.key not in index:
-            raise GroupError(
-                f"generator {g!r} is not in the transposition class; "
-                "the center is read off the class action only when G = <D>"
-            )
-        conj[index[g.key]] = actions[g.key]
+    for g, sigma in actions.items():
+        conj[index[g]] = sigma
 
     def derive(j):
         # Fill the rows one move away from row j; return the new indices.
@@ -130,11 +130,6 @@ def build_system(generators, seed, max_axes=None):
         return filled
 
     groups.closure({index[g] for g in actions}, derive)
-    if None in conj:
-        raise GroupError(
-            f"no generator is conjugate to involution #{conj.index(None)}; "
-            "the class must be the class of its generators"
-        )
     for i in range(n):
         row = conj[i]
         for j in range(i + 1, n):

@@ -548,9 +548,9 @@ def group_order(generators, max_order=None):
     return order
 
 
-def conjugacy_closure(seed, group_gens, cap=None):
-    """Smallest set D containing the seed involutions and closed under
-    conjugation by the given involutions, in canonical key order, with the
+def conjugacy_closure(generators, cap=None):
+    """The class D of the given involutions: the smallest set holding them
+    and closed under conjugation by them, in canonical key order, with the
     action of each distinct generator g on it.
 
     Returns ``(involutions, actions)`` where ``actions[g.key][j]`` is the
@@ -560,12 +560,11 @@ def conjugacy_closure(seed, group_gens, cap=None):
     the encoding.  Raises EnumerationCapError as soon as D passes ``cap``
     (None: no cap).
     """
-    template = _check_compatible(list(seed) + list(group_gens))
-    for kind, elements in (("seed", seed), ("generator", group_gens)):
-        for x in elements:
-            if x.is_identity() or not (x * x).is_identity():
-                raise StructuralError(f"{kind} element is not an involution: {x!r}")
-    gens = list(dict.fromkeys(g.key for g in group_gens))
+    template = _check_compatible(generators)
+    for x in generators:
+        if x.is_identity() or not (x * x).is_identity():
+            raise StructuralError(f"generator element is not an involution: {x!r}")
+    gens = list(dict.fromkeys(g.key for g in generators))
     encode, decode, conj = template.key_conj(gens)
     images = {}
 
@@ -573,7 +572,7 @@ def conjugacy_closure(seed, group_gens, cap=None):
         images[x] = conj(x)
         return images[x]
 
-    keys = sorted(closure([encode(s.key) for s in seed], step, cap))
+    keys = sorted(closure(map(encode, gens), step, cap))
     index = {k: i for i, k in enumerate(keys)}
     columns = zip(*(images[k] for k in keys))
     actions = {g: tuple(index[k] for k in column) for g, column in zip(gens, columns)}

@@ -356,8 +356,6 @@ class MatsuoAlgebra:
         value} scaled by 2*den(alpha), ordered 2 | 0 | alpha, with every
         eigen-equation checked through ``_ad``.  Returns the columns and
         their three block sizes."""
-        if self.alpha == 0 or self.alpha == 2:
-            raise DegenerateAlphaError(self.alpha)
         n = self.n
         row = self.system.conj[i]
         a_num = self.alpha.numerator
@@ -519,9 +517,9 @@ class MatsuoAlgebra:
         # The involution perm is an automorphism when conj[perm[j]][perm[k]]
         # == perm[conj[j][k]].  That keeps whether conj[j][k] = k, and so, by
         # ``integer_tables``, gram[j][k]: perm is an isometry.  At alpha = 0,
-        # where every map is an automorphism, the isometry is scanned.  Rows j
-        # and perm[j] state the same condition, so the first failing row has
-        # j <= perm[j].
+        # where every map is an automorphism, the Gram table is diagonal, so
+        # perm is an isometry when it keeps the diagonal.  Rows j and perm[j]
+        # state the same condition, so the first failing row has j <= perm[j].
         at_perm = _gather(perm)
         rows = [j for j in range(n) if j <= perm[j]]
         if self.alpha:
@@ -534,13 +532,9 @@ class MatsuoAlgebra:
                         f"pair ({j},{k})"
                     )
         else:
-            for j in rows:
-                if at_perm(gram[perm[j]]) != tuple(gram[j]):
-                    k = _first_difference(at_perm(gram[perm[j]]), gram[j])
-                    return (
-                        f"miyamoto map of axis {i} is not an isometry at pair "
-                        f"({j},{k})"
-                    )
+            j = next((j for j in rows if gram[j][j] != gram[perm[j]][perm[j]]), None)
+            if j is not None:
+                return f"miyamoto map of axis {i} is not an isometry at pair ({j},{j})"
         return None
 
     def sigma_action(self, group):

@@ -13,7 +13,7 @@ def system_factory():
     def build(descriptor):
         if descriptor not in cache:
             entry = catalog.from_descriptor(descriptor)
-            cache[descriptor] = fischer.build_system(entry.generators, entry.seed)
+            cache[descriptor] = fischer.build_system(entry.generators)
         return cache[descriptor]
 
     return build
@@ -37,7 +37,7 @@ def with_conj_entry():
 def orders():
     """(|G|, |Z(G)|) of a system without enumerating G: |G| by Schreier-Sims
     on a faithful permutation action, and Z(G) as the kernel of the class
-    action, which ``build_system`` makes G = <D>."""
+    action, as D is the class of the generators and so G = <D>."""
 
     def orders(system):
         order = groups.group_order(system.generators)

@@ -9,7 +9,7 @@ class TestSymmetric:
     def test_generators_and_seed(self):
         e = catalog.symmetric(5)
         assert len(e.generators) == 4
-        assert len(e.seed) == 1
+        assert e.seed == e.generators
         assert e.descriptor == "symmetric:n=5"
 
     def test_group_order(self):
@@ -30,6 +30,23 @@ class TestSymplecticF2:
     def test_generators_are_involutions(self):
         e = catalog.symplectic_F2(2)
         assert all(g.order() == 2 for g in e.generators)
+
+    @pytest.mark.parametrize("n, count", [(1, 2), (2, 5), (3, 8)])
+    def test_small_set_generates_the_whole_class(self, n, count):
+        # The class is every transvection t_v, v != 0.  B(e_j, v) = 1 exactly
+        # when v has bit j ^ 1, so the polar image of v swaps its bit pairs.
+        dim = 2 * n
+        even = int("01" * n, 2)
+        whole = [
+            catalog._f2_transvection(dim, v, ((v & even) << 1) | ((v >> 1) & even))
+            for v in range(1, 1 << dim)
+        ]
+        entry = catalog.symplectic_F2(n)
+        assert len(entry.generators) == count
+        small = fischer.build_system(entry.generators)
+        full = fischer.build_system(whole)
+        assert [x.key for x in small.involutions] == [x.key for x in full.involutions]
+        assert small.conj == full.conj
 
     def test_range(self):
         with pytest.raises(CatalogError):
@@ -121,8 +138,8 @@ class TestSmallGeneratingSet:
         dim = entry.params["dim"]
         assert len(entry.generators) <= 2 * dim
         assert entry.seed == entry.generators
-        small = fischer.build_system(entry.generators, entry.seed)
-        full = fischer.build_system(whole, whole)
+        small = fischer.build_system(entry.generators)
+        full = fischer.build_system(whole)
         assert [x.key for x in small.involutions] == [x.key for x in full.involutions]
         assert small.conj == full.conj
         assert all(g.key in {x.key for x in whole} for g in entry.generators)

@@ -98,10 +98,10 @@ class TestBuildSystem:
         b = Permutation.from_cycles(4, [(0, 2), (1, 3)])
         assert (a * b).order() == 4
         with pytest.raises(NotThreeTranspositionError) as info:
-            build_system([a, b], [a, b])
+            build_system([a, b])
         assert info.value.order == 4
         # The rejected pair is the first one the oracle table rejects.
-        involutions, _ = groups.conjugacy_closure([a, b], [a, b])
+        involutions, _ = groups.conjugacy_closure([a, b])
         conj = oracle_conj(involutions)
         n = len(conj)
         bad = [(i, j) for i in range(n) for j in range(i + 1, n)
@@ -121,13 +121,12 @@ class TestBuildSystem:
         assert info.value.order == 515
 
     def test_conjugate_left_the_class(self, orders):
-        # D = {(1 2), (0 2)} is closed under (0 1) but does not hold it, and
-        # (1 2) conjugates (0 2) to (0 1): the build names the generator.
+        # The class of (0 1) alone is D = {(0 1)}, which does not hold the
+        # seed (1 2): the build names the seed.
         with pytest.raises(
             groups.GroupError,
-            match=r"^generator Permutation\(\(0, 1\)\) is not in the "
-            r"transposition class; the center is read off the class action "
-            r"only when G = <D>$",
+            match=r"^seed Permutation\(\(1, 2\)\) is not in the class of the "
+            r"generators$",
         ):
             build_system([t(3, 0, 1)], [t(3, 1, 2)])
         # With (1 2) a generator too, D holds all three and G = S3.
@@ -168,12 +167,11 @@ class TestBuildSystem:
         ([Permutation.from_cycles(5, [(0, 1, 2)])], [t(5, 3, 4), t(5, 0, 1)],
          groups.StructuralError,
          r"^generator element is not an involution: Permutation\(\(0, 1, 2\)\)$"),
-        # D = {(1 2), (0 1), (0 2)} holds the generator (0 1), but <(0 1)>
-        # does not reach #0 = (1 2): G = <(0 1)> is not <D>, and the class
-        # action would give |Z(G)| = 1 where Z(G) = G has order 2.
+        # The seed (0 2) is outside D = {(0 1)}, the class of the generator.
+        # The closure of the seed, {(1 2), (0 1), (0 2)}, would give G = <(0 1)>
+        # a class action with |Z(G)| = 1 where Z(G) = G has order 2.
         ([t(3, 0, 1)], [t(3, 0, 1), t(3, 0, 2)], groups.GroupError,
-         r"^no generator is conjugate to involution #0; "
-         r"the class must be the class of its generators$"),
+         r"^seed Permutation\(\(0, 2\)\) is not in the class of the generators$"),
     ], ids=["cycle-and-class-member", "no-class-member", "two-orbits", "wrong-center"])
     def test_rejects_generators_that_are_not_the_class(
         self, generators, seed, error, message
@@ -186,7 +184,7 @@ class TestBuildSystem:
         # through the translate kernel, and the build itself makes none.
         calls = count_carrier_products(monkeypatch, Permutation)
         entry = catalog.from_descriptor("weyl:type=E,rank=8")
-        sys = build_system(entry.generators, entry.seed)
+        sys = build_system(entry.generators)
         assert sys.size * len(entry.generators) == 960
         assert len(calls) == 960
 
@@ -195,13 +193,13 @@ class TestBuildSystem:
         # at most 2 * n * 2*dim products in the closure (whole class: 2n^2).
         # A matrix conjugate counts once in the kernel and once for each of
         # its two key products; the involution check squares each of the 10
-        # seeds and 10 generators once more.
+        # generators once more.
         calls = count_carrier_products(monkeypatch, FpMatrix)
         entry = catalog.from_descriptor("orthogonal-f2:dim=8,eps=-")
-        sys = build_system(entry.generators, entry.seed)
+        sys = build_system(entry.generators)
         assert sys.size == 136
-        assert len(entry.generators) == len(entry.seed) == 10
-        assert len(calls) == 3 * sys.size * 10 + 2 * 10
+        assert len(entry.generators) == 10
+        assert len(calls) == 3 * sys.size * 10 + 10
         assert len(calls) <= 2 * sys.size * 2 * 8 == 4352
 
     def test_axis_cap(self):
@@ -232,7 +230,7 @@ class TestComponentsAndValency:
         # t_0 t_3 t_0 (#4) to #1 keeps the graph as it is but puts #1 into the
         # conjugation orbit of #0.
         entry = catalog.from_descriptor("orthogonal-f2:dim=4,eps=+")
-        sys = build_system(entry.generators, entry.seed)
+        sys = build_system(entry.generators)
         assert components(sys) == [[0, 3, 4], [1, 2, 5]]
         row = list(sys.conj[0])
         assert row[3] == 4
@@ -248,7 +246,7 @@ class TestComponentsAndValency:
         # S5: every transposition has 6 neighbors.  Making #3 move #9 (which
         # commutes with it) gives #3 a seventh neighbor.
         entry = catalog.from_descriptor("symmetric:n=5")
-        sys = build_system(entry.generators, entry.seed)
+        sys = build_system(entry.generators)
         row = list(sys.conj[3])
         assert row[9] == 9
         row[9] = 3

@@ -232,7 +232,7 @@ class TestGenerate:
 class TestConjugacyClosure:
     def test_transposition_class(self):
         gens = [transposition(4, i, i + 1) for i in range(3)]
-        cls, _ = conjugacy_closure([gens[0]], gens)
+        cls, _ = conjugacy_closure(gens)
         assert len(cls) == 6
         assert all(x.order() == 2 for x in cls)
 
@@ -241,40 +241,40 @@ class TestConjugacyClosure:
         gens = [transposition(5, 2, 3), transposition(5, 0, 1),
                 transposition(5, 2, 3), transposition(5, 1, 2),
                 transposition(5, 3, 4)]
-        cls, actions = conjugacy_closure([transposition(5, 1, 3)], gens)
+        cls, actions = conjugacy_closure(gens)
         assert len(cls) == 10
         assert list(actions) == [gens[0].key, gens[1].key, gens[3].key, gens[4].key]
         for g in gens:
             assert [cls[i] for i in actions[g.key]] == [g * x * g for x in cls]
-        # A generator that is not an involution is named, after the seeds.
+        # A generator that is not an involution is named.
         cycle = Permutation.from_cycles(5, [(0, 1, 2, 3, 4)])
         with pytest.raises(StructuralError, match=(
             r"^generator element is not an involution: "
             r"Permutation\(\(0, 1, 2, 3, 4\)\)$"
         )):
-            conjugacy_closure([transposition(5, 1, 3)], [cycle, gens[1], cycle])
+            conjugacy_closure([cycle, gens[1], cycle])
 
     def test_seed_must_be_involution(self):
         bad = Permutation.from_cycles(4, [(0, 1, 2)])
         with pytest.raises(GroupError):
-            conjugacy_closure([bad], [bad])
+            conjugacy_closure([bad])
 
     @pytest.mark.parametrize("bad", [
         Permutation.from_cycles(4, [(0, 1, 2)]),
         FpMatrix.from_entries(2, 2, [0, 1, 1, 1]),
     ], ids=["Permutation", "FpMatrix"])
     def test_order_three_seed_is_named(self, bad):
-        # An order above 2 is named as a malformed seed.
+        # An order above 2 is named as a malformed generator.
         assert bad.order() == 3
         with pytest.raises(StructuralError, match=(
-            r"^seed element is not an involution: "
+            r"^generator element is not an involution: "
         )):
-            conjugacy_closure([bad], [bad])
+            conjugacy_closure([bad])
 
     def test_cap(self):
         gens = [transposition(6, i, i + 1) for i in range(5)]
         with pytest.raises(EnumerationCapError):
-            conjugacy_closure([gens[0]], gens, cap=4)
+            conjugacy_closure(gens, cap=4)
 
 
 class TestCenter:
@@ -472,16 +472,12 @@ class TestSchreierSims:
         )
         assert permutation_group_order(images) == oracle.order()
 
-    def test_generator_outside_class_rejected(self, orders):
+    def test_generators_from_two_classes_accepted(self, orders):
+        # D = {(0 1), (1 2), (0 2), (3 4)} is the union of the generators'
+        # two classes.  It generates G = S3 x C2, whose center <(3 4)> is the
+        # kernel of the class action.
         gens = [transposition(5, 0, 1), transposition(5, 1, 2), transposition(5, 3, 4)]
-        with pytest.raises(GroupError, match=(
-            r"^generator Permutation\(\(3, 4\)\) is not in the transposition "
-            r"class; the center is read off the class action only when G = <D>$"
-        )):
-            fischer.build_system(gens, [gens[0]])
-        # Seeded with both classes, D = {(0 1), (1 2), (0 2), (3 4)} generates
-        # G = S3 x C2, whose center <(3 4)> is the kernel of the class action.
-        system = fischer.build_system(gens, [gens[0], gens[2]])
+        system = fischer.build_system(gens)
         assert system.size == 4
         assert orders(system) == (12, len(center(generate(gens)))) == (12, 2)
 

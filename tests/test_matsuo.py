@@ -1,6 +1,8 @@
 """Matsuo algebras: products, forms, unity, radical, spectra, Miyamoto maps."""
 import json
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -423,3 +425,18 @@ def test_analyze_builds_each_eigenbasis_once(monkeypatch, capsys):
     assert report["spectra"]["verdict"] == report["miyamoto"]["verdict"] == "pass"
     assert report["spectra"]["per_component"][0]["dims"] == {"2": 1, "0": 25, "alpha": 10}
     assert len(built) == len(set(built)) <= 6 + 1
+
+
+def test_readme_library_example(capsys):
+    # The README's library example runs as written.  On S5 an axis commutes
+    # with 3 transpositions and is adjacent to 3 pairs of the other 6, so its
+    # eigenspaces for 2, 0 and alpha have dimensions 1, 3 + 3 and 3.
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    (example,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert 'from_descriptor("symmetric:n=5")' in example
+    exec(example, {})
+    dims, alpha_column = capsys.readouterr().out.splitlines()
+    assert dims.startswith(
+        "{Fraction(2, 1): 1, Fraction(0, 1): 6, Fraction(1, 2): 3} "
+    )
+    assert alpha_column.startswith("[Fraction(")
