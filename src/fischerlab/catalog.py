@@ -4,17 +4,29 @@ Each constructor returns a :class:`CatalogEntry` holding a small generating
 set S of transposition class members; the class is recovered downstream as
 the conjugacy closure of S.
 
-The symplectic and orthogonal families choose S from the class vectors, in
-order: a vector joins S when it lies outside the closure of the vectors
-already in S under their own transvections (over F2) or reflections (over
-F3), and the choice stops once that closure is the whole class.  The class
-then lies in <S>, so <S> is the group the class generates.
+The symplectic and orthogonal classes have one construction.  Over F_p with
+a symmetric bilinear form B, the class is the maps
+
+    t_v : x -> x + c B(x, v) v
+
+over the class vectors v, one per line {v, -v}.  Over F2, c = 1 and t_v is
+a transvection.  Over F3, c = q(v) and t_v is the reflection
+x -> x - 2 B(x, v)/q(v) v, since -2/q(v) = q(v) mod 3.
+
+S is chosen from the class vectors, in order: a vector joins S when it lies
+outside the closure of the vectors already in S under their own maps t_v,
+and the choice stops once that closure is the whole class.  The class then
+lies in <S>, so <S> is the group the class generates.
 
 Fixed standard forms:
-  * symplectic over F2: B pairs coordinates (0,1), (2,3), ...;
+  * over F2, B pairs coordinates (0,1), (2,3), ...: it is the symplectic
+    form, and the polar form of both quadratic forms below;
+  * symplectic over F2: every nonzero vector is a class vector;
   * quadratic forms over F2: q+ = x0 x1 + x2 x3 + ...; q- replaces the last
-    hyperbolic block by the norm form x^2 + xy + y^2;
-  * forms over F3 are user-supplied diagonals (default all ones).
+    hyperbolic block by the norm form x^2 + xy + y^2; the class vectors
+    have q(v) = 1;
+  * over F3, B is a user-supplied diagonal (default all ones),
+    q(v) = B(v, v), and the class vectors have q(v) = sign.
 """
 from __future__ import annotations
 
@@ -59,66 +71,16 @@ def symmetric(n):
     return CatalogEntry("symmetric", {"n": n}, gens)
 
 
-def _f2_transvection(dim, v, bv):
-    """t_v : x -> x + B(x, v) v, given bv = bitmask of {j : B(e_j, v) = 1}."""
-    from .groups import FpMatrix
-
-    rows = []
-    for i in range(dim):
-        row = 1 << i
-        if v >> i & 1:
-            row ^= bv
-        rows.append(row)
-    return FpMatrix(2, dim, rows)
-
-
-def _f2_transvection_entry(family, params, dim, polar):
-    """The entry generated by the transvections t_v of the class vectors v
-    chosen by ``_generating_vectors``, where ``polar[v]`` is the bitmask of
-    {j : B(e_j, v) = 1} for every class vector v."""
-
-    def image(u, v):  # t_v(u) = u + B(u, v) v
-        return u ^ v if (u & polar[v]).bit_count() & 1 else u
-
-    gens = [
-        _f2_transvection(dim, v, polar[v])
-        for v in _generating_vectors(list(polar), image)
-    ]
-    return CatalogEntry(family, params, gens)
-
-
-def symplectic_F2(n):
-    """Sp_{2n}(2) with the transvection class: every nonzero vector v, with
-    B(e_j, v) = 1 exactly when v has bit j ^ 1."""
-    if not 1 <= n <= SYMPLECTIC_MAX_N:
-        raise CatalogError(f"symplectic-f2: n must be in [1, {SYMPLECTIC_MAX_N}], got {n}")
-    dim = 2 * n
-    polar = {
-        v: sum((v >> (j ^ 1) & 1) << j for j in range(dim))
-        for v in range(1, 1 << dim)
-    }
-    return _f2_transvection_entry("symplectic-f2", {"n": n}, dim, polar)
-
-
-def _f2_quadratic(dim, eps):
-    if eps == "+":
-        blocks = dim // 2
-        minus_block = False
-    else:
-        blocks = dim // 2 - 1
-        minus_block = True
-
-    def q(v):
-        val = 0
-        for b in range(blocks):
-            val ^= (v >> (2 * b) & 1) & (v >> (2 * b + 1) & 1)
-        if minus_block:
-            x = v >> (dim - 2) & 1
-            y = v >> (dim - 1) & 1
-            val ^= x ^ (x & y) ^ y
-        return val
-
-    return q
+def _class_vectors(p, dim, q, value):
+    """The vectors v of F_p^dim with q(v) = value, one per line {v, -v}: the
+    digit tuple whose first nonzero entry is 1, in base-p order with v[0]
+    least significant."""
+    vectors = []
+    for digits in iproduct(range(p), repeat=dim):
+        v = digits[::-1]
+        if next((x for x in v if x), 0) == 1 and q(v) == value:
+            vectors.append(v)
+    return vectors
 
 
 def _generating_vectors(vectors, image):
@@ -139,15 +101,61 @@ def _generating_vectors(vectors, image):
     return chosen
 
 
-def _f2_class(dim, eps):
-    """Each class vector v (q(v) = 1) mapped to the bitmask of
-    {j : B(e_j, v) = 1}, where B is the polar form of q."""
-    q = _f2_quadratic(dim, eps)
-    return {
-        v: sum((q((1 << j) ^ v) ^ q(1 << j) ^ q(v)) << j for j in range(dim))
-        for v in range(1, 1 << dim)
-        if q(v) == 1
+def _form_entry(family, params, p, gram, vectors, c):
+    """The entry generated by the maps t_v : x -> x + c B(x, v) v of the
+    class vectors v chosen by ``_generating_vectors``, where ``gram`` is the
+    Gram matrix of B."""
+    from .groups import FpMatrix
+
+    # polar[v][j] = c B(e_j, v), so t_v(x) = x + (polar[v] . x) v.
+    polar = {
+        v: tuple(c * sum(b * x for b, x in zip(row, v)) % p for row in gram)
+        for v in vectors
     }
+
+    def image(u, v):  # t_v(u), as the class vector of its line
+        s = sum(a * x for a, x in zip(polar[v], u)) % p
+        if not s:
+            return u
+        w = [(x + s * y) % p for x, y in zip(u, v)]
+        if next(x for x in w if x) != 1:
+            w = [-x % p for x in w]
+        return tuple(w)
+
+    gens = [
+        FpMatrix.from_entries(p, len(gram), [
+            ((i == j) + x * b) % p
+            for i, x in enumerate(v) for j, b in enumerate(polar[v])
+        ])
+        for v in _generating_vectors(vectors, image)
+    ]
+    return CatalogEntry(family, params, gens)
+
+
+def _f2_gram(dim):
+    """B over F2: coordinates (0,1), (2,3), ... paired."""
+    return [[int(k == j ^ 1) for k in range(dim)] for j in range(dim)]
+
+
+def _f2_quadratic(dim, eps):
+    """q+ or q- on digit tuples, with x^2 + xy + y^2 = x + xy + y over F2."""
+
+    def q(v):
+        val = sum(v[i] * v[i + 1] for i in range(0, dim, 2))
+        if eps == "-":
+            val += v[-2] + v[-1]
+        return val % 2
+
+    return q
+
+
+def symplectic_F2(n):
+    """Sp_{2n}(2) with the transvection class: every nonzero vector v."""
+    if not 1 <= n <= SYMPLECTIC_MAX_N:
+        raise CatalogError(f"symplectic-f2: n must be in [1, {SYMPLECTIC_MAX_N}], got {n}")
+    dim = 2 * n
+    vectors = _class_vectors(2, dim, lambda v: 1, 1)
+    return _form_entry("symplectic-f2", {"n": n}, 2, _f2_gram(dim), vectors, 1)
 
 
 def orthogonal_F2(dim, eps):
@@ -157,23 +165,9 @@ def orthogonal_F2(dim, eps):
         raise CatalogError(f"orthogonal-f2: dim must be one of {ORTHOGONAL_F2_DIMS}")
     if eps not in ("+", "-"):
         raise CatalogError("orthogonal-f2: eps must be '+' or '-'")
+    vectors = _class_vectors(2, dim, _f2_quadratic(dim, eps), 1)
     params = {"dim": dim, "eps": eps}
-    return _f2_transvection_entry("orthogonal-f2", params, dim, _f2_class(dim, eps))
-
-
-def _f3_reflection(dim, form, v):
-    """r_v : x -> x - 2 B(x,v)/q(v) v for anisotropic v over F3."""
-    from .groups import FpMatrix
-
-    qv = sum(d * x * x for d, x in zip(form, v)) % 3
-    qinv = qv  # 1 and 2 are self-inverse mod 3
-    entries = []
-    for i in range(dim):
-        for j in range(dim):
-            bjv = form[j] * v[j] % 3
-            e = (1 if i == j else 0) - 2 * bjv * qinv * v[i]
-            entries.append(e % 3)
-    return FpMatrix.from_entries(3, dim, entries)
+    return _form_entry("orthogonal-f2", params, 2, _f2_gram(dim), vectors, 1)
 
 
 def orthogonal_F3(dim, form=None, sign=1):
@@ -196,36 +190,13 @@ def orthogonal_F3(dim, form=None, sign=1):
         raise CatalogError(f"orthogonal-f3: form entries must be 1 or 2, got {form}")
     if sign not in (1, 2):
         raise CatalogError("orthogonal-f3: sign must be 1 or 2")
-    vectors = _f3_class(dim, form, sign)
-
-    def image(u, v):  # r_v(u) = u - 2 B(u, v)/q(v) v, up to sign
-        c = 2 * sum(d * x * y for d, x, y in zip(form, u, v)) * sign
-        w = [(x - c * y) % 3 for x, y in zip(u, v)]
-        if next(x for x in w if x) == 2:
-            w = [-x % 3 for x in w]
-        return tuple(w)
-
-    gens = [
-        _f3_reflection(dim, form, v) for v in _generating_vectors(vectors, image)
-    ]
-    return CatalogEntry(
-        "orthogonal-f3",
-        {"dim": dim, "form": "".join(map(str, form)), "sign": sign},
-        gens,
+    gram = [[d if j == k else 0 for k in range(dim)] for j, d in enumerate(form)]
+    vectors = _class_vectors(
+        3, dim, lambda v: sum(d * x * x for d, x in zip(form, v)) % 3, sign
     )
-
-
-def _f3_class(dim, form, sign):
-    """The vectors v with q(v) = sign, one of each pair {v, -v}: the one
-    whose first nonzero entry is 1."""
-    vectors = []
-    for v in iproduct(range(3), repeat=dim):
-        nz = next((x for x in v if x), 0)
-        if nz != 1:  # one representative of {v, -v}
-            continue
-        if sum(d * x * x for d, x in zip(form, v)) % 3 == sign:
-            vectors.append(v)
-    return vectors
+    params = {"dim": dim, "form": "".join(map(str, form)), "sign": sign}
+    # c = q(v) = sign on every class vector.
+    return _form_entry("orthogonal-f3", params, 3, gram, vectors, sign)
 
 
 def _simple_roots(kind, rank):
@@ -260,12 +231,12 @@ def _dot(u, v):
 
 
 def _reflect(x, v):
+    """x - 2 (x.v)/(v.v) v.  Every root of a simply-laced system has the norm
+    of the simple roots, so 2 (x.v)/(v.v) is an integer."""
     num = 2 * _dot(x, v)
     if not num:
         return x
-    den = _dot(v, v)
-    assert num % den == 0
-    c = num // den
+    c = num // _dot(v, v)
     return tuple(a - c * b for a, b in zip(x, v))
 
 

@@ -1,4 +1,6 @@
 """Catalog constructors and descriptor parsing."""
+from itertools import product
+
 import pytest
 
 from fischerlab import catalog, fischer, groups
@@ -33,14 +35,14 @@ class TestSymplecticF2:
 
     @pytest.mark.parametrize("n, count", [(1, 2), (2, 5), (3, 8)])
     def test_small_set_generates_the_whole_class(self, n, count):
-        # The class is every transvection t_v, v != 0.  B(e_j, v) = 1 exactly
-        # when v has bit j ^ 1, so the polar image of v swaps its bit pairs.
+        # The class is every transvection t_v, v != 0, of the form pairing
+        # coordinates (0,1), (2,3), ...
         dim = 2 * n
-        even = int("01" * n, 2)
-        whole = [
-            catalog._f2_transvection(dim, v, ((v & even) << 1) | ((v >> 1) & even))
-            for v in range(1, 1 << dim)
-        ]
+
+        def form(x, y):
+            return sum(x[i] * y[i + 1] + x[i + 1] * y[i] for i in range(0, dim, 2))
+
+        whole = [transvection(form, v) for v in product((0, 1), repeat=dim) if any(v)]
         entry = catalog.symplectic_F2(n)
         assert len(entry.generators) == count
         small = fischer.build_system(entry.generators)
@@ -109,18 +111,60 @@ class TestOrthogonalF3:
         assert str(exc.value) == f"orthogonal-f3: form entries must be 1 or 2, got {digits}"
 
 
+def matrix_of(p, dim, image):
+    """The matrix over F_p whose column j is image(e_j)."""
+    columns = [image(tuple(int(i == j) for i in range(dim))) for j in range(dim)]
+    return groups.FpMatrix.from_entries(
+        p, dim, [columns[j][i] % p for i in range(dim) for j in range(dim)]
+    )
+
+
+def transvection(form, v):
+    """t_v(x) = x + B(x, v) v over F2, with B = ``form``."""
+    return matrix_of(2, len(v), lambda x: [a + form(x, v) * b for a, b in zip(x, v)])
+
+
+def reflection(form, v):
+    """r_v(x) = x - 2 B(x, v)/q(v) v over F3, with B = ``form`` and
+    q(v) = B(v, v)."""
+    inverse = pow(form(v, v), -1, 3)
+    return matrix_of(
+        3, len(v), lambda x: [a - 2 * form(x, v) * inverse * b for a, b in zip(x, v)]
+    )
+
+
 def whole_class_generators(descriptor):
     """The whole transvection or reflection class of an orthogonal
-    descriptor, built from every class vector."""
+    descriptor, one map per class vector, built from the textbook formulas
+    with no catalog helper."""
     params = dict(item.split("=") for item in descriptor.split(":")[1].split(","))
     dim = int(params["dim"])
     if descriptor.startswith("orthogonal-f2"):
-        polar = catalog._f2_class(dim, params["eps"])
-        return [catalog._f2_transvection(dim, v, bv) for v, bv in polar.items()]
-    form = tuple(int(c) for c in params.get("form", "1" * dim))
+        # q+ = x0 x1 + x2 x3 + ...; q- has x^2 + xy + y^2 as its last block.
+        def q(x):
+            value = sum(x[i] * x[i + 1] for i in range(0, dim, 2))
+            if params["eps"] == "-":
+                value += x[-2] ** 2 + x[-1] ** 2
+            return value % 2
+
+        def polar(x, y):
+            return q([a + b for a, b in zip(x, y)]) - q(x) - q(y)
+
+        vectors = [v for v in product((0, 1), repeat=dim) if q(v) == 1]
+        return [transvection(polar, v) for v in vectors]
+    diagonal = [int(c) for c in params.get("form", "1" * dim)]
     sign = catalog.F3_SIGNS[params["sign"]]
-    return [catalog._f3_reflection(dim, form, v)
-            for v in catalog._f3_class(dim, form, sign)]
+
+    def form(x, y):
+        return sum(d * a * b for d, a, b in zip(diagonal, x, y))
+
+    # r_v = r_{-v}: keep one matrix per line.
+    whole = {}
+    for v in product(range(3), repeat=dim):
+        if form(v, v) % 3 == sign:
+            g = reflection(form, v)
+            whole.setdefault(g.key, g)
+    return list(whole.values())
 
 
 ORTHOGONAL = (

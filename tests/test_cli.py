@@ -212,8 +212,8 @@ class TestAnalyze:
         expected = json.loads(passing)
         expected["matsuo"]["unity"] = [{
             "component": 0, "exists": True, "coefficient": None, "verdict": "fail",
-            "reason": "omega/2 failed the idempotent identity on the component "
-                      "of axis 0 (coordinate x^3)",
+            "reason": "omega x^0 != 2 x^0 on the component of axis 0 "
+                      "(coordinate x^3)",
         }]
         expected["matsuo"]["spectra"] = {
             "per_component": [], "verdict": "fail", "reason": eigen,

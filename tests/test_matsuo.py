@@ -301,11 +301,12 @@ class TestWitnesses:
             A.miyamoto(0)
 
     def test_unity_idempotent(self, s4, with_conj_entry):
-        # x^1 x^4 loses its x^3 term to x^5, so omega^2 moves off x^3
+        # x^1 x^4 loses its x^3 term to x^5, so omega^2 moves off x^3.  The
+        # idempotent identity is the sum of the per-axis ones, so the per-axis
+        # check names the axis that moved: omega x^1 moves off x^3 too.
         A = MatsuoAlgebra(with_conj_entry(s4, 1, 4, 5), HALF, HALF)
         with pytest.raises(VerificationError, match=(
-            r"^omega/2 failed the idempotent identity on the component of axis 0 "
-            r"\(coordinate x\^3\)$"
+            r"^omega x\^1 != 2 x\^1 on the component of axis 0 \(coordinate x\^3\)$"
         )):
             A.unity()
 

@@ -414,12 +414,6 @@ class DenseOracle:
         sums = tensor.sum(axis=1)
         target = np.zeros_like(sums)
         target[range(len(comp)), comp] = unit
-        hit = first(p * sums.sum(axis=0) != target.sum(axis=0))
-        if hit is not None:
-            raise VerificationError(
-                f"omega/2 failed the idempotent identity on the component of "
-                f"axis {comp[0]} (coordinate x^{hit[0]})"
-            )
         hit = first(p * sums != target)
         if hit is not None:
             raise VerificationError(
