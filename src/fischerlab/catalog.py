@@ -44,6 +44,10 @@ class CatalogError(ValueError):
     """Unsupported or malformed family parameters."""
 
 
+class _BadParameter(ValueError):
+    """A descriptor parameter outside its choices, as ``(key, reason)``."""
+
+
 class CatalogEntry:
     """Generators of one family member, all in its transposition class; the
     descriptor defaults to ``family:key=value,...``."""
@@ -87,7 +91,11 @@ def _generating_vectors(vectors, image):
     """The class vectors of the generating set S: each vector outside the
     closure of those chosen before it under their own transvections or
     reflections, until that closure is the whole class.  ``image(u, v)`` is
-    the class vector that the transvection or reflection of v maps u to."""
+    the class vector that the transvection or reflection of v maps u to.
+
+    When v joins S, the closure grows by the images of the reached vectors
+    under t_v and then by the closure of what is new under every map of S,
+    so each reached vector meets each map of S once."""
     from .groups import closure
 
     chosen = []
@@ -95,7 +103,10 @@ def _generating_vectors(vectors, image):
     for v in vectors:
         if v not in reached:
             chosen.append(v)
-            reached = set(closure(chosen, lambda u: [image(u, w) for w in chosen]))
+            new = {v} | {image(u, v) for u in reached}
+            reached |= set(closure(new - reached, lambda u: [
+                x for x in (image(u, w) for w in chosen) if x not in reached
+            ]))
             if len(reached) == len(vectors):
                 break
     return chosen
@@ -271,31 +282,52 @@ def weyl(kind, rank):
     return CatalogEntry("weyl", {"type": kind, "rank": rank}, gens)
 
 
+def _orthogonal_F3_entry(params):
+    """``orthogonal_F3`` from its descriptor parameters: ``form`` as diagonal
+    digits, ``sign`` as one of the keys of F3_SIGNS (default +)."""
+    dim = int(params.pop("dim"))
+    form = params.pop("form", None)
+    if form is not None:
+        form = tuple(int(c) for c in form)
+    sign = params.pop("sign", "+")
+    if sign not in F3_SIGNS:
+        raise _BadParameter("sign", f"must be '+', '-', '1' or '2', got {sign!r}")
+    return orthogonal_F3(dim, form=form, sign=F3_SIGNS[sign])
+
+
 _WEYL_RANK_TEXT = ", ".join(
     f"{kind}<={ranks[-1]}" if ranks[0] == 1 else f"{kind}={ranks[0]}..{ranks[-1]}"
     for kind, ranks in WEYL_RANKS.items()
 )
+# Each family: the text of its parameters, an example descriptor, and
+# ``build``, which pops its parameters from the parsed ``{key: text}`` dict
+# and returns the entry.
 FAMILIES = {
     "symmetric": {
         "params": f"n=2..{SYMMETRIC_MAX_N}",
         "example": "symmetric:n=5",
+        "build": lambda p: symmetric(int(p.pop("n"))),
     },
     "symplectic-f2": {
         "params": f"n=1..{SYMPLECTIC_MAX_N}",
         "example": "symplectic-f2:n=3",
+        "build": lambda p: symplectic_F2(int(p.pop("n"))),
     },
     "orthogonal-f2": {
         "params": f"dim={'|'.join(map(str, ORTHOGONAL_F2_DIMS))}, eps=+|-",
         "example": "orthogonal-f2:dim=6,eps=+",
+        "build": lambda p: orthogonal_F2(int(p.pop("dim")), p.pop("eps")),
     },
     "orthogonal-f3": {
         "params": f"dim={ORTHOGONAL_F3_DIMS[0]}..{ORTHOGONAL_F3_DIMS[-1]} "
                   "[,form=diagonal digits] [,sign=+|-]",
         "example": "orthogonal-f3:dim=5",
+        "build": _orthogonal_F3_entry,
     },
     "weyl": {
         "params": f"type={'|'.join(WEYL_RANKS)}, rank ({_WEYL_RANK_TEXT})",
         "example": "weyl:type=E,rank=6",
+        "build": lambda p: weyl(p.pop("type"), int(p.pop("rank"))),
     },
 }
 
@@ -315,31 +347,15 @@ def from_descriptor(descriptor):
             if k in params:
                 raise CatalogError(f"duplicate parameter {k!r} in {descriptor!r}")
             params[k] = v.strip()
+    if family not in FAMILIES:
+        raise CatalogError(f"unknown family {family!r}")
     try:
-        if family == "symmetric":
-            entry = symmetric(int(params.pop("n")))
-        elif family == "symplectic-f2":
-            entry = symplectic_F2(int(params.pop("n")))
-        elif family == "orthogonal-f2":
-            entry = orthogonal_F2(int(params.pop("dim")), params.pop("eps"))
-        elif family == "orthogonal-f3":
-            dim = int(params.pop("dim"))
-            form = params.pop("form", None)
-            if form is not None:
-                form = tuple(int(c) for c in form)
-            sign = params.pop("sign", "+")
-            if sign not in F3_SIGNS:
-                raise CatalogError(
-                    f"bad parameter 'sign' in {descriptor!r}: "
-                    f"must be '+', '-', '1' or '2', got {sign!r}"
-                )
-            entry = orthogonal_F3(dim, form=form, sign=F3_SIGNS[sign])
-        elif family == "weyl":
-            entry = weyl(params.pop("type"), int(params.pop("rank")))
-        else:
-            raise CatalogError(f"unknown family {family!r}")
+        entry = FAMILIES[family]["build"](params)
     except KeyError as exc:
         raise CatalogError(f"missing/bad parameter {exc} in {descriptor!r}") from exc
+    except _BadParameter as exc:
+        key, reason = exc.args
+        raise CatalogError(f"bad parameter {key!r} in {descriptor!r}: {reason}") from exc
     except ValueError as exc:
         if isinstance(exc, CatalogError):
             raise

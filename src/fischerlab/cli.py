@@ -76,6 +76,7 @@ def build_parser():
     p_cat = sub.add_parser("catalog", help="catalog queries")
     p_cat.add_argument("action", choices=["list"])
     p_cat.add_argument("--json", action="store_true")
+    p_cat.set_defaults(handler=cmd_catalog)
 
     p_an = sub.add_parser("analyze", help="full analysis of a catalog descriptor")
     p_an.add_argument("descriptor")
@@ -94,6 +95,7 @@ def build_parser():
         "--json", nargs="?", const="-", metavar="FILE",
         help="emit the report as canonical JSON (to FILE, or stdout)",
     )
+    p_an.set_defaults(handler=cmd_analyze)
 
     p_fu = sub.add_parser("fusion", help="unitary-series fusion queries")
     p_fu.add_argument("--m", type=int, required=True)
@@ -105,11 +107,13 @@ def build_parser():
                       help="with --grid: test membership of a weight; "
                       "negative: --contains=-1/5")
     p_fu.add_argument("--json", nargs="?", const="-", metavar="FILE")
+    p_fu.set_defaults(handler=cmd_fusion)
 
     p_sa = sub.add_parser("sakuma", help="dihedral-subalgebra table lookups")
     p_sa.add_argument("tag", nargs="?")
     p_sa.add_argument("--inner", type=_parse_fraction, metavar="p/q")
     p_sa.add_argument("--json", nargs="?", const="-", metavar="FILE")
+    p_sa.set_defaults(handler=cmd_sakuma)
     return parser
 
 
@@ -333,6 +337,17 @@ def _analysis_text(report, seconds):
 # -- fusion ------------------------------------------------------------------
 
 
+def _label_line(row):
+    """A fusion row as text: its label and weight, then its tau and sigma
+    signs when it has them."""
+    line = f"  ({row['r']},{row['s']})  h={row['weight']:<8}"
+    if "tau_sign" in row:
+        line += f" tau={row['tau_sign']:+d}"
+    if row.get("sigma_sign") is not None:
+        line += f" sigma={row['sigma_sign']:+d}"
+    return line
+
+
 def cmd_fusion(args):
     from . import virasoro
 
@@ -348,80 +363,45 @@ def cmd_fusion(args):
     for flag, label in (("--left", args.left), ("--right", args.right)):
         if query and label is not None:
             raise virasoro.VirasoroError(f"{flag} cannot be combined with {query}")
-    if args.grid:
-        labels = virasoro.irreducibles(m)
-        payload = {
-            "m": m,
-            "central_charge": format_rational(virasoro.central_charge(m)),
-            "labels": [
-                {"r": r, "s": s, "weight": format_rational(virasoro.weight(m, r, s)),
-                 "tau_sign": virasoro.tau_sign(m, (r, s))}
-                for r, s in labels
-            ],
-        }
-        if args.contains is not None:
-            payload["contains"] = {
-                "weight": format_rational(args.contains),
-                "present": virasoro.weight_exists(m, args.contains),
-            }
-        text_lines = [f"m={m}  c={payload['central_charge']}"]
-        for row in payload["labels"]:
-            text_lines.append(
-                f"  ({row['r']},{row['s']})  h={row['weight']:<8} tau={row['tau_sign']:+d}"
-            )
-        if "contains" in payload:
-            verdict = "present" if payload["contains"]["present"] else "absent"
-            text_lines.append(
-                f"  weight {payload['contains']['weight']}: {verdict}"
-            )
-        _emit(payload, args.json, "\n".join(text_lines) + "\n")
-        return EXIT_OK
-    if args.sector:
-        sector = virasoro.sigma_sector(m)
-        payload = {
-            "m": m,
-            "sector": [
-                {"r": r, "s": s, "weight": format_rational(virasoro.weight(m, r, s)),
-                 "sigma_sign": virasoro.sigma_sign(m, (r, s))}
-                for r, s in sector
-            ],
-        }
-        lines = [f"P_{m}:"]
-        for row in payload["sector"]:
-            lines.append(
-                f"  ({row['r']},{row['s']})  h={row['weight']:<8} sigma={row['sigma_sign']:+d}"
-            )
-        _emit(payload, args.json, "\n".join(lines) + "\n")
-        return EXIT_OK
-    if args.left is None or args.right is None:
-        raise virasoro.VirasoroError("need --left and --right (or --grid / --sector)")
-    product = virasoro.fuse(m, args.left, args.right)
-    payload = {
-        "m": m,
-        "left": list(args.left),
-        "right": list(args.right),
-        "product": [
-            {
-                "r": r,
-                "s": s,
-                "weight": format_rational(virasoro.weight(m, r, s)),
-                "tau_sign": virasoro.tau_sign(m, (r, s)),
-                "in_sigma_sector": virasoro.in_sigma_sector(m, (r, s)),
-                "sigma_sign": (
-                    virasoro.sigma_sign(m, (r, s))
-                    if virasoro.in_sigma_sector(m, (r, s))
-                    else None
-                ),
-            }
-            for r, s in product
-        ],
+
+    fields = {
+        "tau_sign": lambda label: virasoro.tau_sign(m, label),
+        "in_sigma_sector": lambda label: virasoro.in_sigma_sector(m, label),
+        "sigma_sign": lambda label: (
+            virasoro.sigma_sign(m, label) if virasoro.in_sigma_sector(m, label) else None
+        ),
     }
-    lines = [f"({args.left[0]},{args.left[1]}) x ({args.right[0]},{args.right[1]}) at m={m}:"]
-    for row in payload["product"]:
-        sig = f" sigma={row['sigma_sign']:+d}" if row["sigma_sign"] is not None else ""
-        lines.append(
-            f"  ({row['r']},{row['s']})  h={row['weight']:<8} tau={row['tau_sign']:+d}{sig}"
-        )
+
+    def rows(labels, *names):
+        return [
+            {"r": r, "s": s, "weight": format_rational(virasoro.weight(m, r, s)),
+             **{name: fields[name]((r, s)) for name in names}}
+            for r, s in labels
+        ]
+
+    if args.grid:
+        charge = format_rational(virasoro.central_charge(m))
+        header, key = f"m={m}  c={charge}", "labels"
+        payload = {"m": m, "central_charge": charge,
+                   key: rows(virasoro.irreducibles(m), "tau_sign")}
+    elif args.sector:
+        header, key = f"P_{m}:", "sector"
+        payload = {"m": m, key: rows(virasoro.sigma_sector(m), "sigma_sign")}
+    else:
+        if args.left is None or args.right is None:
+            raise virasoro.VirasoroError("need --left and --right (or --grid / --sector)")
+        (a, b), (c, d) = args.left, args.right
+        header, key = f"({a},{b}) x ({c},{d}) at m={m}:", "product"
+        payload = {"m": m, "left": [a, b], "right": [c, d], key: rows(
+            virasoro.fuse(m, args.left, args.right),
+            "tau_sign", "in_sigma_sector", "sigma_sign",
+        )}
+    lines = [header, *map(_label_line, payload[key])]
+    if args.contains is not None:
+        present = virasoro.weight_exists(m, args.contains)
+        payload["contains"] = {"weight": format_rational(args.contains), "present": present}
+        lines.append(f"  weight {format_rational(args.contains)}: "
+                     f"{'present' if present else 'absent'}")
     _emit(payload, args.json, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -498,15 +478,7 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
-        if args.command == "catalog":
-            return cmd_catalog(args)
-        if args.command == "analyze":
-            return cmd_analyze(args)
-        if args.command == "fusion":
-            return cmd_fusion(args)
-        if args.command == "sakuma":
-            return cmd_sakuma(args)
-        return EXIT_USAGE
+        return args.handler(args)
     except Exception as exc:
         code = _exit_code(exc)
         if code is None:

@@ -224,9 +224,9 @@ def extract_H(sys, witness):
     return group
 
 
-def to_dot(sys, name="fischer"):
+def to_dot(sys):
     """DOT rendering of the Fischer graph (vertices by canonical index)."""
-    lines = [f"graph {name} {{"]
+    lines = ["graph fischer {"]
     for i in range(sys.size):
         lines.append(f'  {i} [label="{i}"];')
     for i in range(sys.size):

@@ -87,7 +87,7 @@ def test_cli_start_up_leaves_numpy_unloaded():
 
 # Each command with the golden of its benchmark op, and the package modules
 # it may add to those loaded before it: fusion and sakuma use the Virasoro
-# layer alone, catalog list the catalog and the groups it builds on.
+# layer alone, catalog list the catalog alone.
 START_UP = [
     ("fusion-grid", ["fusion", "--m", "3", "--grid", "--contains", "7/10", "--json"],
      ["fischerlab.virasoro"]),

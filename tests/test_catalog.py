@@ -191,6 +191,25 @@ class TestSmallGeneratingSet:
             whole, None
         )
 
+    def test_each_vector_meets_each_map_once(self, monkeypatch):
+        # O8-(2): 136 class vectors and 10 generators.  Recomputing the
+        # closure whenever a vector joins S took 2,522 images.
+        real = catalog._generating_vectors
+        calls = []
+
+        def counted(vectors, image):
+            def counting(u, v):
+                calls.append((u, v))
+                return image(u, v)
+
+            assert len(vectors) == 136
+            return real(vectors, counting)
+
+        monkeypatch.setattr(catalog, "_generating_vectors", counted)
+        entry = catalog.from_descriptor("orthogonal-f2:dim=8,eps=-")
+        assert len(entry.generators) == 10
+        assert len(calls) <= 136 * 10
+
 
 class TestWeyl:
     @pytest.mark.parametrize(

@@ -10,7 +10,9 @@ from fischerlab.fischer import IrregularComponentError, UnexpectedSubgroupError
 from fischerlab.groups import GroupError, StructuralError
 
 
-GOLDEN = json.loads((Path(__file__).parent / "fixtures" / "analyze_golden.json").read_text())
+FIXTURES = Path(__file__).parent / "fixtures"
+GOLDEN = json.loads((FIXTURES / "analyze_golden.json").read_text())
+COMMANDS = json.loads((FIXTURES / "cli_golden.json").read_text())
 
 
 def run(capsys, *argv):
@@ -284,6 +286,20 @@ class TestGoldenReports:
     def test_analyze_matches_golden(self, capsys, command):
         code, out, _ = run(capsys, *command.split())
         assert (code, out) == (GOLDEN[command]["exit_code"], GOLDEN[command]["stdout"])
+
+
+class TestGoldenCommands:
+    """Frozen stdout, stderr and exit code of the text and JSON outputs of
+    ``catalog list``, ``fusion`` and ``sakuma``, and of every descriptor error
+    of ``analyze``: missing, non-integer, duplicate, leftover and
+    out-of-range parameters, an unknown family and bad F3 forms and signs."""
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_command_matches_golden(self, capsys, command):
+        expected = COMMANDS[command]
+        assert run(capsys, *command.split()) == (
+            expected["exit_code"], expected["stdout"], expected["stderr"]
+        )
 
 
 class TestFusion:
