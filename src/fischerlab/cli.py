@@ -9,8 +9,9 @@ negative rational is written with '=', as in --alpha=-2/3, because argparse
 reads a separate "-2/3" as an option.  All machine output serializes
 rationals as "p/q" strings and uses canonical (sorted-key) JSON, so emitted
 JSON round-trips byte-identically.  Timings appear only in the human-readable
-text output.  Each command imports only the layers it uses, so a short query
-does not pay for loading the rest of the package.
+text output.  Each command imports only the layers it uses, on an error exit
+too, so a short query does not pay for loading the rest of the package; an
+analyze stopped by --max-order loads only the catalog and group layers.
 """
 from __future__ import annotations
 
@@ -139,58 +140,57 @@ def cmd_catalog(args):
         {"family": name, "params": info["params"], "example": info["example"]}
         for name, info in sorted(catalog.FAMILIES.items())
     ]
-    if args.json:
-        sys.stdout.write(_canonical_json(rows))
-    else:
-        for row in rows:
-            sys.stdout.write(
-                f"{row['family']:<16} {row['params']:<48} e.g. {row['example']}\n"
-            )
+    text = "".join(
+        f"{row['family']:<16} {row['params']:<48} e.g. {row['example']}\n" for row in rows
+    )
+    _emit(rows, "-" if args.json else None, text)
     return EXIT_OK
 
 
 # -- analyze -----------------------------------------------------------------
 
 
-def _unity_section(algebra, components):
-    from .matsuo import VerificationError
+def _checked(check, *args):
+    """Run an algebra check: its result, or None, and its section's verdict:
+    pass, not-run for a DegenerateAlphaError, or fail with the witness of
+    any other MatsuoError as its reason."""
+    from .matsuo import DegenerateAlphaError, MatsuoError
 
+    try:
+        result = check(*args)
+    except DegenerateAlphaError:
+        return None, _verdict("not-run", "degenerate-alpha")
+    except MatsuoError as exc:
+        return None, _verdict("fail", str(exc))
+    return result, _verdict("pass")
+
+
+def _unity_section(algebra, components):
     out = []
     for idx, comp in enumerate(components):
-        entry = {"component": idx, "exists": True, "coefficient": None}
-        try:
-            omega = algebra.unity(comp)
-        except VerificationError as exc:
-            entry.update(_verdict("fail", str(exc)))
-        else:
-            if omega is None:
-                entry.update(exists=False, **_verdict("not-run", "k*alpha+4 = 0"))
-            else:
-                entry.update(coefficient=format_rational(omega[comp[0]]), **_verdict("pass"))
+        omega, verdict = _checked(algebra.unity, comp)
+        entry = {"component": idx, "exists": True, "coefficient": None, **verdict}
+        if omega is not None:
+            entry["coefficient"] = format_rational(omega[comp[0]])
+        elif verdict["verdict"] == "pass":
+            entry.update(exists=False, **_verdict("not-run", "k*alpha+4 = 0"))
         out.append(entry)
     return out
 
 
 def _spectra_section(algebra, components):
-    from .matsuo import VerificationError
-
-    if algebra.alpha in (0, 2):
-        return {"per_component": [], **_verdict("not-run", "degenerate-alpha")}
-    try:
-        algebra.verify_spectra()
-    except VerificationError as exc:
-        return {"per_component": [], **_verdict("fail", str(exc))}
+    _, verdict = _checked(algebra.verify_spectra)
     per_component = [
         {"component": idx, "axis": comp[0], "dims": dict(
             zip(("2", "0", "alpha"), algebra.adjoint_spectrum(comp[0]).sizes)
         )}
-        for idx, comp in enumerate(components)
+        for idx, comp in enumerate(components) if verdict["verdict"] == "pass"
     ]
-    return {"per_component": per_component, **_verdict("pass")}
+    return {"per_component": per_component, **verdict}
 
 
 def cmd_analyze(args):
-    from . import catalog, fischer, groups, matsuo
+    from . import catalog, groups
 
     t_start = time.perf_counter()
     entry = catalog.from_descriptor(args.descriptor)
@@ -200,9 +200,11 @@ def cmd_analyze(args):
             raise catalog.CatalogError(f"{flag} must be >= 1")
 
     # The order cap needs only the generators, so it is checked before the
-    # graph phase.
+    # graph layer is loaded.
     group_t0 = time.perf_counter()
     group_order = groups.group_order(entry.generators, args.max_order)
+    from . import fischer
+
     sys_t0 = time.perf_counter()
     system = fischer.build_system(entry.generators, max_axes=args.max_axes)
     comps = fischer.components(system)
@@ -213,27 +215,14 @@ def cmd_analyze(args):
     center_order = group_order // system.class_action_order()
     group_seconds = time.perf_counter() - center_t0 + (sys_t0 - group_t0)
 
+    from . import matsuo
+
     alg_t0 = time.perf_counter()
     algebra = matsuo.MatsuoAlgebra(system, args.alpha, args.beta)
-    try:
-        algebra.verify_axioms()
-        axioms = _verdict("pass")
-    except matsuo.VerificationError as exc:
-        axioms = _verdict("fail", str(exc))
+    _, axioms = _checked(algebra.verify_axioms)
     radical = algebra.gram_radical()
-    try:
-        quotient = algebra.quotient(radical)
-        quotient_dim = quotient.dim
-        quotient_verdict = _verdict("pass")
-    except matsuo.MatsuoError as exc:
-        quotient_dim = None
-        quotient_verdict = _verdict("fail", str(exc))
-    try:
-        miyamoto_maps = [algebra.miyamoto(i) for i in range(algebra.n)]
-        miyamoto_verdict = _verdict("pass")
-        del miyamoto_maps
-    except matsuo.MatsuoError as exc:
-        miyamoto_verdict = _verdict("fail", str(exc))
+    quotient_dim, quotient_verdict = _checked(lambda: algebra.quotient(radical).dim)
+    _, miyamoto_verdict = _checked(lambda: [algebra.miyamoto(i) for i in range(algebra.n)])
     algebra_seconds = time.perf_counter() - alg_t0
 
     report = {
@@ -449,24 +438,26 @@ def cmd_sakuma(args):
     return EXIT_OK
 
 
+# Each reported error class by module and name, with its exit code; a
+# subclass comes before its base.
+_EXIT_CODES = (
+    ("fischerlab.fischer", "NotThreeTranspositionError", EXIT_VERDICT),
+    ("fischerlab.groups", "EnumerationCapError", EXIT_CAP),
+    ("fischerlab.groups", "GroupError", EXIT_INTERNAL),
+    ("fischerlab.catalog", "CatalogError", EXIT_USAGE),
+    ("fischerlab.virasoro", "VirasoroError", EXIT_USAGE),
+    ("builtins", "OSError", EXIT_USAGE),
+    ("fischerlab.matsuo", "MatsuoError", EXIT_VERDICT),
+)
+
+
 def _exit_code(exc):
     """The exit code for an error a command raised, or None for one that is
-    not a reported error.  The layers are imported here, while an error is
-    handled, so a command that succeeds loads only the layers it uses."""
-    from .catalog import CatalogError
-    from .fischer import NotThreeTranspositionError
-    from .groups import EnumerationCapError, GroupError
-    from .matsuo import MatsuoError
-    from .virasoro import VirasoroError
-
-    for kinds, code in (
-        (NotThreeTranspositionError, EXIT_VERDICT),
-        (EnumerationCapError, EXIT_CAP),
-        (GroupError, EXIT_INTERNAL),
-        ((CatalogError, VirasoroError, OSError), EXIT_USAGE),
-        (MatsuoError, EXIT_VERDICT),
-    ):
-        if isinstance(exc, kinds):
+    not a reported error.  A layer that was never loaded cannot have raised,
+    so only loaded layers are consulted and an error exit loads none."""
+    for module, name, code in _EXIT_CODES:
+        layer = sys.modules.get(module)
+        if layer is not None and isinstance(exc, getattr(layer, name)):
             return code
     return None
 

@@ -212,17 +212,10 @@ class FpMatrix:
 
     Acts on column vectors, so ``(a * b) v == a (b v)``: right factor first.
     Rows are stored base-p packed (column 0 is the least significant digit).
+    ``from_entries`` builds one from checked entries.
     """
 
     __slots__ = ("p", "dim", "rows")
-
-    def __init__(self, p, dim, rows):
-        rows = tuple(rows)
-        if len(rows) != dim or any(r < 0 or r >= p**dim for r in rows):
-            raise StructuralError(f"bad row data for F_{p}^{dim} matrix")
-        self.p = p
-        self.dim = dim
-        self.rows = rows
 
     @classmethod
     def _raw(cls, p, dim, rows):

@@ -2,7 +2,7 @@
 still run on the package and print their recorded goldens byte for byte,
 traced or not, the traced ops keep every span name they recorded, the
 CLI start-up path of its sweep and its analyses stay free of numpy, and each
-command loads only the layers it uses."""
+command loads only the layers it uses, on its error exits too."""
 import json
 import os
 import subprocess
@@ -124,6 +124,35 @@ def test_commands_import_only_their_layers():
     for name, text in reports.items():
         expected = (ROOT / "perfbench" / "goldens" / f"{name}.json").read_bytes()
         assert text.encode() == expected, name
+
+
+# Error exits, each with its exit code, stderr and the package modules it may
+# add to the command-line module: a fusion usage error loads the Virasoro
+# layer alone, and an analysis that stops at the order cap loads only the
+# catalog and group layers.
+ERROR_EXITS = {
+    "fusion-usage": (["fusion", "--m", "0", "--grid"], 2,
+                     "error: --m must be >= 1, got 0\n", ["fischerlab.virasoro"]),
+    "analyze-capped": (["analyze", "symmetric:n=10", "--max-order", "100000"], 3,
+                       "error: group order 3628800 exceeds the order cap 100000\n",
+                       ["fischerlab.catalog", "fischerlab.groups"]),
+}
+
+
+@pytest.mark.parametrize("name", ERROR_EXITS)
+def test_error_exits_import_only_their_layers(name):
+    argv, exit_code, message, added = ERROR_EXITS[name]
+    code = (
+        "import contextlib, io, sys\n"
+        "import fischerlab.cli\n"
+        "with contextlib.redirect_stderr(io.StringIO()) as err:\n"
+        f"    assert fischerlab.cli.main({argv!r}) == {exit_code}\n"
+        f"assert err.getvalue() == {message!r}, err.getvalue()\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('fischerlab.'))\n"
+        f"assert loaded == sorted(['fischerlab.cli', *{added!r}]), loaded\n"
+    )
+    proc = run(["-c", code])
+    assert proc.returncode == 0, proc.stderr.decode()
 
 
 # Analyses on the permutation, F2-matrix, F3-matrix and Weyl carriers with

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior, including exit codes and JSON output."""
 import json
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from fischerlab import cli, fischer, groups, matsuo
 from fischerlab.fischer import IrregularComponentError, UnexpectedSubgroupError
 from fischerlab.groups import GroupError, StructuralError
+from fischerlab.matsuo import DegenerateAlphaError, VerificationError
 
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -221,6 +223,44 @@ class TestAnalyze:
             "per_component": [], "verdict": "fail", "reason": eigen,
         }
         expected["matsuo"]["miyamoto"] = {"verdict": "fail", "reason": eigen}
+        assert json.loads(out) == expected
+
+    @pytest.mark.parametrize("check, error, alpha, section", [
+        ("verify_axioms", VerificationError("witness"), "1/2", "axioms"),
+        ("quotient", VerificationError("witness"), "1/2", "quotient"),
+        ("miyamoto", VerificationError("witness"), "1/2", "miyamoto"),
+        ("unity", VerificationError("witness"), "1/2", "unity"),
+        ("verify_spectra", VerificationError("witness"), "1/2", "spectra"),
+        ("verify_spectra", DegenerateAlphaError(Fraction(2)), "2", "spectra"),
+    ], ids=["axioms", "quotient", "miyamoto", "unity", "spectra", "spectra-degenerate"])
+    def test_failed_check_sets_its_section_alone(self, capsys, monkeypatch, check, error,
+                                                 alpha, section):
+        # A MatsuoError from one check is that section's verdict, with the
+        # witness as its reason; a DegenerateAlphaError, which verify_spectra
+        # raises at alpha = 2, leaves the section not run.
+        argv = ("analyze", "symmetric:n=4", f"--alpha={alpha}", "--json")
+        _, passing, _ = run(capsys, *argv)
+
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(matsuo.MatsuoAlgebra, check, fail)
+        code, out, err = run(capsys, *argv)
+        expected = json.loads(passing)
+        m = expected["matsuo"]
+        if isinstance(error, DegenerateAlphaError):
+            verdict = {"verdict": "not-run", "reason": "degenerate-alpha"}
+        else:
+            verdict = {"verdict": "fail", "reason": "witness"}
+        if section == "unity":
+            m["unity"] = [{**u, "coefficient": None, **verdict} for u in m["unity"]]
+        elif section == "spectra":
+            m["spectra"] = {"per_component": [], **verdict}
+        else:
+            m[section] = verdict
+        if section == "quotient":
+            m["quotient_dimension"] = None
+        assert (code, err) == (1 if verdict["verdict"] == "fail" else 0, "")
         assert json.loads(out) == expected
 
     def test_quotient_fails_with_the_axioms(self, capsys, monkeypatch, with_conj_entry):
