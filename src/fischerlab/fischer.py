@@ -16,6 +16,16 @@ goes.  Generator g has row sigma_g, and i = sigma_g[j] gives row i =
 sigma_g o row j o sigma_g, as sigma_g is its own inverse, so the rows spread
 along the closure's moves with index compositions alone: 2*n*|S| carrier
 products in all, all in the closure, instead of 2*n^2 more after it.
+
+One partition of D serves every layer: ``TranspositionSystem.orbits``, the
+orbits of the generator rows.  On a valid table these are the conjugacy
+classes of G on D and the components of the Fischer graph, since
+conjugation by t_s fixes t_x or moves it to a neighbour, and two neighbours
+are conjugate in the S3 they generate.  ``components`` returns the orbits
+once the table shows both facts, and the Matsuo layer carries its per-axis
+verdicts along the same orbits.  The check rejects a table when some row
+moves an axis out of its orbit, when a changed entry joins or splits graph
+components, or when the generator rows do not reach a whole component.
 """
 from __future__ import annotations
 
@@ -86,15 +96,31 @@ class TranspositionSystem:
         """Enumerate the generated group (may raise EnumerationCapError)."""
         return groups.generate(self.generators, max_order=max_order)
 
+    @cached_property
+    def generator_axes(self):
+        """The indices of the distinct generators, in increasing order."""
+        return sorted({self.index_of(g) for g in self.generators})
+
+    @cached_property
+    def orbits(self):
+        """The orbits of the generator rows, each sorted: each is the closure
+        of the least axis that no earlier orbit reached."""
+        rows = [self.conj[g] for g in self.generator_axes]
+        orbits, reached = [], set()
+        for r in range(self.size):
+            if r not in reached:
+                orbit = groups.closure([r], lambda v: [row[v] for row in rows])
+                orbits.append(sorted(orbit))
+                reached.update(orbit)
+        return orbits
+
     def class_action_order(self):
-        """|G acting on D| by Schreier-Sims on the rows of the generators.
+        """|G acting on D| by Schreier-Sims on the generator rows.
 
         D is the class of the generators, so G = <D> and Z(G) is the
         kernel of this action: |Z(G)| = |G| / |G acting on D|.
         """
-        return groups.permutation_group_order(
-            self.conj[self.index_of(g)] for g in self.generators
-        )
+        return groups.permutation_group_order(self.conj[g] for g in self.generator_axes)
 
 
 def build_system(generators, seed=None, max_axes=None):
@@ -113,8 +139,8 @@ def build_system(generators, seed=None, max_axes=None):
         if s not in involutions:
             raise GroupError(f"seed {s!r} is not in the class of the generators")
     n = len(involutions)
-    index = {x.key: i for i, x in enumerate(involutions)}
-    conj = [None] * n
+    system = TranspositionSystem(involutions, [None] * n, list(generators))
+    conj, index = system.conj, system._index
     for g, sigma in actions.items():
         conj[index[g]] = sigma
 
@@ -137,27 +163,22 @@ def build_system(generators, seed=None, max_axes=None):
                 raise NotThreeTranspositionError(
                     i, j, (involutions[i] * involutions[j]).order()
                 )
-    return TranspositionSystem(involutions, conj, list(generators))
+    return system
 
 
 def components(sys):
-    """Connected components of the Fischer graph, each cross-checked to be a
-    single conjugacy class of the group generated by the involutions."""
-    conj = sys.conj
-    seen = set()
-    comps = []
-    for start in range(sys.size):
-        if start in seen:
-            continue
-        comp = groups.closure([start], sys.neighbors)
-        orbit = groups.closure([start], lambda v: [row[v] for row in conj])
-        if set(orbit) != set(comp):
+    """The connected components of the Fischer graph: ``sys.orbits``, each
+    checked to be the graph component of its least axis and to be mapped
+    into itself by every row of the table."""
+    for orbit in sys.orbits:
+        members = set(orbit)
+        if set(groups.closure([orbit[0]], sys.neighbors)) != members or any(
+            row[v] not in members for row in sys.conj for v in orbit
+        ):
             raise GroupError(
-                f"component of #{start} does not match its conjugacy class"
+                f"component of #{orbit[0]} does not match its conjugacy class"
             )
-        seen.update(comp)
-        comps.append(sorted(comp))
-    return comps
+    return sys.orbits
 
 
 def valency(sys, component):
@@ -172,23 +193,6 @@ def valency(sys, component):
                 f"#{first} has {k} neighbors, #{v} has {d}"
             )
     return k
-
-
-S3_COLLAPSE = "S3"
-S4_TYPE = "S4"
-H_TYPE = "H"
-
-
-def classify_triple(sys, a, b, c):
-    """Type of the pairwise-adjacent triple (a, b, c) by the order of abac.
-
-    abac = (a b a) c is a product of two class involutions, so its order is
-    1 (S3 collapse), 2 (S4 type) or 3 (H type).
-    """
-    aba = sys.conj[a][b]
-    if aba == c:
-        return S3_COLLAPSE
-    return S4_TYPE if sys.conj[aba][c] == c else H_TYPE
 
 
 def detect_H_triple(sys):

@@ -8,12 +8,14 @@ table: they read the rows of ``conj`` and one integer Gram table
 (``integer_tables``), itself a function of ``conj``, so form symmetry and a
 Miyamoto isometry at alpha != 0 follow from the scans of ``conj``.
 Eigenvectors are sparse columns of at most three entries, and a per-axis
-Miyamoto check that passes is carried along the orbits of the generator rows
-(``_axis_checks``) and shows invariance at its axis.  The Fraction views
-``gram``, ``gram_entry``, ``form`` and ``multiply`` read the same two tables,
-so they give only values that the checks verified.  Every check and the one
-elimination routine, ``bareiss``, run in Python ints, which cannot wrap, so
-every verification in this module is exact.  The radical, the quotient and
+Miyamoto check that passes is carried along ``system.orbits``
+(``_axis_checks``), the one partition of the axes, which
+``fischer.components`` cross-checks against the Fischer graph, and shows
+invariance at its axis.  The Fraction views ``gram``, ``gram_entry``,
+``form`` and ``multiply`` read the same two tables, so they give only values
+that the checks verified.  Every check and the one elimination routine,
+``bareiss``, run in Python ints, which cannot wrap, so every verification in
+this module is exact.  The radical, the quotient and
 positive definiteness all read the one elimination of the Gram table; the
 quotient rests on the axioms, since the radical of an invariant symmetric
 form is an ideal, and on an exact check that the Gram table annihilates the
@@ -192,12 +194,6 @@ class AxisCheck(namedtuple("AxisCheck", "axis basis spectrum miyamoto")):
 class MiyamotoMap(namedtuple("MiyamotoMap", "axis mapping")):
     __slots__ = ()
 
-    def apply(self, vector):
-        out = [Fraction(0)] * len(self.mapping)
-        for j, c in enumerate(vector):
-            out[self.mapping[j]] += c
-        return out
-
     def is_involution(self):
         return all(self.mapping[self.mapping[j]] == j for j in range(len(self.mapping)))
 
@@ -273,14 +269,15 @@ class MatsuoAlgebra:
         """The unity-defining vector of a connected component, or None when
         k*alpha + 4 = 0.  The returned vector omega satisfies
         omega x^i = 2 x^i and (omega | x^i) = beta/2 on the component, and
-        omega/2 is an idempotent."""
+        omega/2 is an idempotent.  Without a component, the Fischer graph
+        must be connected: the identities are checked on a graph component
+        and need no conjugacy-class check of the table."""
         from . import fischer
 
         if component is None:
-            comps = fischer.components(self.system)
-            if len(comps) != 1:
+            if len(groups.closure([0], self.system.neighbors)) != self.n:
                 raise MatsuoError("system is disconnected; pass a component")
-            component = comps[0]
+            component = range(self.n)
         k = fischer.valency(self.system, component)
         if k * self.alpha + 4 == 0:
             return None
@@ -425,8 +422,8 @@ class MatsuoAlgebra:
     @cached_property
     def _axis_checks(self):
         """One ``AxisCheck`` per axis, made by ``_check_axis`` at the axis
-        itself or carried from the least axis of its orbit under the
-        generator rows.
+        itself or carried from the least axis of its orbit in
+        ``system.orbits``, the orbits of the generator rows.
 
         Every generator axis is checked directly.  When all of them pass at
         alpha != 0, each generator row P is an involution with
@@ -453,25 +450,18 @@ class MatsuoAlgebra:
         automorphism is scanned), are checked directly, so every verdict and
         witness is the one ``_check_axis`` gives at that axis.
         """
-        conj = self.system.conj
+        system = self.system
         checks = [None] * self.n
-        gens = sorted({self.system.index_of(g) for g in self.system.generators})
-        for g in gens:
+        for g in system.generator_axes:
             checks[g] = self._check_axis(g)
-        transport = self.alpha and all(checks[g].miyamoto is None for g in gens)
-        rows = [conj[g] for g in gens]
-        reached = set()
-        for r in range(self.n):
-            if checks[r] is None:
-                checks[r] = self._check_axis(r)
-            if transport and r not in reached:
-                orbit = groups.closure([r], lambda v: [row[v] for row in rows])
-                reached.update(orbit)
+        if self.alpha and all(checks[g].miyamoto is None for g in system.generator_axes):
+            for orbit in system.orbits:
+                r = orbit[0]
+                checks[r] = checks[r] or self._check_axis(r)
                 if checks[r].miyamoto is None:
                     for j in orbit:
-                        if checks[j] is None:
-                            checks[j] = checks[r]
-        return checks
+                        checks[j] = checks[j] or checks[r]
+        return [check or self._check_axis(i) for i, check in enumerate(checks)]
 
     def _check_axis(self, i):
         """The ``AxisCheck`` of axis i, checked directly.  Row i is checked to
@@ -736,40 +726,13 @@ class MatsuoQuotient:
                 f"radical row {hit[0]} is not in the Gram kernel at axis {hit[1]}"
             )
         self.algebra = algebra
-        self.radical = [list(v) for v in elim.kernel]
         self.rep_indices = list(elim.pivots)
         self.dim = elim.rank
-        pivot_set = set(elim.pivots)
-        self._radical_pivots = [c for c in range(algebra.n) if c not in pivot_set]
 
     @cached_property
     def gram(self):
         at = _gather(self.rep_indices)
         return [list(at(row)) for row in at(self.algebra.gram)]
-
-    def reduce(self, vector):
-        """Canonical coset representative with zero radical-pivot
-        coordinates."""
-        v = [Fraction(x) for x in vector]
-        for f, row in zip(self._radical_pivots, self.radical):
-            c = v[f]
-            if c:
-                scale = c / row[f]
-                for col, x in enumerate(row):
-                    if x:
-                        v[col] -= scale * x
-        return v
-
-    def coords(self, vector):
-        v = self.reduce(vector)
-        return [v[c] for c in self.rep_indices]
-
-    def product_coords(self, p, q):
-        """Induced product of quotient basis elements p, q (positions into
-        rep_indices)."""
-        a = self.algebra
-        w = a.multiply(a.axis(self.rep_indices[p]), a.axis(self.rep_indices[q]))
-        return self.coords(w)
 
 
 def export_gram_csv(algebra):

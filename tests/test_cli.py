@@ -1,6 +1,7 @@
 """End-to-end command-line behavior, including exit codes and JSON output."""
 import json
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -493,3 +494,23 @@ class TestUsage:
     def test_bad_rational(self, capsys):
         code, _, _ = run(capsys, "analyze", "symmetric:n=3", "--alpha", "x/y")
         assert code == 2
+
+    @pytest.mark.parametrize("argv, code", [
+        ("catalog list --json", 0),
+        ("analyze unitary:n=4", 2),
+        ("analyze symmetric:n=10 --max-order 100000", 3),
+        ("no-such-command", 2),
+    ])
+    def test_console_entry_point_exits_with_main_code(
+        self, capsys, monkeypatch, argv, code
+    ):
+        # The installed ``fischerlab`` script calls cli.run, which hands
+        # main's return code to SystemExit.
+        pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+        assert 'fischerlab = "fischerlab.cli:run"' in pyproject
+        expected = run(capsys, *argv.split())
+        monkeypatch.setattr(sys, "argv", ["fischerlab", *argv.split()])
+        with pytest.raises(SystemExit) as info:
+            cli.run()
+        assert info.value.code == code
+        assert (info.value.code, *capsys.readouterr()) == expected

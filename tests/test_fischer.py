@@ -1,18 +1,16 @@
-"""Fischer graphs: adjacency, components, triple classification, H detection."""
+"""Fischer graphs: adjacency, the orbit partition and its components, triple
+classification, H detection."""
 import itertools
 
 import pytest
 
 from fischerlab import catalog, groups
 from fischerlab.fischer import (
-    H_TYPE,
-    S3_COLLAPSE,
-    S4_TYPE,
     IrregularComponentError,
     NotThreeTranspositionError,
+    TranspositionSystem,
     UnexpectedSubgroupError,
     build_system,
-    classify_triple,
     components,
     detect_H_triple,
     extract_H,
@@ -34,6 +32,18 @@ def oracle_conj(involutions):
         tuple(index[mul(mul(x.key, y.key), x.key)] for y in involutions)
         for x in involutions
     ]
+
+
+def orbits_under_all_rows(sys):
+    """The orbits of the class under all n rows of the table, each sorted,
+    in the order of their least axes."""
+    orbits, reached = [], set()
+    for r in range(sys.size):
+        if r not in reached:
+            orbit = groups.closure([r], lambda v: [row[v] for row in sys.conj])
+            orbits.append(sorted(orbit))
+            reached.update(orbit)
+    return orbits
 
 
 def count_carrier_products(monkeypatch, carrier):
@@ -242,6 +252,50 @@ class TestComponentsAndValency:
         ):
             components(sys)
 
+    @pytest.mark.parametrize("i, j, value", [
+        # Generator row 3 now moves #1 to #2: the generator orbits stay
+        # {0, 3, 4} and {1, 2, 5}, but #3 becomes a neighbour of #1.
+        (3, 1, 2),
+        # Generator row 2 now moves #0 to #1, which joins the two generator
+        # orbits into one; the graph still splits it.
+        (2, 0, 1),
+    ])
+    def test_cross_check_rejects_a_corrupted_generator_row(
+        self, system_factory, with_conj_entry, i, j, value
+    ):
+        system = system_factory("orthogonal-f2:dim=4,eps=+")
+        assert system.generator_axes == [2, 3, 4, 5]
+        corrupted = with_conj_entry(system, i, j, value)
+        with pytest.raises(
+            groups.GroupError,
+            match=r"^component of #0 does not match its conjugacy class$",
+        ):
+            components(corrupted)
+
+    def test_generators_that_do_not_reach_a_component_are_rejected(
+        self, system_factory
+    ):
+        # The valid O4+(2) table with #5 as its only generator: row 5 swaps
+        # #1 and #2 and fixes the rest, so the generator orbits split the
+        # graph component {0, 3, 4}.
+        system = system_factory("orthogonal-f2:dim=4,eps=+")
+        alone = TranspositionSystem(
+            system.involutions, system.conj, [system.involutions[5]]
+        )
+        assert alone.orbits == [[0], [1, 2], [3], [4], [5]]
+        with pytest.raises(
+            groups.GroupError,
+            match=r"^component of #0 does not match its conjugacy class$",
+        ):
+            components(alone)
+
+    @pytest.mark.parametrize("descriptor", CATALOG)
+    def test_one_partition(self, system_factory, descriptor):
+        # The generator orbits, the checked components and the orbits under
+        # all n rows of the table are one partition.
+        system = system_factory(descriptor)
+        assert system.orbits == components(system) == orbits_under_all_rows(system)
+
     def test_irregular_valency_names_two_vertices(self):
         # S5: every transposition has 6 neighbors.  Making #3 move #9 (which
         # commutes with it) gives #3 a seventh neighbor.
@@ -275,6 +329,42 @@ class TestComponentsAndValency:
         assert [len(c) for c in components(sys)] == [3, 3]
 
 
+S3_COLLAPSE = "S3"
+S4_TYPE = "S4"
+H_TYPE = "H"
+
+
+def classify_triple(sys, a, b, c):
+    """Type of the pairwise-adjacent triple (a, b, c) by the order of abac.
+
+    abac = (a b a) c is a product of two class involutions, so its order is
+    1 (S3 collapse), 2 (S4 type) or 3 (H type).
+    """
+    aba = sys.conj[a][b]
+    if aba == c:
+        return S3_COLLAPSE
+    return S4_TYPE if sys.conj[aba][c] == c else H_TYPE
+
+
+def first_H_triple_by_classification(sys):
+    """The lexicographically first pairwise-adjacent triple that
+    ``classify_triple`` calls H type, or None, by a search over all
+    triples of neighbours."""
+    for a in range(sys.size):
+        for b, c in itertools.product(sys.neighbors(a), repeat=2):
+            if sys.adjacent(b, c) and classify_triple(sys, a, b, c) == H_TYPE:
+                return (a, b, c)
+    return None
+
+
+# Criterion 5's symplectic roster.
+SYMPLECTIC = (
+    [f"symmetric:n={n}" for n in range(3, 9)]
+    + [f"symplectic-f2:n={n}" for n in range(1, 4)]
+    + [f"orthogonal-f2:dim={d},eps={e}" for d in (4, 6) for e in "+-"]
+)
+
+
 class TestTripleClassification:
     def test_s3_collapse(self, system_factory):
         sys = system_factory("symmetric:n=4")
@@ -298,6 +388,22 @@ class TestTripleClassification:
 
     def test_symmetric_has_no_h_triple(self, system_factory):
         assert detect_H_triple(system_factory("symmetric:n=6")) is None
+
+    @pytest.mark.parametrize("descriptor", [
+        d for d in CATALOG
+        if d not in ("orthogonal-f2:dim=8,eps=+", "orthogonal-f2:dim=8,eps=-",
+                     "weyl:type=E,rank=8")
+    ])
+    def test_witness_matches_classification_search(self, system_factory, descriptor):
+        sys = system_factory(descriptor)
+        assert sys.size <= 66
+        assert detect_H_triple(sys) == first_H_triple_by_classification(sys)
+
+    @pytest.mark.parametrize("descriptor", SYMPLECTIC)
+    def test_symplectic_roster_has_no_classified_h_triple(
+        self, system_factory, descriptor
+    ):
+        assert first_H_triple_by_classification(system_factory(descriptor)) is None
 
 
 def detect_H_triple_by_sets(sys):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from fischerlab import matsuo
+from fischerlab import groups, matsuo
 from fischerlab.fischer import build_system
 from fischerlab.groups import Permutation, generate
 from fischerlab.matsuo import (
@@ -19,6 +19,27 @@ from fischerlab.matsuo import (
 )
 
 HALF = Fraction(1, 2)
+
+
+def quotient_coords(algebra, vector):
+    """Coordinates on ``quotient().rep_indices`` of the coset of ``vector``:
+    each row of ``gram_radical()``, the only one nonzero at its free column,
+    clears that column."""
+    rep_indices = algebra.quotient().rep_indices
+    free = [c for c in range(algebra.n) if c not in rep_indices]
+    v = [Fraction(x) for x in vector]
+    for f, row in zip(free, algebra.gram_radical()):
+        scale = v[f] / row[f]
+        v = [x - scale * r for x, r in zip(v, row)]
+    return [v[c] for c in rep_indices]
+
+
+def apply_permutation(mapping, vector):
+    """The vector whose coordinate mapping[j] is coordinate j of ``vector``."""
+    out = [Fraction(0)] * len(mapping)
+    for j, c in enumerate(vector):
+        out[mapping[j]] += c
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -171,14 +192,18 @@ class TestRadicalAndQuotient:
             A.quotient(rows)
 
     def test_quotient_products_consistent(self, s3):
+        # The radical rows are the zero coset, and the product of two cosets
+        # does not depend on the representative of the left one.
         A = MatsuoAlgebra(s3, Fraction(-2), HALF)
         q = A.quotient()
-        for p in range(q.dim):
-            for r in range(q.dim):
-                direct = q.coords(
-                    A.multiply(A.axis(q.rep_indices[p]), A.axis(q.rep_indices[r]))
-                )
-                assert q.product_coords(p, r) == direct
+        radical = A.gram_radical()
+        assert q.dim == 2 and radical == [[1, 1, 1]]
+        assert [quotient_coords(A, row) for row in radical] == [[0, 0]]
+        for p in q.rep_indices:
+            for r in q.rep_indices:
+                product = quotient_coords(A, A.multiply(A.axis(p), A.axis(r)))
+                shifted = [x + y for x, y in zip(A.axis(p), radical[0])]
+                assert quotient_coords(A, A.multiply(shifted, A.axis(r))) == product
 
     def test_radical_basis_in_kernel(self, s3):
         A = MatsuoAlgebra(s3, Fraction(-2), HALF)
@@ -233,13 +258,34 @@ class TestMiyamoto:
         spec = B.adjoint_spectrum(0)
         pi = B.miyamoto(0)
         for v in spec.basis_alpha:
-            assert pi.apply(v) == [-c for c in v]
+            assert apply_permutation(pi.mapping, v) == [-c for c in v]
 
     def test_all_axes_verify(self, system_factory):
         sys = system_factory("symmetric:n=5")
         A = MatsuoAlgebra(sys, HALF, Fraction(1, 16))
         for i in range(A.n):
             assert A.miyamoto(i).is_involution()
+
+    def test_axis_checks_read_the_system_orbits(self, system_factory, monkeypatch):
+        # The verdicts are carried along system.orbits, so once the system
+        # holds its orbits the per-axis checks close nothing themselves.
+        sys = system_factory("symmetric:n=5")
+        assert sys.orbits == [list(range(10))]
+        calls = []
+        closure = groups.closure
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return closure(*args, **kwargs)
+
+        monkeypatch.setattr(groups, "closure", counted)
+        checks = MatsuoAlgebra(sys, HALF, HALF)._axis_checks
+        assert calls == []
+        # Only the generator axes are checked directly; axis 0, the least
+        # axis of the one orbit, is one of them.
+        assert sys.generator_axes == [0, 1, 3, 6]
+        assert sorted({check.axis for check in checks}) == [0, 1, 3, 6]
+
 
 class TestWitnesses:
     """Each failure message of the table checks names its witness; every
