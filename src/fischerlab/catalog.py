@@ -49,20 +49,17 @@ class _BadParameter(ValueError):
 
 
 class CatalogEntry:
-    """Generators of one family member, all in its transposition class; the
-    descriptor defaults to ``family:key=value,...``."""
+    """Generators of one family member, all in its transposition class, and
+    the descriptor ``family:key=value,...``."""
 
-    def __init__(self, family, params, generators, descriptor=""):
-        if not descriptor:
-            items = ",".join(f"{k}={v}" for k, v in params.items())
-            descriptor = f"{family}:{items}" if items else family
-        self.family = family
+    def __init__(self, family, params, generators):
+        items = ",".join(f"{k}={v}" for k, v in params.items())
         self.params = params
         self.generators = generators
         # Only perfbench/op.py reads the seed, as build_system's second
         # argument; the generators are always in their own class.
         self.seed = generators
-        self.descriptor = descriptor
+        self.descriptor = f"{family}:{items}" if items else family
 
 
 def symmetric(n):
@@ -211,30 +208,22 @@ def orthogonal_F3(dim, form=None, sign=1):
 
 
 def _simple_roots(kind, rank):
-    if kind == "A":
-        dim = rank + 1
+    def chain(count, dim, scale=1):
+        # scale * (e_i - e_{i+1}) for i < count, in dimension dim
         return [
-            tuple(1 if k == i else -1 if k == i + 1 else 0 for k in range(dim))
-            for i in range(rank)
+            tuple(scale if k == i else -scale if k == i + 1 else 0 for k in range(dim))
+            for i in range(count)
         ]
+
+    if kind == "A":
+        return chain(rank, rank + 1)
     if kind == "D":
-        dim = rank
-        simple = [
-            tuple(1 if k == i else -1 if k == i + 1 else 0 for k in range(dim))
-            for i in range(rank - 1)
+        return chain(rank - 1, rank) + [
+            tuple(1 if k in (rank - 2, rank - 1) else 0 for k in range(rank))
         ]
-        simple.append(
-            tuple(1 if k in (rank - 2, rank - 1) else 0 for k in range(dim))
-        )
-        return simple
-    # E6/E7/E8 inside the rank-8 lattice, doubled to clear half-integers.
-    a1 = (1, -1, -1, -1, -1, -1, -1, 1)
-    a2 = (2, 2, 0, 0, 0, 0, 0, 0)
-    chain = [
-        tuple(2 if k == i + 1 else -2 if k == i else 0 for k in range(8))
-        for i in range(rank - 2)
-    ]
-    return [a1, a2] + chain
+    # E6/E7/E8 inside the rank-8 lattice, doubled to clear half-integers.  The
+    # chain is the negative of the usual one, which gives the same reflections.
+    return [(1, -1, -1, -1, -1, -1, -1, 1), (2, 2, 0, 0, 0, 0, 0, 0)] + chain(rank - 2, 8, 2)
 
 
 def _dot(u, v):

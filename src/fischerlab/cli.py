@@ -212,7 +212,12 @@ def cmd_analyze(args):
     h_order = fischer.extract_H(system, witness).order if witness else None
     center_t0 = time.perf_counter()
     graph_seconds = center_t0 - sys_t0
-    center_order = group_order // system.class_action_order()
+    action_order = system.class_action_order()
+    if group_order % action_order:
+        raise groups.GroupError(
+            f"|G acting on D| = {action_order} does not divide |G| = {group_order}"
+        )
+    center_order = group_order // action_order
     group_seconds = time.perf_counter() - center_t0 + (sys_t0 - group_t0)
 
     from . import matsuo
@@ -399,15 +404,9 @@ def cmd_fusion(args):
 
 
 def _record_jsonable(rec, ambiguous=False):
-    out = {
-        "type": rec.type_tag,
-        "max_tau_order": rec.max_tau_order,
-        "inner_product": format_rational(rec.inner_product),
-        "inner_product_times_1024": rec.inner_product_times_1024,
-        "griess_dim": rec.griess_dim,
-        "ising_count": rec.ising_count,
-        "miyamoto_kind": rec.miyamoto_kind,
-    }
+    out = rec._asdict()
+    out["type"] = out.pop("type_tag")
+    out["inner_product"] = format_rational(rec.inner_product)
     if ambiguous:
         out["ambiguous"] = True
     return out

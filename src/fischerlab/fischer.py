@@ -4,8 +4,9 @@ systems from the rest.
 
 A system is stored as one conjugation table: ``conj[i][j]`` is the index of
 t_i t_j t_i.  Adjacency, the common conjugate i o j of an adjacent pair, the
-product orders, the conjugacy orbits and the Miyamoto maps of the Matsuo
-layer are all read from it.
+product orders, the conjugacy orbits, the Miyamoto maps of the Matsuo layer
+and the 3-transposition law, one cached scan (``law_defect``) that
+``build_system`` and the Matsuo commutativity check share, are read from it.
 
 A system is the class D of its generators S, their closure under
 conjugation by S.  Each generator lies in D and each member of D is a
@@ -104,15 +105,29 @@ class TranspositionSystem:
     @cached_property
     def orbits(self):
         """The orbits of the generator rows, each sorted: each is the closure
-        of the least axis that no earlier orbit reached."""
+        of the least axis not yet reached over the axes not yet reached, so
+        they partition the axes also where a row is not a permutation."""
         rows = [self.conj[g] for g in self.generator_axes]
         orbits, reached = [], set()
         for r in range(self.size):
             if r not in reached:
-                orbit = groups.closure([r], lambda v: [row[v] for row in rows])
+                orbit = groups.closure([r], lambda v: {row[v] for row in rows} - reached)
                 orbits.append(sorted(orbit))
                 reached.update(orbit)
         return orbits
+
+    @cached_property
+    def law_defect(self):
+        """The first pair i < j, in row-major order, of axes that neither
+        commute (conj[i][j] = j and conj[j][i] = i) nor are adjacent
+        (conj[i][j] = conj[j][i], neither i nor j), or None."""
+        conj = self.conj
+        for i, row in enumerate(conj):
+            for j in range(i + 1, len(conj)):
+                c, d = row[j], conj[j][i]
+                if (c != d or c == i) if c != j else d != i:
+                    return i, j
+        return None
 
     def class_action_order(self):
         """|G acting on D| by Schreier-Sims on the generator rows.
@@ -131,8 +146,10 @@ def build_system(generators, seed=None, max_axes=None):
     no cap).
 
     Every class member is a conjugate of a generator, so the rows spread
-    from the generators' actions to the whole class, as the module
-    docstring describes.
+    from the generators' actions to the whole class, as the module docstring
+    describes.  On a table of group elements conj[i][i] = i, commuting is
+    symmetric and conj[i][j] = i would force t_j = t_i, so the pair of
+    ``law_defect`` is the first with t_i t_j of order above 3.
     """
     involutions, actions = groups.conjugacy_closure(generators, cap=max_axes)
     for s in seed or ():
@@ -156,13 +173,9 @@ def build_system(generators, seed=None, max_axes=None):
         return filled
 
     groups.closure({index[g] for g in actions}, derive)
-    for i in range(n):
-        row = conj[i]
-        for j in range(i + 1, n):
-            if row[j] != j and row[j] != conj[j][i]:
-                raise NotThreeTranspositionError(
-                    i, j, (involutions[i] * involutions[j]).order()
-                )
+    if system.law_defect:
+        i, j = system.law_defect
+        raise NotThreeTranspositionError(i, j, (involutions[i] * involutions[j]).order())
     return system
 
 

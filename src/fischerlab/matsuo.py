@@ -4,9 +4,9 @@ quotient, adjoint eigenstructure, and Miyamoto involutions.
 
 Scalars are Fractions at the interface.  Every product has at most three
 terms read off the conjugation table ``conj``, so the checks store no product
-table: they read the rows of ``conj`` and one integer Gram table
-(``integer_tables``), itself a function of ``conj``, so form symmetry and a
-Miyamoto isometry at alpha != 0 follow from the scans of ``conj``.
+table: they read ``system.conj``, its 3-transposition law (``law_defect``)
+and one integer Gram table (``_gram``), itself a function of ``conj``, so
+form symmetry and a Miyamoto isometry at alpha != 0 follow from ``conj``.
 Eigenvectors are sparse columns of at most three entries, and a per-axis
 Miyamoto check that passes is carried along ``system.orbits``
 (``_axis_checks``), the one partition of the axes, which
@@ -207,8 +207,8 @@ class MatsuoAlgebra:
     Basis products: x^i x^i = 2 x^i; for adjacent i, j the product is
     (alpha/2)(x^i + x^j - x^{i o j}); orthogonal otherwise.  The form takes
     beta/2 on the diagonal, alpha*beta/8 on edges, 0 otherwise.  The checks
-    read ``system.conj`` and one integer Gram table (``integer_tables``), and
-    so do ``gram``, ``gram_entry``, ``form`` and ``multiply``: the form is the
+    read ``system.conj`` and one integer Gram table (``_gram``), and so do
+    ``gram``, ``gram_entry``, ``form`` and ``multiply``: the form is the
     integer table over 8*den(alpha)*den(beta), and the product is ``_ad``
     over 2*den(alpha).
     """
@@ -234,7 +234,7 @@ class MatsuoAlgebra:
     def gram(self):
         """The integer Gram table over its scale 8*den(alpha)*den(beta)."""
         scale = 8 * self.alpha.denominator * self.beta.denominator
-        return [[Fraction(x, scale) for x in row] for row in self._tables[1]]
+        return [[Fraction(x, scale) for x in row] for row in self._gram]
 
     def multiply(self, u, v):
         """u v as the sum over i of u_i ad(x^i) v, read off ``_ad``: x^i on
@@ -283,7 +283,7 @@ class MatsuoAlgebra:
             return None
         coeff = Fraction(4) / (k * self.alpha + 4)
         # With coeff = p/q, omega = coeff * 1_C, and the tables scaled as in
-        # integer_tables, the identities read (j in C):
+        # _gram and _ad, the identities read (j in C):
         #   omega x^j = 2 x^j       p * S[j, t]   = q * 4 den(alpha) [t = j]
         #   (omega | x^j) = beta/2  p * sum_i G[i, j] = q * 4 den(alpha) num(beta)
         # where S[j] = ad(x^j) 1_C.  Summing the first over j in C gives
@@ -291,7 +291,7 @@ class MatsuoAlgebra:
         # omega^2 = 2 omega, so omega/2 is an idempotent once it holds.
         p, q = coeff.numerator, coeff.denominator
         unit = q * 4 * self.alpha.denominator
-        _, gram = self.integer_tables()
+        gram = self._gram
         comp = list(component)
         member = dict.fromkeys(comp, 1)
         for j in comp:
@@ -436,7 +436,7 @@ class MatsuoAlgebra:
         automorphism of the table when row r is, being a product of
         automorphisms.  The map phi: x^t -> x^P(t) takes ad(x^r) to
         ad(x^P(r)), as ``_ad`` reads only row r and alpha, and it preserves
-        the Gram table, which ``integer_tables`` reads off whether
+        the Gram table, which ``_gram`` reads off whether
         conj[j][k] = k.  The fixed points and 2-cycles of row P(r) are the
         images under P of those of row r, so its eigenbasis is phi of the one
         at r up to the order of the columns and the sign of the alpha
@@ -482,7 +482,7 @@ class MatsuoAlgebra:
     def _miyamoto_witness(self, i, spectrum):
         """The witness text of the first failed Miyamoto check of axis i, or
         None; ``spectrum`` is the eigen-equation witness of axis i."""
-        conj, gram = self.integer_tables()
+        conj = self.system.conj
         perm = conj[i]
         n = self.n
         j = next((j for j in range(n) if perm[perm[j]] != j), None)
@@ -495,7 +495,7 @@ class MatsuoAlgebra:
             return spectrum
         # The involution perm is an automorphism when conj[perm[j]][perm[k]]
         # == perm[conj[j][k]].  That keeps whether conj[j][k] = k, and so, by
-        # ``integer_tables``, gram[j][k]: perm is an isometry.  At alpha = 0,
+        # ``_gram``, gram[j][k]: perm is an isometry.  At alpha = 0,
         # where every map is an automorphism, the Gram table is diagonal, so
         # perm is an isometry when it keeps the diagonal.  Rows j and perm[j]
         # state the same condition, so the first failing row has j <= perm[j].
@@ -511,6 +511,7 @@ class MatsuoAlgebra:
                         f"pair ({j},{k})"
                     )
         else:
+            gram = self._gram
             j = next((j for j in rows if gram[j][j] != gram[perm[j]][perm[j]]), None)
             if j is not None:
                 return f"miyamoto map of axis {i} is not an isometry at pair ({j},{j})"
@@ -570,26 +571,19 @@ class MatsuoAlgebra:
             return "2A"
         raise NotSigmaConfigurationError(f"form value {value} is not a sigma configuration")
 
-    # -- integer tables for exhaustive checks -------------------------------
-
-    def integer_tables(self):
-        """The rows of ``system.conj`` and the Gram matrix scaled by
-        8*den(alpha)*den(beta) as a list of lists of Python ints, built once
-        per algebra; every check reads these two."""
-        return self._tables
+    # -- the integer Gram table for exhaustive checks ------------------------
 
     @cached_property
-    def _tables(self):
-        conj = self.system.conj
+    def _gram(self):
+        """The Gram matrix scaled by 8*den(alpha)*den(beta), as lists of
+        Python ints read off ``system.conj``: the edge value where
+        conj[i][j] != j, the diagonal value where conj[i][i] = i."""
         diag = 4 * self.alpha.denominator * self.beta.numerator
         edge = self.alpha.numerator * self.beta.numerator
-        gram = []
-        for i, row in enumerate(conj):
-            g = [edge if c != j else 0 for j, c in enumerate(row)]
-            if row[i] == i:
-                g[i] = diag
-            gram.append(g)
-        return conj, gram
+        return [
+            [diag if j == i == c else edge if c != j else 0 for j, c in enumerate(row)]
+            for i, row in enumerate(self.system.conj)
+        ]
 
     def _ad(self, j, vector):
         """ad(x^j) scaled by 2*den(alpha), read off row j of ``conj``, times a
@@ -613,13 +607,12 @@ class MatsuoAlgebra:
     def _gram_times(self, rows):
         """G R^T for the integer Gram table G and integer rows R, as n tuples
         of len(rows) entries.  Row i of G is read on its support
-        {j : conj[i][j] != j} u {i}, where ``integer_tables`` puts its only
+        {j : conj[i][j] != j} u {i}, where ``_gram`` puts its only
         nonzero entries, with the support split by Gram value, so each entry
         is a sum of value * (sum of gathered row entries): exact, in
         O(n k r) for valency k and r rows."""
-        conj, gram = self._tables
         out = []
-        for i, (perm, g) in enumerate(zip(conj, gram)):
+        for i, (perm, g) in enumerate(zip(self.system.conj, self._gram)):
             by_value = defaultdict(list)
             for j, c in enumerate(perm):
                 if c != j or j == i:
@@ -632,7 +625,7 @@ class MatsuoAlgebra:
     def gram_elimination(self):
         """The one ``bareiss`` elimination of the Gram table; the radical, the
         quotient and positive definiteness all read it."""
-        return bareiss(self._tables[1])
+        return bareiss(self._gram)
 
     def verify_axioms(self):
         """Exhaustive exact check of commutativity (hence form symmetry) and
@@ -647,9 +640,10 @@ class MatsuoAlgebra:
     def _axioms_witness(self):
         """The witness text of the first failed axiom, or None; ``quotient``
         reads it too.  At alpha = 0 all hold: x^i x^j = 2 delta_ij x^i, and
-        the form is diagonal.  Off the diagonal, gram[i][j] is the edge value
-        exactly when conj[i][j] != j, so the commutativity scan, which checks
-        conj[i][j] != j <=> conj[j][i] != i, also proves form symmetry.
+        the form is diagonal.  Otherwise x^i x^j = x^j x^i exactly when i, j
+        commute or are adjacent: the law, ``system.law_defect``.  Off the
+        diagonal gram[i][j] is the edge value exactly when conj[i][j] != j,
+        which the law makes symmetric, so it also proves form symmetry.
 
         Triple (i, j, k) is invariant when S = G ad(x^i), S[j][k] =
         (x^j | x^i x^k), has S[j][k] == S[k][j]; ``_asymmetry`` builds and
@@ -657,24 +651,19 @@ class MatsuoAlgebra:
         fails.  A pass is enough.  With P = conj[i] and N = {k : P(k) != k},
         column k of S is a*(G[:, i] + G[:, k] - G[:, P(k)]) for k in N,
         column i gains unit*G[:, i], and the other columns are 0.  With i not
-        in N, ``integer_tables`` makes G[i] the edge value on N and 0 off
-        N u {i}, so, G being symmetric, S is symmetric when G[k][P(j)] =
-        G[P(k)][j] for all k in N and all j: at j = i, as a*G[i][i] =
-        unit*G[i][k] on N, this also makes row i and column i of S agree.  A
-        pass makes P an involutive automorphism of ``conj``, so P keeps
-        whether conj[j][k] = k and is an isometry of G; and P(i) = i, or
-        m = P(i) has conj[i][m] = i and conj[m][i] = m, which the
-        commutativity scan, run first, rejects.  So G[P(k)][j] =
-        G[P(P(k))][P(j)] = G[k][P(j)]."""
+        in N, ``_gram`` makes G[i] the edge value on N and 0 off N u {i}, so,
+        G being symmetric, S is symmetric when G[k][P(j)] = G[P(k)][j] for
+        all k in N and all j: at j = i, as a*G[i][i] = unit*G[i][k] on N,
+        this also makes row i and column i of S agree.  A pass makes P an
+        involutive automorphism of ``conj``, so P keeps whether conj[j][k] = k
+        and is an isometry of G; and P(i) = i, or m = P(i) has conj[i][m] = i
+        and conj[m][i] = m, which the law, checked first, rejects.  So
+        G[P(k)][j] = G[P(P(k))][P(j)] = G[k][P(j)]."""
         if not self.alpha:
             return None
-        conj = self._tables[0]
-        # x^i x^j = x^j x^i when i, j are adjacent both ways with one common
-        # conjugate, or neither way.
-        for i, (row, column) in enumerate(zip(conj, zip(*conj))):
-            for j, (c, d) in enumerate(zip(row, column)):
-                if (c != j) != (d != i) or (c != j and c != d):
-                    return f"product is not commutative at pair ({i},{j})"
+        defect = self.system.law_defect
+        if defect is not None:
+            return f"product is not commutative at pair ({defect[0]},{defect[1]})"
         for i, check in enumerate(self._axis_checks):
             if check.miyamoto is not None:
                 hit = self._asymmetry(i)
@@ -685,10 +674,10 @@ class MatsuoAlgebra:
     def _asymmetry(self, i):
         """The first (j, k) with S[j][k] != S[k][j] for S = G ad(x^i), built
         in full, or None."""
-        perm = self._tables[0][i]
+        perm = self.system.conj[i]
         a, unit = self.alpha.numerator, 4 * self.alpha.denominator
         s = []
-        for g in self._tables[1]:
+        for g in self._gram:
             row = [a * (g[i] + g[k] - g[c]) if c != k else 0 for k, c in enumerate(perm)]
             row[i] += unit * g[i]
             s.append(row)

@@ -1,4 +1,5 @@
 """End-to-end command-line behavior, including exit codes and JSON output."""
+import ast
 import json
 import re
 import sys
@@ -316,6 +317,14 @@ class TestAnalyze:
         assert out == ""
         assert err == f"error: {message}\n"
 
+    def test_class_action_order_must_divide_the_group_order(self, capsys, monkeypatch):
+        # |Z(G)| = |G| / |G acting on D| is taken only when the division is
+        # exact: S4 has |G| = 24, and an action order of 5 is rejected.
+        monkeypatch.setattr(fischer.TranspositionSystem, "class_action_order", lambda self: 5)
+        code, out, err = run(capsys, "analyze", "symmetric:n=4", "--json")
+        assert (code, out) == (4, "")
+        assert err == "error: |G acting on D| = 5 does not divide |G| = 24\n"
+
 
 class TestGoldenReports:
     """Frozen ``analyze --json`` reports of the largest catalog classes (E6 to
@@ -514,3 +523,25 @@ class TestUsage:
             cli.run()
         assert info.value.code == code
         assert (info.value.code, *capsys.readouterr()) == expected
+
+    def test_source_imports_only_the_standard_library(self):
+        # The README promises no runtime dependency beyond the standard
+        # library: every absolute import of the package names a standard
+        # module or the package itself.
+        src = Path(__file__).parents[1] / "src" / "fischerlab"
+        allowed = sys.stdlib_module_names | {"fischerlab"}
+        outside = set()
+        for path in sorted(src.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    names = [node.module]
+                else:
+                    continue
+                outside.update(
+                    (path.name, name) for name in names
+                    if name.partition(".")[0] not in allowed
+                )
+        assert len(list(src.glob("*.py"))) >= 7
+        assert outside == set()

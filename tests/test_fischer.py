@@ -289,6 +289,34 @@ class TestComponentsAndValency:
         ):
             components(alone)
 
+    def test_orbits_of_a_generator_row_that_is_not_a_permutation(
+        self, system_factory, with_conj_entry
+    ):
+        # S4 with conj[1][4] = 5: generator row 1 sends #4 and #5 to #5.  The
+        # orbit of #0 closes over the axes it reaches, and #3, which no
+        # generator row reaches from #0, is an orbit of its own.
+        system = with_conj_entry(system_factory("symmetric:n=4"), 1, 4, 5)
+        assert 1 in system.generator_axes
+        assert system.orbits == [[0, 1, 2, 4, 5], [3]]
+        with pytest.raises(
+            groups.GroupError,
+            match=r"^component of #0 does not match its conjugacy class$",
+        ):
+            components(system)
+
+    @pytest.mark.parametrize("descriptor", ["symmetric:n=4", "orthogonal-f2:dim=4,eps=+"])
+    def test_orbits_partition_every_generator_row_corruption(
+        self, system_factory, with_conj_entry, descriptor
+    ):
+        # Each single-entry corruption of a generator row: the orbits are
+        # disjoint and cover the axes.
+        system = system_factory(descriptor)
+        n = system.size
+        for g, j, value in itertools.product(system.generator_axes, range(n), range(n)):
+            if system.conj[g][j] != value:
+                orbits = with_conj_entry(system, g, j, value).orbits
+                assert sorted(itertools.chain(*orbits)) == list(range(n)), (g, j, value)
+
     @pytest.mark.parametrize("descriptor", CATALOG)
     def test_one_partition(self, system_factory, descriptor):
         # The generator orbits, the checked components and the orbits under

@@ -1,4 +1,6 @@
 """Matsuo algebras: products, forms, unity, radical, spectra, Miyamoto maps."""
+import functools
+import itertools
 import json
 import re
 from fractions import Fraction
@@ -6,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from fischerlab import groups, matsuo
+from fischerlab import fischer, groups, matsuo
 from fischerlab.fischer import build_system
 from fischerlab.groups import Permutation, generate
 from fischerlab.matsuo import (
@@ -108,7 +110,7 @@ class TestProductsAndForm:
         # The scaled Gram table holds exactly the form values: beta/2 on the
         # diagonal, alpha*beta/8 on edges, 0 otherwise.
         A = MatsuoAlgebra(system_factory("weyl:type=E,rank=6"), alpha, alpha)
-        _, gram = A.integer_tables()
+        gram = A._gram
         scale = 8 * alpha.denominator**2
         form = [
             [alpha / 2 if i == j else alpha**2 / 8 if A.system.adjacent(i, j) else 0
@@ -367,7 +369,7 @@ class TestWitnesses:
             A.unity()
 
     def test_unity_form(self, A):
-        _, gram = A.integer_tables()
+        gram = A._gram
         gram[2][3] += 1
         with pytest.raises(VerificationError, match=r"^\(omega \| x\^3\) != beta/2$"):
             A.unity()
@@ -472,6 +474,61 @@ def test_analyze_builds_each_eigenbasis_once(monkeypatch, capsys):
     assert report["spectra"]["verdict"] == report["miyamoto"]["verdict"] == "pass"
     assert report["spectra"]["per_component"][0]["dims"] == {"2": 1, "0": 25, "alpha": 10}
     assert len(built) == len(set(built)) <= 6 + 1
+
+
+def commutativity_defect(system):
+    """The first cell (i, j) of the whole table, in row-major order, where
+    x^i x^j != x^j x^i at alpha != 0: i and j are adjacent one way only, or
+    both ways with two common conjugates."""
+    conj = system.conj
+    for i, (row, column) in enumerate(zip(conj, zip(*conj))):
+        for j, (c, d) in enumerate(zip(row, column)):
+            if (c != j) != (d != i) or (c != j and c != d):
+                return i, j
+    return None
+
+
+class TestOneLaw:
+    """``TranspositionSystem.law_defect`` is the one scan of the
+    3-transposition law: ``build_system`` and the Matsuo axioms read it."""
+
+    @pytest.mark.parametrize("descriptor", [
+        "symmetric:n=4", "orthogonal-f2:dim=4,eps=+", "orthogonal-f3:dim=3",
+        "weyl:type=D,rank=4",
+    ])
+    def test_matches_commutativity_on_every_single_entry_corruption(
+        self, system_factory, with_conj_entry, descriptor
+    ):
+        system = system_factory(descriptor)
+        n = system.size
+        defects = set()
+        for i, j, value in itertools.product(range(n), repeat=3):
+            if system.conj[i][j] != value:
+                corrupted = with_conj_entry(system, i, j, value)
+                defect = corrupted.law_defect
+                assert defect == commutativity_defect(corrupted), (i, j, value)
+                defects.add(defect)
+        # Diagonal corruptions keep the law; the others break it.
+        assert None in defects and len(defects) > 1
+
+    def test_analyze_scans_the_law_once(self, monkeypatch, capsys):
+        from fischerlab import cli
+
+        scans = []
+        scan = fischer.TranspositionSystem.law_defect.func
+
+        def counting(system):
+            scans.append(system.size)
+            return scan(system)
+
+        law = functools.cached_property(counting)
+        law.__set_name__(fischer.TranspositionSystem, "law_defect")
+        monkeypatch.setattr(fischer.TranspositionSystem, "law_defect", law)
+        assert cli.main(["analyze", "weyl:type=E,rank=6", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["three_transposition"]["verdict"] == "pass"
+        assert report["matsuo"]["axioms"]["verdict"] == "pass"
+        assert scans == [36]
 
 
 def test_readme_library_example(capsys):
