@@ -7,13 +7,17 @@ t_i t_j t_i.  Adjacency, the common conjugate i o j of an adjacent pair, the
 product orders, the conjugacy orbits, the Miyamoto maps of the Matsuo layer
 and the 3-transposition law, one cached scan (``law_defect``) that
 ``build_system`` and the Matsuo commutativity check share, are read from it.
+The constructor freezes the rows into tuples, so no cached view can outlive
+the table it was read from, and a corrupted copy of a table is a new
+``TranspositionSystem``.
 
 A system is the class D of its generators S, their closure under
 conjugation by S.  Each generator lies in D and each member of D is a
 conjugate of one, so each conjugacy orbit of D holds a generator and
 G = <S> = <D>.  ``build_system`` fills the table from the action sigma_g of
-each generator g on the class, which the conjugacy closure records as it
-goes.  Generator g has row sigma_g, and i = sigma_g[j] gives row i =
+each generator g on the class, which the conjugacy closure returns as the
+row of g keyed by its class index, and makes the system once every row is
+filled.  Generator g has row sigma_g, and i = sigma_g[j] gives row i =
 sigma_g o row j o sigma_g, as sigma_g is its own inverse, so the rows spread
 along the closure's moves with index compositions alone: 2*n*|S| carrier
 products in all, all in the closure, instead of 2*n^2 more after it.
@@ -70,8 +74,8 @@ class TranspositionSystem:
 
     def __init__(self, involutions, conj, generators):
         self.involutions = involutions
-        self.conj = conj
-        self.generators = generators
+        self.conj = tuple(map(tuple, conj))
+        self.generators = list(generators)
         self._index = {x.key: i for i, x in enumerate(involutions)}
 
     @property
@@ -155,11 +159,7 @@ def build_system(generators, seed=None, max_axes=None):
     for s in seed or ():
         if s not in involutions:
             raise GroupError(f"seed {s!r} is not in the class of the generators")
-    n = len(involutions)
-    system = TranspositionSystem(involutions, [None] * n, list(generators))
-    conj, index = system.conj, system._index
-    for g, sigma in actions.items():
-        conj[index[g]] = sigma
+    conj = [actions.get(i) for i in range(len(involutions))]
 
     def derive(j):
         # Fill the rows one move away from row j; return the new indices.
@@ -168,11 +168,12 @@ def build_system(generators, seed=None, max_axes=None):
         for sigma in actions.values():
             i = sigma[j]
             if conj[i] is None:
-                conj[i] = tuple([sigma[row[m]] for m in sigma])
+                conj[i] = [sigma[row[m]] for m in sigma]
                 filled.append(i)
         return filled
 
-    groups.closure({index[g] for g in actions}, derive)
+    groups.closure(actions, derive)
+    system = TranspositionSystem(involutions, conj, generators)
     if system.law_defect:
         i, j = system.law_defect
         raise NotThreeTranspositionError(i, j, (involutions[i] * involutions[j]).order())

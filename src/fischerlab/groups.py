@@ -546,12 +546,13 @@ def conjugacy_closure(generators, cap=None):
     and closed under conjugation by them, in canonical key order, with the
     action of each distinct generator g on it.
 
-    Returns ``(involutions, actions)`` where ``actions[g.key][j]`` is the
-    index of g x_j g.  Each conjugate is computed once, by the closure,
-    through the carrier's ``key_conj`` kernel, and no generator is inverted.
-    Encoded keys sort as the keys do, so the class order does not depend on
-    the encoding.  Raises EnumerationCapError as soon as D passes ``cap``
-    (None: no cap).
+    Returns ``(involutions, actions)`` where ``actions[i][j]`` is the index
+    of g x_j g for the distinct generator g = x_i: the rows of the
+    conjugation table at the generators, keyed by class index.  Each
+    conjugate is computed once, by the closure, through the carrier's
+    ``key_conj`` kernel, and no generator is inverted.  Encoded keys sort as
+    the keys do, so the class order does not depend on the encoding.  Raises
+    EnumerationCapError as soon as D passes ``cap`` (None: no cap).
     """
     template = _check_compatible(generators)
     for x in generators:
@@ -568,7 +569,7 @@ def conjugacy_closure(generators, cap=None):
     keys = sorted(closure(map(encode, gens), step, cap))
     index = {k: i for i, k in enumerate(keys)}
     columns = zip(*(images[k] for k in keys))
-    actions = {g: tuple(index[k] for k in column) for g, column in zip(gens, columns)}
+    actions = {index[encode(g)]: tuple(index[k] for k in col) for g, col in zip(gens, columns)}
     return [template.peer(decode(k)) for k in keys], actions
 
 

@@ -71,13 +71,6 @@ def _first_difference(left, right):
     return next(k for k, (x, y) in enumerate(zip(left, right)) if x != y)
 
 
-def _eigenvalue(alpha, sizes, column):
-    """Eigenvalue of a column of an eigenbasis ordered 2 | 0 | alpha."""
-    if column < sizes[0]:
-        return TWO
-    return Fraction(0) if column < sizes[0] + sizes[1] else alpha
-
-
 class Elimination(namedtuple("Elimination", "rank pivots minors kernel")):
     """Fraction-free elimination of an integer matrix (Bareiss 1968).
 
@@ -381,7 +374,7 @@ class MatsuoAlgebra:
             t, c = min(hits)
             raise VerificationError(
                 f"eigen-equation failed for eigenvalue "
-                f"{_eigenvalue(self.alpha, sizes, c)} at axis {i}, "
+                f"{Fraction(lam[c], scale)} at axis {i}, "
                 f"column {c} (coordinate x^{t})"
             )
         return basis, sizes

@@ -25,9 +25,8 @@ def with_conj_entry():
 
     def corrupt(system, i, j, value):
         conj = list(system.conj)
-        row = list(conj[i])
-        row[j] = value
-        conj[i] = tuple(row)
+        conj[i] = list(conj[i])
+        conj[i][j] = value
         return fischer.TranspositionSystem(system.involutions, conj, system.generators)
 
     return corrupt

@@ -103,6 +103,10 @@ class TestOrthogonalF3:
         with pytest.raises(CatalogError):
             catalog.orthogonal_F3(6)
 
+    def test_sign_is_1_or_2(self):
+        with pytest.raises(CatalogError, match=r"^orthogonal-f3: sign must be 1 or 2$"):
+            catalog.orthogonal_F3(5, sign=3)
+
     @pytest.mark.parametrize("form", ["110", "113", "444"])
     def test_form_entries_are_1_or_2(self, form):
         with pytest.raises(CatalogError) as exc:

@@ -87,6 +87,18 @@ class TestAnalyze:
         assert payload["matsuo"]["spectra"]["verdict"] == "not-run"
         assert payload["matsuo"]["spectra"]["reason"] == "degenerate-alpha"
 
+    def test_unity_not_run_when_k_alpha_plus_4_vanishes(self, capsys):
+        # S4 has valency k = 4, so alpha = -1 leaves no unity to solve for.
+        code, out, _ = run(capsys, "analyze", "symmetric:n=4", "--alpha=-1", "--json")
+        assert code == 0
+        assert json.loads(out)["matsuo"]["unity"][0] == {
+            "coefficient": None, "component": 0, "exists": False,
+            "reason": "k*alpha+4 = 0", "verdict": "not-run",
+        }
+        code, out, _ = run(capsys, "analyze", "symmetric:n=4", "--alpha=-1")
+        assert code == 0
+        assert "  unity[0]        none (k*alpha+4=0) [not-run]\n" in out
+
     def test_exports(self, capsys, tmp_path):
         dot = tmp_path / "graph.dot"
         gram = tmp_path / "gram.csv"
@@ -393,6 +405,11 @@ class TestFusion:
     def test_malformed_label(self, capsys):
         code, _, _ = run(capsys, "fusion", "--m", "2", "--left", "11", "--right", "1,1")
         assert code == 2
+
+    def test_non_integer_label(self, capsys):
+        code, out, err = run(capsys, "fusion", "--m", "3", "--left", "a,b", "--right", "1,1")
+        assert (code, out) == (2, "")
+        assert err.endswith("label must be integers 'r,s', got 'a,b'\n")
 
     @pytest.mark.parametrize("argv, message", [
         (("--sector", "--contains", "1/2"), "--contains needs --grid"),

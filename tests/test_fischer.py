@@ -28,10 +28,10 @@ def oracle_conj(involutions):
     """The direct formula: row i of the table is index[t_i t_j t_i]."""
     index = {x.key: i for i, x in enumerate(involutions)}
     mul = involutions[0].key_mul()
-    return [
+    return tuple(
         tuple(index[mul(mul(x.key, y.key), x.key)] for y in involutions)
         for x in involutions
-    ]
+    )
 
 
 def orbits_under_all_rows(sys):
@@ -235,17 +235,15 @@ class TestBuildSystem:
 
 
 class TestComponentsAndValency:
-    def test_cross_check_rejects_component_that_is_not_a_class(self):
+    def test_cross_check_rejects_component_that_is_not_a_class(self, with_conj_entry):
         # O4+(2) has the components {0, 3, 4} and {1, 2, 5}.  Corrupting
         # t_0 t_3 t_0 (#4) to #1 keeps the graph as it is but puts #1 into the
         # conjugation orbit of #0.
         entry = catalog.from_descriptor("orthogonal-f2:dim=4,eps=+")
         sys = build_system(entry.generators)
         assert components(sys) == [[0, 3, 4], [1, 2, 5]]
-        row = list(sys.conj[0])
-        assert row[3] == 4
-        row[3] = 1
-        sys.conj[0] = tuple(row)
+        assert sys.conj[0][3] == 4
+        sys = with_conj_entry(sys, 0, 3, 1)
         with pytest.raises(
             groups.GroupError,
             match=r"^component of #0 does not match its conjugacy class$",
@@ -324,15 +322,13 @@ class TestComponentsAndValency:
         system = system_factory(descriptor)
         assert system.orbits == components(system) == orbits_under_all_rows(system)
 
-    def test_irregular_valency_names_two_vertices(self):
+    def test_irregular_valency_names_two_vertices(self, with_conj_entry):
         # S5: every transposition has 6 neighbors.  Making #3 move #9 (which
         # commutes with it) gives #3 a seventh neighbor.
         entry = catalog.from_descriptor("symmetric:n=5")
         sys = build_system(entry.generators)
-        row = list(sys.conj[3])
-        assert row[9] == 9
-        row[9] = 3
-        sys.conj[3] = tuple(row)
+        assert sys.conj[3][9] == 9
+        sys = with_conj_entry(sys, 3, 9, 3)
         with pytest.raises(
             IrregularComponentError,
             match=r"^non-constant valency in the component of #0: "
@@ -490,6 +486,17 @@ class TestExtractH:
         assert str(info.value) == (
             f"triple ({a}, {b}, {c}) generates a group of order 24, expected 54"
         )
+
+    def test_center_must_be_generated_by_abc_squared(self, system_factory, monkeypatch):
+        sys = system_factory("orthogonal-f3:dim=5")
+        witness = detect_H_triple(sys)
+        a = sys.involutions[witness[0]]
+        monkeypatch.setattr(groups, "center", lambda group: [a * a])
+        with pytest.raises(
+            groups.GroupError,
+            match=r"^center of the H witness is not generated by \(abc\)\^2$",
+        ):
+            extract_H(sys, witness)
 
 
 class TestDot:

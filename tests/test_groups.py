@@ -243,9 +243,9 @@ class TestConjugacyClosure:
                 transposition(5, 3, 4)]
         cls, actions = conjugacy_closure(gens)
         assert len(cls) == 10
-        assert list(actions) == [gens[0].key, gens[1].key, gens[3].key, gens[4].key]
+        assert list(actions) == [cls.index(g) for g in (gens[0], gens[1], gens[3], gens[4])]
         for g in gens:
-            assert [cls[i] for i in actions[g.key]] == [g * x * g for x in cls]
+            assert [cls[i] for i in actions[cls.index(g)]] == [g * x * g for x in cls]
         # A generator that is not an involution is named.
         cycle = Permutation.from_cycles(5, [(0, 1, 2, 3, 4)])
         with pytest.raises(StructuralError, match=(

@@ -132,6 +132,11 @@ class TestProductsAndForm:
                     by_parts[k] += ci * cj * term[k]
         assert lhs == by_parts
 
+    @pytest.mark.parametrize("view", ["multiply", "form"])
+    def test_vector_length_is_checked(self, B, view):
+        with pytest.raises(MatsuoError, match=r"^vector length must be 3$"):
+            getattr(B, view)([Fraction(1)], B.axis(0))
+
 
 class TestUnity:
     def test_s3_unity(self, B):
@@ -529,6 +534,27 @@ class TestOneLaw:
         assert report["three_transposition"]["verdict"] == "pass"
         assert report["matsuo"]["axioms"]["verdict"] == "pass"
         assert scans == [36]
+
+    def test_a_corrupted_table_is_a_new_system(self, s4, with_conj_entry):
+        # The rows are frozen, so no cached view outlives its table: an edit
+        # in place raises, and the corrupted table is a new system whose law
+        # and axioms both name the broken pair.  Row 3 is (0, 4, 5, 3, 1, 2).
+        assert (s4.law_defect, s4.orbits) == (None, [list(range(6))])
+        with pytest.raises(TypeError):
+            s4.conj[3] = (0, 4, 5, 3, 2, 2)
+        with pytest.raises(TypeError):
+            s4.conj[3][4] = 2
+        table = [list(row) for row in s4.conj]
+        table[3][4] = 2
+        corrupted = fischer.TranspositionSystem(s4.involutions, table, s4.generators)
+        table[3][4] = 1
+        assert corrupted.conj[3] == (0, 4, 5, 3, 2, 2)
+        assert (s4.law_defect, corrupted.law_defect) == (None, (3, 4))
+        with pytest.raises(VerificationError, match=(
+            r"^product is not commutative at pair \(3,4\)$"
+        )):
+            MatsuoAlgebra(corrupted, HALF, HALF).verify_axioms()
+        MatsuoAlgebra(s4, HALF, HALF).verify_axioms()
 
 
 def test_readme_library_example(capsys):

@@ -351,7 +351,7 @@ class DenseOracle:
         vecs, lam = exact(absmax(basis) * absmax(lam), basis, lam)
         hit = first(lhs != vecs * lam)
         if hit is not None:
-            value = matsuo._eigenvalue(A.alpha, sizes, hit[1])
+            value = F(int(lam[hit[1]]), scale)
             raise VerificationError(
                 f"eigen-equation failed for eigenvalue {value} at axis {i}, "
                 f"column {hit[1]} (coordinate x^{hit[0]})"
@@ -376,7 +376,7 @@ class DenseOracle:
             if hit is not None:
                 c = hit[1]
                 if sign[c] > 0:
-                    value = matsuo._eigenvalue(A.alpha, sizes, c)
+                    value = (TWO, F(0))[c >= sizes[0]]
                     raise VerificationError(
                         f"miyamoto map of axis {i} moved a +1 eigenvector "
                         f"(eigenvalue {value}, column {c})"
