@@ -7,20 +7,21 @@ t_i t_j t_i.  Adjacency, the common conjugate i o j of an adjacent pair, the
 product orders, the conjugacy orbits, the Miyamoto maps of the Matsuo layer
 and the 3-transposition law, one cached scan (``law_defect``) that
 ``build_system`` and the Matsuo commutativity check share, are read from it.
-The constructor freezes the rows into tuples, so no cached view can outlive
-the table it was read from, and a corrupted copy of a table is a new
-``TranspositionSystem``.
+Members are named by index alone: the constructor freezes the class, the
+rows and the generator axes into tuples, so no cached view can go stale,
+and a corrupted table is a new ``TranspositionSystem``.
 
 A system is the class D of its generators S, their closure under
 conjugation by S.  Each generator lies in D and each member of D is a
 conjugate of one, so each conjugacy orbit of D holds a generator and
 G = <S> = <D>.  ``build_system`` fills the table from the action sigma_g of
 each generator g on the class, which the conjugacy closure returns as the
-row of g keyed by its class index, and makes the system once every row is
-filled.  Generator g has row sigma_g, and i = sigma_g[j] gives row i =
-sigma_g o row j o sigma_g, as sigma_g is its own inverse, so the rows spread
-along the closure's moves with index compositions alone: 2*n*|S| carrier
-products in all, all in the closure, instead of 2*n^2 more after it.
+row of g keyed by its class index, a generator axis, and makes the system
+once every row is filled.  Generator g has row sigma_g, and i = sigma_g[j]
+gives row i = sigma_g o row j o sigma_g, as sigma_g is its own inverse, so
+the rows spread along the closure's moves with index compositions alone:
+2*n*|S| carrier products in all, all in the closure, instead of 2*n^2 more
+after it.
 
 One partition of D serves every layer: ``TranspositionSystem.orbits``, the
 orbits of the generator rows.  On a valid table these are the conjugacy
@@ -70,20 +71,21 @@ class TranspositionSystem:
     t_i as a permutation of the class.  For i != j, t_i t_j has order 2 when
     ``conj[i][j] == j`` and order 3 (i, j adjacent in the Fischer graph, with
     common conjugate i o j = ``conj[i][j]``) when ``conj[i][j] == conj[j][i]``.
+    ``generator_axes`` are the sorted class indices of the generators.
     """
 
-    def __init__(self, involutions, conj, generators):
-        self.involutions = involutions
+    def __init__(self, involutions, conj, generator_axes):
+        self.involutions = tuple(involutions)
         self.conj = tuple(map(tuple, conj))
-        self.generators = list(generators)
-        self._index = {x.key: i for i, x in enumerate(involutions)}
+        self.generator_axes = tuple(sorted(set(generator_axes)))
 
     @property
     def size(self):
         return len(self.involutions)
 
-    def index_of(self, element):
-        return self._index[element.key]
+    @property
+    def generators(self):
+        return [self.involutions[g] for g in self.generator_axes]
 
     def adjacent(self, i, j):
         return self.conj[i][j] != j
@@ -100,11 +102,6 @@ class TranspositionSystem:
     def group(self, max_order=groups.DEFAULT_MAX_ORDER):
         """Enumerate the generated group (may raise EnumerationCapError)."""
         return groups.generate(self.generators, max_order=max_order)
-
-    @cached_property
-    def generator_axes(self):
-        """The indices of the distinct generators, in increasing order."""
-        return sorted({self.index_of(g) for g in self.generators})
 
     @cached_property
     def orbits(self):
@@ -150,10 +147,11 @@ def build_system(generators, seed=None, max_axes=None):
     no cap).
 
     Every class member is a conjugate of a generator, so the rows spread
-    from the generators' actions to the whole class, as the module docstring
-    describes.  On a table of group elements conj[i][i] = i, commuting is
-    symmetric and conj[i][j] = i would force t_j = t_i, so the pair of
-    ``law_defect`` is the first with t_i t_j of order above 3.
+    from the generators' actions, keyed by their class indices (the generator
+    axes), to the whole class, as the module docstring describes.  On a table
+    of group elements conj[i][i] = i, commuting is symmetric and conj[i][j] = i
+    would force t_j = t_i, so the pair of ``law_defect`` is the first with
+    t_i t_j of order above 3.
     """
     involutions, actions = groups.conjugacy_closure(generators, cap=max_axes)
     for s in seed or ():
@@ -173,7 +171,7 @@ def build_system(generators, seed=None, max_axes=None):
         return filled
 
     groups.closure(actions, derive)
-    system = TranspositionSystem(involutions, conj, generators)
+    system = TranspositionSystem(involutions, conj, actions.keys())
     if system.law_defect:
         i, j = system.law_defect
         raise NotThreeTranspositionError(i, j, (involutions[i] * involutions[j]).order())

@@ -17,12 +17,12 @@ class NotInTableError(VirasoroError):
 
 def central_charge(m):
     """c_m = 1 - 6/((m+2)(m+3)), strictly increasing towards 1."""
-    if m < 1:
-        raise VirasoroError(f"series index must be >= 1, got {m}")
+    _check_label(m)
     return 1 - Fraction(6, (m + 2) * (m + 3))
 
 
-def _check_label(m, r, s):
+def _check_label(m, r=1, s=1):
+    # The default (1, 1) is a label of every m >= 1: it checks m alone.
     if m < 1:
         raise VirasoroError(f"series index must be >= 1, got {m}")
     if not (1 <= r <= m + 1 and 1 <= s <= m + 2):
@@ -43,6 +43,7 @@ def weight(m, r, s):
 
 def irreducibles(m):
     """Canonical labels of the (m+1)(m+2)/2 irreducible modules."""
+    _check_label(m)
     labels = {canonical(m, r, s) for r in range(1, m + 2) for s in range(1, m + 3)}
     return sorted(labels)
 
@@ -84,8 +85,7 @@ def tau_sign(m, label):
 def sigma_sector(m):
     """The fusion-closed sector family P_m: first-row labels h_{1,s} for even
     m, first-column labels h_{r,1} for odd m (canonicalized)."""
-    if m < 1:
-        raise VirasoroError(f"series index must be >= 1, got {m}")
+    _check_label(m)
     if m % 2 == 0:
         raw = [(1, s) for s in range(1, m + 3)]
     else:

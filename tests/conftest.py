@@ -27,7 +27,7 @@ def with_conj_entry():
         conj = list(system.conj)
         conj[i] = list(conj[i])
         conj[i][j] = value
-        return fischer.TranspositionSystem(system.involutions, conj, system.generators)
+        return fischer.TranspositionSystem(system.involutions, conj, system.generator_axes)
 
     return corrupt
 

@@ -497,6 +497,17 @@ class TestUsage:
         assert cli.main([]) == 2
         capsys.readouterr()
 
+    def test_unreported_error_is_raised(self, capsys, monkeypatch):
+        # An error no layer reports is a bug, not an exit code: main lets it
+        # through and prints no error line.
+        def fail(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "cmd_sakuma", fail)
+        with pytest.raises(RuntimeError, match=r"^boom$"):
+            cli.main(["sakuma", "3A"])
+        assert capsys.readouterr() == ("", "")
+
     def test_negative_rationals_with_equals(self, capsys):
         code, out, _ = run(
             capsys, "analyze", "symmetric:n=4", "--alpha=-2/3", "--beta=-1/5",

@@ -96,9 +96,9 @@ class TestBuildSystem:
         sys = system_factory("symmetric:n=4")
         assert sys.size == 6
         # (0 1) and (2 3) commute; (0 1) and (1 2) braid
-        a = sys.index_of(t(4, 0, 1))
-        b = sys.index_of(t(4, 2, 3))
-        c = sys.index_of(t(4, 1, 2))
+        a = sys.involutions.index(t(4, 0, 1))
+        b = sys.involutions.index(t(4, 2, 3))
+        c = sys.involutions.index(t(4, 1, 2))
         assert not sys.adjacent(a, b)
         assert sys.adjacent(a, c)
         assert sys.involutions[sys.conj[a][c]] == t(4, 0, 2)
@@ -234,6 +234,41 @@ class TestBuildSystem:
                 assert sys.adjacent(i, j) == (order == 3)
 
 
+class TestFrozenSystem:
+    """A system names its members by index: the class, the table and the
+    generator axes are tuples set by the constructor alone."""
+
+    def test_fields_cannot_be_edited_in_place(self, system_factory):
+        s = system_factory("symmetric:n=4")
+        assert all(type(f) is tuple for f in (s.involutions, s.conj, s.generator_axes))
+        with pytest.raises(AttributeError):
+            s.involutions.reverse()
+        # generators is read off the axes: editing the list it returns
+        # changes neither the axes nor the orbits read from them.
+        axes, orbits = s.generator_axes, [list(o) for o in s.orbits]
+        s.generators.append(s.involutions[0])
+        assert (s.generator_axes, s.orbits) == (axes, orbits)
+        assert s.generators == [s.involutions[g] for g in axes]
+        with pytest.raises(AttributeError):
+            s.generators = []
+
+    def test_axes_are_sorted_and_distinct(self, system_factory):
+        s = system_factory("orthogonal-f2:dim=4,eps=+")
+        assert TranspositionSystem(s.involutions, s.conj, [5, 3, 5]).generator_axes == (3, 5)
+
+    @pytest.mark.parametrize("generators", [
+        [t(5, 2, 3), t(5, 0, 1), t(5, 2, 3), t(5, 1, 2)],
+        catalog.from_descriptor("orthogonal-f2:dim=4,eps=+").generators,
+        catalog.from_descriptor("orthogonal-f3:dim=5").generators,
+    ], ids=["repeated-permutations", "O4+(2)", "O5(3)"])
+    def test_build_system_axes_are_the_generators_in_the_class(self, generators):
+        # Oracle: the position of each generator in the class, found by
+        # carrier equality.
+        s = build_system(generators)
+        assert s.generator_axes == tuple(sorted({s.involutions.index(g) for g in generators}))
+        assert s.generators == sorted(set(generators), key=s.involutions.index)
+
+
 class TestComponentsAndValency:
     def test_cross_check_rejects_component_that_is_not_a_class(self, with_conj_entry):
         # O4+(2) has the components {0, 3, 4} and {1, 2, 5}.  Corrupting
@@ -262,7 +297,7 @@ class TestComponentsAndValency:
         self, system_factory, with_conj_entry, i, j, value
     ):
         system = system_factory("orthogonal-f2:dim=4,eps=+")
-        assert system.generator_axes == [2, 3, 4, 5]
+        assert system.generator_axes == (2, 3, 4, 5)
         corrupted = with_conj_entry(system, i, j, value)
         with pytest.raises(
             groups.GroupError,
@@ -277,9 +312,7 @@ class TestComponentsAndValency:
         # #1 and #2 and fixes the rest, so the generator orbits split the
         # graph component {0, 3, 4}.
         system = system_factory("orthogonal-f2:dim=4,eps=+")
-        alone = TranspositionSystem(
-            system.involutions, system.conj, [system.involutions[5]]
-        )
+        alone = TranspositionSystem(system.involutions, system.conj, [5])
         assert alone.orbits == [[0], [1, 2], [3], [4], [5]]
         with pytest.raises(
             groups.GroupError,
@@ -392,16 +425,16 @@ SYMPLECTIC = (
 class TestTripleClassification:
     def test_s3_collapse(self, system_factory):
         sys = system_factory("symmetric:n=4")
-        a = sys.index_of(t(4, 0, 1))
-        b = sys.index_of(t(4, 1, 2))
+        a = sys.involutions.index(t(4, 0, 1))
+        b = sys.involutions.index(t(4, 1, 2))
         c = sys.conj[a][b]  # (0 2): the third transposition of the S_3
         assert classify_triple(sys, a, b, c) == S3_COLLAPSE
 
     def test_s4_type(self, system_factory):
         sys = system_factory("symmetric:n=4")
-        a = sys.index_of(t(4, 0, 1))
-        b = sys.index_of(t(4, 0, 2))
-        c = sys.index_of(t(4, 0, 3))
+        a = sys.involutions.index(t(4, 0, 1))
+        b = sys.involutions.index(t(4, 0, 2))
+        c = sys.involutions.index(t(4, 0, 3))
         assert classify_triple(sys, a, b, c) == S4_TYPE
 
     def test_h_type_in_F3_dim5(self, system_factory):
@@ -476,9 +509,9 @@ class TestExtractH:
 
     def test_rejects_s4_triple(self, system_factory):
         sys = system_factory("symmetric:n=4")
-        a = sys.index_of(t(4, 0, 1))
-        b = sys.index_of(t(4, 0, 2))
-        c = sys.index_of(t(4, 0, 3))
+        a = sys.involutions.index(t(4, 0, 1))
+        b = sys.involutions.index(t(4, 0, 2))
+        c = sys.involutions.index(t(4, 0, 3))
         with pytest.raises(UnexpectedSubgroupError) as info:
             extract_H(sys, (a, b, c))
         assert info.value.order == 24

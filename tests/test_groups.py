@@ -72,6 +72,13 @@ class TestPermutation:
         b = transposition(4, 2, 3)
         assert a.key_mul()(a.key, b.key) == (a * b).key
 
+    def test_images_must_be_a_bijection(self):
+        with pytest.raises(StructuralError, match=r"^not a bijection on 0\.\.2: \(0, 0, 2\)$"):
+            Permutation([0, 0, 2])
+
+    def test_identity_repr(self):
+        assert repr(Permutation.identity(3)) == "Permutation(id)"
+
 
 class TestFpMatrix:
     def test_identity_and_entries(self):
@@ -82,6 +89,18 @@ class TestFpMatrix:
     def test_from_entries_roundtrip(self):
         m = FpMatrix.from_entries(3, 2, [1, 2, 0, 1])
         assert m.entries == (1, 2, 0, 1)
+
+    @pytest.mark.parametrize("p, entries, message", [
+        (2, [1, 0, 0], r"^expected 4 entries, got 3$"),
+        (3, [1, 0, 0, 3], r"^entries must be residues in \[0, p\)$"),
+    ])
+    def test_from_entries_checks_its_entries(self, p, entries, message):
+        with pytest.raises(StructuralError, match=message):
+            FpMatrix.from_entries(p, 2, entries)
+
+    def test_product_needs_one_modulus_and_dimension(self):
+        with pytest.raises(StructuralError, match=r"^modulus/dimension mismatch$"):
+            FpMatrix.identity(2, 2) * FpMatrix.identity(3, 2)
 
     def test_multiplication_mod_p(self):
         a = FpMatrix.from_entries(3, 2, [1, 1, 0, 1])
@@ -159,6 +178,12 @@ class TestRowTable:
         row = st.integers(0, 3**dim - 1)
         rows = data.draw(st.lists(row, min_size=dim, max_size=dim))
         assert groups._row_table(3, dim, rows) == digit_row_table(3, dim, rows)
+
+
+@pytest.mark.parametrize("build", [generate, conjugacy_closure, fischer.build_system])
+def test_empty_generator_list_is_rejected(build):
+    with pytest.raises(StructuralError, match=r"^need at least one element$"):
+        build([])
 
 
 class TestHelpers:

@@ -290,7 +290,7 @@ class TestMiyamoto:
         assert calls == []
         # Only the generator axes are checked directly; axis 0, the least
         # axis of the one orbit, is one of them.
-        assert sys.generator_axes == [0, 1, 3, 6]
+        assert sys.generator_axes == (0, 1, 3, 6)
         assert sorted({check.axis for check in checks}) == [0, 1, 3, 6]
 
 
@@ -420,7 +420,7 @@ class TestSigmaAction:
             A = MatsuoAlgebra(system, HALF, HALF)
             action = A.sigma_action(system.group())
             for g in system.generators:
-                row = system.conj[system.index_of(g)]
+                row = system.conj[system.involutions.index(g)]
                 assert action.permutations[g.key] == tuple(row)
 
     def test_group_must_stabilize_the_class(self):
@@ -546,7 +546,7 @@ class TestOneLaw:
             s4.conj[3][4] = 2
         table = [list(row) for row in s4.conj]
         table[3][4] = 2
-        corrupted = fischer.TranspositionSystem(s4.involutions, table, s4.generators)
+        corrupted = fischer.TranspositionSystem(s4.involutions, table, s4.generator_axes)
         table[3][4] = 1
         assert corrupted.conj[3] == (0, 4, 5, 3, 2, 2)
         assert (s4.law_defect, corrupted.law_defect) == (None, (3, 4))

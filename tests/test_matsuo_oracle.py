@@ -845,8 +845,7 @@ def test_orbit_verdicts_agree_on_non_generator_row_corruptions(
     # of one entry of row 0 or row 1 must give the witnesses of the full
     # scan.
     system = system_factory("orthogonal-f2:dim=4,eps=+")
-    gens = sorted(system.index_of(g) for g in system.generators)
-    assert gens == [2, 3, 4, 5]
+    assert system.generator_axes == (2, 3, 4, 5)
     assert fischer.components(system) == [[0, 3, 4], [1, 2, 5]]
     n = system.size
     compared = 0
@@ -866,8 +865,8 @@ def test_failing_orbit_without_a_generator_is_checked_axis_by_axis(system_factor
     # but row 1 stops being an involution: both axes of the orbit are then
     # checked directly and name their own witnesses.
     system = system_factory("orthogonal-f2:dim=4,eps=+")
-    generator = [system.involutions[5]]
-    clean = fischer.TranspositionSystem(system.involutions, system.conj, generator)
+    axes = [5]
+    clean = fischer.TranspositionSystem(system.involutions, system.conj, axes)
     A = MatsuoAlgebra(clean, F(1, 2), F(1, 2))
     assert [check.axis for check in A._axis_checks] == [0, 1, 1, 3, 4, 5]
     assert_agrees_with_full_scan(A)
@@ -879,7 +878,7 @@ def test_failing_orbit_without_a_generator_is_checked_axis_by_axis(system_factor
         row[3] = 4
         conj[i] = tuple(row)
     A = MatsuoAlgebra(
-        fischer.TranspositionSystem(system.involutions, conj, generator), F(1, 2), F(1, 2)
+        fischer.TranspositionSystem(system.involutions, conj, axes), F(1, 2), F(1, 2)
     )
     assert [check.axis for check in A._axis_checks] == [0, 1, 2, 3, 4, 5]
     assert A._axis_checks[5].miyamoto is None

@@ -46,6 +46,27 @@ class TestCentralCharge:
             central_charge(0)
 
 
+@pytest.mark.parametrize("m", [0, -1])
+@pytest.mark.parametrize("query", [
+    central_charge, irreducibles, weights, sigma_sector,
+    lambda m: weight_exists(m, 0),
+    lambda m: canonical(m, 1, 1),
+    lambda m: weight(m, 1, 1),
+    lambda m: fuse(m, (1, 1), (1, 1)),
+    lambda m: tau_sign(m, (1, 1)),
+    lambda m: in_sigma_sector(m, (1, 1)),
+    lambda m: sigma_sign(m, (1, 1)),
+], ids=[
+    "central_charge", "irreducibles", "weights", "sigma_sector", "weight_exists",
+    "canonical", "weight", "fuse", "tau_sign", "in_sigma_sector", "sigma_sign",
+])
+def test_every_query_rejects_a_series_index_below_1(query, m):
+    # A negative m gives no empty answer: irreducibles, and so weights and
+    # weight_exists, check the index as every other query does.
+    with pytest.raises(VirasoroError, match=rf"^series index must be >= 1, got {m}$"):
+        query(m)
+
+
 class TestWeights:
     def test_m1_ising(self):
         assert weights(1) == [F(0), F(1, 16), F(1, 2)]
