@@ -3,13 +3,14 @@ and detection of the order-54 critical subgroup that separates symplectic-type
 systems from the rest.
 
 A system is stored as one conjugation table: ``conj[i][j]`` is the index of
-t_i t_j t_i.  Adjacency, the common conjugate i o j of an adjacent pair, the
+t_i t_j t_i.  The Fischer graph (one tuple of int bitmasks,
+``neighbor_masks``), the common conjugate i o j of an adjacent pair, the
 product orders, the conjugacy orbits, the Miyamoto maps of the Matsuo layer
-and the 3-transposition law, one cached scan (``law_defect``) that
-``build_system`` and the Matsuo commutativity check share, are read from it.
-Members are named by index alone: the constructor freezes the class, the
-rows and the generator axes into tuples, so no cached view can go stale,
-and a corrupted table is a new ``TranspositionSystem``.
+and the 3-transposition law (``law_defect``, shared by ``build_system`` and
+the Matsuo commutativity check) are read from it.  Members are named by
+index alone: the constructor freezes the class, the rows and the generator
+axes into tuples, every cached view is immutable, and a corrupted table is
+a new ``TranspositionSystem``.
 
 A system is the class D of its generators S, their closure under
 conjugation by S.  Each generator lies in D and each member of D is a
@@ -36,6 +37,7 @@ components, or when the generator rows do not reach a whole component.
 from __future__ import annotations
 
 from functools import cached_property
+from operator import ne
 
 from . import groups
 from .groups import GroupError
@@ -71,7 +73,9 @@ class TranspositionSystem:
     t_i as a permutation of the class.  For i != j, t_i t_j has order 2 when
     ``conj[i][j] == j`` and order 3 (i, j adjacent in the Fischer graph, with
     common conjugate i o j = ``conj[i][j]``) when ``conj[i][j] == conj[j][i]``.
-    ``generator_axes`` are the sorted class indices of the generators.
+    ``generator_axes`` are the sorted class indices of the generators.  The
+    cached views (``neighbor_masks``, ``orbits``, ``law_defect``) are
+    immutable, and ``neighbors(i)`` is a fresh tuple off row i.
     """
 
     def __init__(self, involutions, conj, generator_axes):
@@ -91,13 +95,18 @@ class TranspositionSystem:
         return self.conj[i][j] != j
 
     def neighbors(self, i):
-        return self._neighbors[i]
+        """The Fischer-graph neighbors of i in increasing order, a fresh tuple."""
+        return tuple([j for j, c in enumerate(self.conj[i]) if c != j])
 
     @cached_property
-    def _neighbors(self):
-        """The Fischer-graph neighbors of every vertex in increasing order,
-        read off the table once per system."""
-        return [[j for j, c in enumerate(row) if c != j] for row in self.conj]
+    def neighbor_masks(self):
+        """The one cached adjacency, a tuple of ints: bit j of entry i is set
+        when conj[i][j] != j.  The flags of each row are read, reversed, as
+        one base-2 numeral."""
+        cols, digits = range(self.size), bytes.maketrans(b"\0\1", b"01")
+        return tuple(
+            int(bytes(map(ne, row, cols)).translate(digits)[::-1], 2) for row in self.conj
+        )
 
     def group(self, max_order=groups.DEFAULT_MAX_ORDER):
         """Enumerate the generated group (may raise EnumerationCapError)."""
@@ -105,17 +114,17 @@ class TranspositionSystem:
 
     @cached_property
     def orbits(self):
-        """The orbits of the generator rows, each sorted: each is the closure
-        of the least axis not yet reached over the axes not yet reached, so
-        they partition the axes also where a row is not a permutation."""
+        """The orbits of the generator rows, a tuple of sorted tuples: each is
+        the closure of the least axis not yet reached over the axes not yet
+        reached, a partition also where a row is not a permutation."""
         rows = [self.conj[g] for g in self.generator_axes]
         orbits, reached = [], set()
         for r in range(self.size):
             if r not in reached:
                 orbit = groups.closure([r], lambda v: {row[v] for row in rows} - reached)
-                orbits.append(sorted(orbit))
+                orbits.append(tuple(sorted(orbit)))
                 reached.update(orbit)
-        return orbits
+        return tuple(orbits)
 
     @cached_property
     def law_defect(self):
@@ -195,10 +204,10 @@ def components(sys):
 
 def valency(sys, component):
     """Common neighbor count inside a connected component."""
-    first = component[0]
-    k = len(sys.neighbors(first))
+    first, masks = component[0], sys.neighbor_masks
+    k = masks[first].bit_count()
     for v in component:
-        d = len(sys.neighbors(v))
+        d = masks[v].bit_count()
         if d != k:
             raise IrregularComponentError(
                 f"non-constant valency in the component of #{first}: "
@@ -209,17 +218,15 @@ def valency(sys, component):
 
 def detect_H_triple(sys):
     """Lexicographically first pairwise-adjacent triple with (abac) of order 3,
-    or None.  A None verdict certifies symplectic type.  Each neighbor set is
-    an int bitmask, so the least c of a pair (a, b) is the lowest set bit of
-    the common neighbors of a, b and aba."""
-    conj = sys.conj
-    nbrs = sys._neighbors
-    masks = [sum(1 << j for j in nb) for nb in nbrs]
-    for a, (row_a, mask_a) in enumerate(zip(conj, masks)):
-        for b in nbrs[a]:
-            # c must be adjacent to a, b and aba (c == aba is the S3 collapse)
-            common = mask_a & masks[b] & masks[row_a[b]]
-            if common:
+    or None.  A None verdict certifies symplectic type.  The least c of a
+    pair (a, b) is the lowest set bit of the common neighbors of a, b and aba
+    in ``neighbor_masks``."""
+    masks = sys.neighbor_masks
+    for a, (row_a, mask_a) in enumerate(zip(sys.conj, masks)):
+        for b, aba in enumerate(row_a):
+            # b is a neighbour of a when aba != b; c must be adjacent to a, b
+            # and aba (c == aba is the S3 collapse)
+            if aba != b and (common := mask_a & masks[b] & masks[aba]):
                 return (a, b, (common & -common).bit_length() - 1)
     return None
 
@@ -242,12 +249,6 @@ def extract_H(sys, witness):
 
 def to_dot(sys):
     """DOT rendering of the Fischer graph (vertices by canonical index)."""
-    lines = ["graph fischer {"]
-    for i in range(sys.size):
-        lines.append(f'  {i} [label="{i}"];')
-    for i in range(sys.size):
-        for j in sys.neighbors(i):
-            if j > i:
-                lines.append(f"  {i} -- {j};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines = ["graph fischer {"] + [f'  {i} [label="{i}"];' for i in range(sys.size)]
+    lines += [f"  {i} -- {j};" for i in range(sys.size) for j in sys.neighbors(i) if j > i]
+    return "\n".join(lines + ["}"]) + "\n"

@@ -225,9 +225,10 @@ class MatsuoAlgebra:
 
     @cached_property
     def gram(self):
-        """The integer Gram table over its scale 8*den(alpha)*den(beta)."""
+        """The integer Gram table over its scale 8*den(alpha)*den(beta), as
+        a tuple of tuples."""
         scale = 8 * self.alpha.denominator * self.beta.denominator
-        return [[Fraction(x, scale) for x in row] for row in self._gram]
+        return tuple(tuple(Fraction(x, scale) for x in row) for row in self._gram)
 
     def multiply(self, u, v):
         """u v as the sum over i of u_i ad(x^i) v, read off ``_ad``: x^i on
@@ -340,7 +341,7 @@ class MatsuoAlgebra:
         a_num = self.alpha.numerator
         scale = 2 * self.alpha.denominator
         fixed = [j for j in range(n) if j != i and row[j] == j]
-        pairs = [(j, row[j]) for j in self.system.neighbors(i) if row[j] > j]
+        pairs = [(j, c) for j, c in enumerate(row) if c > j]
         sizes = (1, len(fixed) + len(pairs), len(pairs))
         if sum(sizes) != n:
             raise VerificationError(
@@ -714,11 +715,8 @@ class MatsuoQuotient:
     @cached_property
     def gram(self):
         at = _gather(self.rep_indices)
-        return [list(at(row)) for row in at(self.algebra.gram)]
+        return tuple(map(at, at(self.algebra.gram)))
 
 
 def export_gram_csv(algebra):
-    lines = []
-    for row in algebra.gram:
-        lines.append(",".join(format_rational(x) for x in row))
-    return "\n".join(lines) + "\n"
+    return "\n".join(",".join(map(format_rational, row)) for row in algebra.gram) + "\n"

@@ -35,15 +35,15 @@ def oracle_conj(involutions):
 
 
 def orbits_under_all_rows(sys):
-    """The orbits of the class under all n rows of the table, each sorted,
-    in the order of their least axes."""
+    """The orbits of the class under all n rows of the table, each a sorted
+    tuple, in the order of their least axes."""
     orbits, reached = [], set()
     for r in range(sys.size):
         if r not in reached:
             orbit = groups.closure([r], lambda v: [row[v] for row in sys.conj])
-            orbits.append(sorted(orbit))
+            orbits.append(tuple(sorted(orbit)))
             reached.update(orbit)
-    return orbits
+    return tuple(orbits)
 
 
 def count_carrier_products(monkeypatch, carrier):
@@ -245,12 +245,28 @@ class TestFrozenSystem:
             s.involutions.reverse()
         # generators is read off the axes: editing the list it returns
         # changes neither the axes nor the orbits read from them.
-        axes, orbits = s.generator_axes, [list(o) for o in s.orbits]
+        axes, orbits = s.generator_axes, tuple(map(tuple, s.orbits))
         s.generators.append(s.involutions[0])
         assert (s.generator_axes, s.orbits) == (axes, orbits)
         assert s.generators == [s.involutions[g] for g in axes]
         with pytest.raises(AttributeError):
             s.generators = []
+
+    def test_adjacency_views_cannot_be_edited_in_place(self):
+        # A fresh S4: the neighbours of an axis and the orbits are tuples, so
+        # an edit in place raises instead of changing a later valency or
+        # component verdict.
+        s = build_system(catalog.from_descriptor("symmetric:n=4").generators)
+        assert type(s.neighbor_masks) is tuple
+        assert all(type(mask) is int for mask in s.neighbor_masks)
+        assert type(s.orbits) is type(s.orbits[0]) is type(s.neighbors(0)) is tuple
+        before = (valency(s, s.orbits[0]), components(s))
+        assert before == (4, ((0, 1, 2, 3, 4, 5),))
+        with pytest.raises(AttributeError):
+            s.neighbors(0).append(3)
+        with pytest.raises(AttributeError):
+            s.orbits[0].append(0)
+        assert (valency(s, s.orbits[0]), components(s)) == before
 
     def test_axes_are_sorted_and_distinct(self, system_factory):
         s = system_factory("orthogonal-f2:dim=4,eps=+")
@@ -269,6 +285,41 @@ class TestFrozenSystem:
         assert s.generators == sorted(set(generators), key=s.involutions.index)
 
 
+def assert_adjacency_matches_oracle(sys):
+    """``neighbor_masks``, ``neighbors`` and ``valency`` against neighbour
+    lists read off the table entry by entry."""
+    oracle = [[j for j, c in enumerate(row) if c != j] for row in sys.conj]
+    assert sys.neighbor_masks == tuple(sum(1 << j for j in nb) for nb in oracle)
+    assert [list(sys.neighbors(i)) for i in range(sys.size)] == oracle
+    assert [valency(sys, [i]) for i in range(sys.size)] == [len(nb) for nb in oracle]
+    degrees = {len(nb) for nb in oracle}
+    if len(degrees) == 1:
+        assert valency(sys, range(sys.size)) == degrees.pop()
+    else:
+        with pytest.raises(IrregularComponentError):
+            valency(sys, range(sys.size))
+
+
+class TestNeighborMasks:
+    @pytest.mark.parametrize("descriptor", CATALOG)
+    def test_catalog_adjacency_matches_oracle(self, system_factory, descriptor):
+        assert_adjacency_matches_oracle(system_factory(descriptor))
+
+    def test_every_single_entry_corruption_matches_oracle(
+        self, system_factory, with_conj_entry
+    ):
+        # The masks follow the rule of ``adjacent``, conj[i][j] != j, also
+        # where the table is not a valid conjugation table.
+        system = system_factory("symmetric:n=4")
+        n = system.size
+        compared = 0
+        for i, j, value in itertools.product(range(n), repeat=3):
+            if system.conj[i][j] != value:
+                assert_adjacency_matches_oracle(with_conj_entry(system, i, j, value))
+                compared += 1
+        assert compared == n * n * (n - 1)
+
+
 class TestComponentsAndValency:
     def test_cross_check_rejects_component_that_is_not_a_class(self, with_conj_entry):
         # O4+(2) has the components {0, 3, 4} and {1, 2, 5}.  Corrupting
@@ -276,7 +327,7 @@ class TestComponentsAndValency:
         # conjugation orbit of #0.
         entry = catalog.from_descriptor("orthogonal-f2:dim=4,eps=+")
         sys = build_system(entry.generators)
-        assert components(sys) == [[0, 3, 4], [1, 2, 5]]
+        assert components(sys) == ((0, 3, 4), (1, 2, 5))
         assert sys.conj[0][3] == 4
         sys = with_conj_entry(sys, 0, 3, 1)
         with pytest.raises(
@@ -313,7 +364,7 @@ class TestComponentsAndValency:
         # graph component {0, 3, 4}.
         system = system_factory("orthogonal-f2:dim=4,eps=+")
         alone = TranspositionSystem(system.involutions, system.conj, [5])
-        assert alone.orbits == [[0], [1, 2], [3], [4], [5]]
+        assert alone.orbits == ((0,), (1, 2), (3,), (4,), (5,))
         with pytest.raises(
             groups.GroupError,
             match=r"^component of #0 does not match its conjugacy class$",
@@ -328,7 +379,7 @@ class TestComponentsAndValency:
         # generator row reaches from #0, is an orbit of its own.
         system = with_conj_entry(system_factory("symmetric:n=4"), 1, 4, 5)
         assert 1 in system.generator_axes
-        assert system.orbits == [[0, 1, 2, 4, 5], [3]]
+        assert system.orbits == ((0, 1, 2, 4, 5), (3,))
         with pytest.raises(
             groups.GroupError,
             match=r"^component of #0 does not match its conjugacy class$",

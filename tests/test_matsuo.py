@@ -277,7 +277,7 @@ class TestMiyamoto:
         # The verdicts are carried along system.orbits, so once the system
         # holds its orbits the per-axis checks close nothing themselves.
         sys = system_factory("symmetric:n=5")
-        assert sys.orbits == [list(range(10))]
+        assert sys.orbits == (tuple(range(10)),)
         calls = []
         closure = groups.closure
 
@@ -458,6 +458,24 @@ class TestExports:
         assert len(rows) == 3
         assert rows[0].split(",")[0] == "1/4"
 
+    def test_gram_views_cannot_be_edited_in_place(self, s4):
+        # The Fraction Gram views of the algebra and of its quotient are
+        # tuples of tuples: an edit in place raises and changes neither the
+        # form value, nor the pair type, nor the CSV export.
+        A = MatsuoAlgebra(s4, HALF, HALF)
+        Q = A.quotient()
+        for gram in (A.gram, Q.gram):
+            assert type(gram) is tuple and all(type(row) is tuple for row in gram)
+        before = (A.gram_entry(0, 1), A.pair_type(0, 1), matsuo.export_gram_csv(A))
+        assert before[:2] == (Fraction(1, 32), "2A")
+        with pytest.raises(TypeError):
+            A.gram[0][1] = Fraction(1, 4)
+        with pytest.raises(TypeError):
+            A.gram[0] = A.gram[1]
+        with pytest.raises(TypeError):
+            Q.gram[0][1] = Fraction(1, 4)
+        assert (A.gram_entry(0, 1), A.pair_type(0, 1), matsuo.export_gram_csv(A)) == before
+
 
 
 def test_analyze_builds_each_eigenbasis_once(monkeypatch, capsys):
@@ -539,7 +557,7 @@ class TestOneLaw:
         # The rows are frozen, so no cached view outlives its table: an edit
         # in place raises, and the corrupted table is a new system whose law
         # and axioms both name the broken pair.  Row 3 is (0, 4, 5, 3, 1, 2).
-        assert (s4.law_defect, s4.orbits) == (None, [list(range(6))])
+        assert (s4.law_defect, s4.orbits) == (None, (tuple(range(6)),))
         with pytest.raises(TypeError):
             s4.conj[3] = (0, 4, 5, 3, 2, 2)
         with pytest.raises(TypeError):
