@@ -20,6 +20,12 @@ positive definiteness all read the one elimination of the Gram table; the
 quotient rests on the axioms, since the radical of an invariant symmetric
 form is an ideal, and on an exact check that the Gram table annihilates the
 radical rows.
+
+Every cached view is frozen, as ``system.conj`` is: ``_gram`` and ``gram``
+are tuples of tuples, the elimination holds tuples, ``_axis_checks`` is a
+tuple whose eigenbases are tuples of read-only mappings, and a quotient's
+``rep_indices`` and ``gram`` are tuples.  An edit in place raises, so no
+view can disagree with the table it was read from.
 """
 from __future__ import annotations
 
@@ -28,6 +34,7 @@ from collections import defaultdict, namedtuple
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
+from types import MappingProxyType
 
 from . import format_rational, groups
 
@@ -72,13 +79,14 @@ def _first_difference(left, right):
 
 
 class Elimination(namedtuple("Elimination", "rank pivots minors kernel")):
-    """Fraction-free elimination of an integer matrix (Bareiss 1968).
+    """Fraction-free elimination of an integer matrix (Bareiss 1968), frozen:
+    every field is an int or a tuple.
 
     ``pivots`` are the ``rank`` pivot columns.  ``kernel`` is a basis of the
-    right kernel: for each free column f, the primitive integer vector with a
-    positive entry at f and zeros at the other free columns.  ``minors`` are
-    the leading principal minors det A[:k, :k], k = 1, 2, ..., up to the
-    first that vanishes.
+    right kernel, one tuple per free column f: the primitive integer vector
+    with a positive entry at f and zeros at the other free columns.
+    ``minors`` are the leading principal minors det A[:k, :k], k = 1, 2, ...,
+    up to the first that vanishes.
     """
 
     __slots__ = ()
@@ -134,16 +142,17 @@ def bareiss(matrix):
         for k, c in enumerate(pivots):
             x[c] = -reduced[k][q]
         g = math.gcd(*x) if det > 0 else -math.gcd(*x)
-        kernel.append([v // g for v in x])
-    return Elimination(rank, pivots, minors, kernel)
+        kernel.append(tuple(v // g for v in x))
+    return Elimination(rank, tuple(pivots), tuple(minors), tuple(kernel))
 
 
 class AdjointSpectrum(namedtuple("AdjointSpectrum", "axis alpha vectors sizes")):
-    """Adjoint eigenbasis of one axis.  ``vectors`` lists the basis vectors
-    as sparse integer columns {coordinate: value} of at most three entries,
-    scaled by 2*den(alpha), in the blocks 2 | 0 | alpha whose sizes are
-    ``sizes``; ``basis_2``, ``basis_0`` and ``basis_alpha`` are dense
-    Fraction lists built when read."""
+    """Adjoint eigenbasis of one axis.  ``vectors`` is a tuple of the basis
+    vectors as read-only sparse integer columns {coordinate: value} of at
+    most three entries, scaled by 2*den(alpha), in the blocks 2 | 0 | alpha
+    whose sizes are ``sizes``; they are the columns that the axis check
+    built, so an edit raises.  ``basis_2``, ``basis_0`` and ``basis_alpha``
+    are dense Fraction lists built when read."""
 
     __slots__ = ()
 
@@ -176,10 +185,10 @@ class AdjointSpectrum(namedtuple("AdjointSpectrum", "axis alpha vectors sizes"))
 
 
 class AxisCheck(namedtuple("AxisCheck", "axis basis spectrum miyamoto")):
-    """The verdict of one axis, made at ``axis``: the columns and block sizes
-    that ``_eigenbasis`` returned there (None at alpha in {0, 2} or when it
-    failed), and the witness texts of the eigen-equation and Miyamoto checks,
-    each None when it passed."""
+    """The frozen verdict of one axis, made at ``axis``: the tuple of
+    read-only columns and the block sizes that ``_eigenbasis`` returned there
+    (None at alpha in {0, 2} or when it failed), and the witness texts of the
+    eigen-equation and Miyamoto checks, each None when it passed."""
 
     __slots__ = ()
 
@@ -219,6 +228,12 @@ class MatsuoAlgebra:
 
     def zero(self):
         return [Fraction(0)] * self.n
+
+    def _require_axes(self, *axes):
+        """Raises MatsuoError unless every axis index lies in range(n)."""
+        bad = next((i for i in axes if not 0 <= i < self.n), None)
+        if bad is not None:
+            raise MatsuoError(f"axis {bad} is out of range for n = {self.n}")
 
     def gram_entry(self, i, j):
         return self.gram[i][j]
@@ -323,7 +338,7 @@ class MatsuoAlgebra:
         the rows of ``gram_radical()``: any other rows raise MatsuoError.
         Raises RadicalNotIdealError, citing the axioms witness, when the
         axioms fail."""
-        if radical is not None and [list(row) for row in radical] != (
+        if radical is not None and tuple(map(tuple, radical)) != (
             self.gram_elimination.kernel
         ):
             raise MatsuoError("the quotient is taken only by the rows of gram_radical()")
@@ -334,8 +349,8 @@ class MatsuoAlgebra:
     def _eigenbasis(self, i):
         """The eigenbasis of ad(x^i) as sparse integer columns {coordinate:
         value} scaled by 2*den(alpha), ordered 2 | 0 | alpha, with every
-        eigen-equation checked through ``_ad``.  Returns the columns and
-        their three block sizes."""
+        eigen-equation checked through ``_ad``.  Returns the columns, a
+        tuple of read-only mappings, and their three block sizes."""
         n = self.n
         row = self.system.conj[i]
         a_num = self.alpha.numerator
@@ -353,12 +368,12 @@ class MatsuoAlgebra:
             column = {j: scale, jo: scale}
             column[i] = column.get(i, 0) - a_num
             plus.append(column)
-        basis = (
+        basis = tuple(map(MappingProxyType, (
             [{i: scale}]
             + [{j: scale} for j in fixed]
             + plus
             + [{j: scale, jo: -scale} for j, jo in pairs]
-        )
+        )))
         # ad(x^i) is scaled by 2*den(alpha), so eigenvalue lam scales to
         # 2*den(alpha)*lam.
         lam = [2 * scale] + [0] * sizes[1] + [2 * a_num] * sizes[2]
@@ -384,6 +399,7 @@ class MatsuoAlgebra:
         """The adjoint eigenbasis of axis i, read off its verdict: the basis
         that the direct check of axis i built, or, where the verdict was
         carried to axis i, one built now."""
+        self._require_axes(i)
         if self.alpha == 0 or self.alpha == 2:
             raise DegenerateAlphaError(self.alpha)
         check = self._axis_checks[i]
@@ -408,6 +424,7 @@ class MatsuoAlgebra:
         the conjugation table), verified to be an involution, an algebra
         automorphism and an isometry of the form, with the eigen-equations of
         axis i checked; the verdict is read off ``_axis_checks``."""
+        self._require_axes(i)
         witness = self._axis_checks[i].miyamoto
         if witness is not None:
             raise VerificationError(witness)
@@ -415,8 +432,8 @@ class MatsuoAlgebra:
 
     @cached_property
     def _axis_checks(self):
-        """One ``AxisCheck`` per axis, made by ``_check_axis`` at the axis
-        itself or carried from the least axis of its orbit in
+        """A tuple of one ``AxisCheck`` per axis, made by ``_check_axis`` at
+        the axis itself or carried from the least axis of its orbit in
         ``system.orbits``, the orbits of the generator rows.
 
         Every generator axis is checked directly.  When all of them pass at
@@ -455,7 +472,7 @@ class MatsuoAlgebra:
                 if checks[r].miyamoto is None:
                     for j in orbit:
                         checks[j] = checks[j] or checks[r]
-        return [check or self._check_axis(i) for i, check in enumerate(checks)]
+        return tuple(check or self._check_axis(i) for i, check in enumerate(checks))
 
     def _check_axis(self, i):
         """The ``AxisCheck`` of axis i, checked directly.  Row i is checked to
@@ -550,6 +567,7 @@ class MatsuoAlgebra:
 
     def pair_type(self, i, j):
         """Dihedral type of an axis pair in the alpha = beta = 1/2 regime."""
+        self._require_axes(i, j)
         if (self.alpha, self.beta) != (HALF, HALF):
             raise NotSigmaConfigurationError(
                 f"pair typing needs alpha = beta = 1/2, got ({self.alpha}, {self.beta})"
@@ -569,15 +587,16 @@ class MatsuoAlgebra:
 
     @cached_property
     def _gram(self):
-        """The Gram matrix scaled by 8*den(alpha)*den(beta), as lists of
-        Python ints read off ``system.conj``: the edge value where
+        """The Gram matrix scaled by 8*den(alpha)*den(beta), as a tuple of
+        tuples of Python ints read off ``system.conj``: the edge value where
         conj[i][j] != j, the diagonal value where conj[i][i] = i."""
         diag = 4 * self.alpha.denominator * self.beta.numerator
         edge = self.alpha.numerator * self.beta.numerator
-        return [
-            [diag if j == i == c else edge if c != j else 0 for j, c in enumerate(row)]
+        return tuple(
+            tuple(diag if j == i == c else edge if c != j else 0
+                  for j, c in enumerate(row))
             for i, row in enumerate(self.system.conj)
-        ]
+        )
 
     def _ad(self, j, vector):
         """ad(x^j) scaled by 2*den(alpha), read off row j of ``conj``, times a
@@ -709,7 +728,7 @@ class MatsuoQuotient:
                 f"radical row {hit[0]} is not in the Gram kernel at axis {hit[1]}"
             )
         self.algebra = algebra
-        self.rep_indices = list(elim.pivots)
+        self.rep_indices = elim.pivots
         self.dim = elim.rank
 
     @cached_property

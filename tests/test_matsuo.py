@@ -117,7 +117,7 @@ class TestProductsAndForm:
              for j in range(A.n)]
             for i in range(A.n)
         ]
-        assert gram == [[x * scale for x in row] for row in form]
+        assert gram == tuple(tuple(x * scale for x in row) for row in form)
         assert all(type(x) is int for row in gram for x in row)
 
     def test_bilinearity_spot(self, B):
@@ -374,8 +374,10 @@ class TestWitnesses:
             A.unity()
 
     def test_unity_form(self, A):
-        gram = A._gram
+        # The Gram table is frozen, so the corrupted table is a new one.
+        gram = [list(row) for row in A._gram]
         gram[2][3] += 1
+        A._gram = tuple(map(tuple, gram))
         with pytest.raises(VerificationError, match=r"^\(omega \| x\^3\) != beta/2$"):
             A.unity()
 
@@ -451,6 +453,22 @@ class TestPairType:
             A.pair_type(0, 1)
 
 
+@pytest.mark.parametrize("method, axes", [
+    ("pair_type", (99, 99)),
+    ("miyamoto", (-1,)),
+    ("miyamoto", (6,)),
+    ("adjoint_spectrum", (-1,)),
+])
+def test_axis_indices_are_checked(s4, method, axes):
+    # S4 has 6 axes: an index outside range(6) raises a plain MatsuoError
+    # naming it, not a verdict, a negative-index read or an IndexError.
+    A = MatsuoAlgebra(s4, HALF, HALF)
+    message = rf"^axis {axes[0]} is out of range for n = 6$"
+    with pytest.raises(MatsuoError, match=message) as exc:
+        getattr(A, method)(*axes)
+    assert type(exc.value) is MatsuoError
+
+
 class TestExports:
     def test_gram_csv(self, B):
         csv = matsuo.export_gram_csv(B)
@@ -459,22 +477,48 @@ class TestExports:
         assert rows[0].split(",")[0] == "1/4"
 
     def test_gram_views_cannot_be_edited_in_place(self, s4):
-        # The Fraction Gram views of the algebra and of its quotient are
-        # tuples of tuples: an edit in place raises and changes neither the
-        # form value, nor the pair type, nor the CSV export.
+        # Every cached view of the algebra and of its quotient is frozen: the
+        # Gram tables are tuples of tuples, the elimination holds tuples, and
+        # the axis verdicts are a tuple whose eigenbases are read-only
+        # mappings.  An edit in place raises and changes neither the form
+        # value, nor the pair type, nor the CSV export, nor any verdict read
+        # off these views.
+        from fischerlab import cli
+
         A = MatsuoAlgebra(s4, HALF, HALF)
         Q = A.quotient()
-        for gram in (A.gram, Q.gram):
+        for gram in (A._gram, A.gram, Q.gram):
             assert type(gram) is tuple and all(type(row) is tuple for row in gram)
-        before = (A.gram_entry(0, 1), A.pair_type(0, 1), matsuo.export_gram_csv(A))
+
+        def views():
+            return (
+                A.gram_entry(0, 1), A.pair_type(0, 1), matsuo.export_gram_csv(A),
+                A.verify_axioms(), cli.positive_definite(A),
+                A.quotient(A.gram_radical()).dim, A.adjoint_spectrum(0).basis_2,
+            )
+
+        before = views()
         assert before[:2] == (Fraction(1, 32), "2A")
-        with pytest.raises(TypeError):
-            A.gram[0][1] = Fraction(1, 4)
-        with pytest.raises(TypeError):
-            A.gram[0] = A.gram[1]
-        with pytest.raises(TypeError):
-            Q.gram[0][1] = Fraction(1, 4)
-        assert (A.gram_entry(0, 1), A.pair_type(0, 1), matsuo.export_gram_csv(A)) == before
+        assert before[3:6] == (True, True, 6)
+        assert before[6] == [A.axis(0)]
+        elim = A.gram_elimination
+        edits = [
+            lambda: A.gram[0].__setitem__(1, Fraction(1, 4)),
+            lambda: A.gram.__setitem__(0, A.gram[1]),
+            lambda: Q.gram[0].__setitem__(1, Fraction(1, 4)),
+            lambda: A._gram[0].__setitem__(1, 0),
+            lambda: elim.minors.append(-1),
+            lambda: elim.pivots.append(0),
+            lambda: elim.kernel.append((1,) * A.n),
+            lambda: Q.rep_indices.append(0),
+            lambda: A.adjoint_spectrum(0).vectors[0].__setitem__(0, 999),
+            lambda: A._axis_checks.__setitem__(0, A._axis_checks[1]),
+            lambda: A._axis_checks[0].basis[0][0].__setitem__(0, 999),
+        ]
+        for edit in edits:
+            with pytest.raises((TypeError, AttributeError)):
+                edit()
+        assert views() == before
 
 
 

@@ -768,7 +768,7 @@ def test_object_path_agrees_with_oracle(system_factory):
     A = MatsuoAlgebra(system, BIG_ALPHA, BIG_BETA)
     gram = A._gram
     scale = 8 * BIG_ALPHA.denominator * BIG_BETA.denominator
-    assert gram == [[x * scale for x in row] for row in oracle_gram(A)]
+    assert gram == tuple(tuple(x * scale for x in row) for row in oracle_gram(A))
     for i in range(A.n):
         spectrum = A.adjoint_spectrum(i)
         assert (spectrum.basis_2, spectrum.basis_0, spectrum.basis_alpha) == (
