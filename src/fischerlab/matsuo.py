@@ -7,6 +7,10 @@ terms read off the conjugation table ``conj``, so the checks store no product
 table: they read ``system.conj``, its 3-transposition law (``law_defect``)
 and one integer Gram table (``_gram``), itself a function of ``conj``, so
 form symmetry and a Miyamoto isometry at alpha != 0 follow from ``conj``.
+The product has one implementation, ``_ad``, and the form one table,
+``_gram``: the eigen-equations, unity, the invariance scan and ``multiply``
+apply ``_ad``, and the kernel check of the quotient multiplies by ``_gram``,
+so every verdict judges the same algebra.
 Eigenvectors are sparse columns of at most three entries, and a per-axis
 Miyamoto check that passes is carried along ``system.orbits``
 (``_axis_checks``), the one partition of the axes, which
@@ -222,6 +226,7 @@ class MatsuoAlgebra:
         self.n = system.size
 
     def axis(self, i):
+        self._require_axes(i)
         v = [Fraction(0)] * self.n
         v[i] = Fraction(1)
         return v
@@ -236,6 +241,7 @@ class MatsuoAlgebra:
             raise MatsuoError(f"axis {bad} is out of range for n = {self.n}")
 
     def gram_entry(self, i, j):
+        self._require_axes(i, j)
         return self.gram[i][j]
 
     @cached_property
@@ -277,17 +283,27 @@ class MatsuoAlgebra:
     def unity(self, component=None):
         """The unity-defining vector of a connected component, or None when
         k*alpha + 4 = 0.  The returned vector omega satisfies
-        omega x^i = 2 x^i and (omega | x^i) = beta/2 on the component, and
-        omega/2 is an idempotent.  Without a component, the Fischer graph
-        must be connected: the identities are checked on a graph component
-        and need no conjugacy-class check of the table."""
+        omega x^i = 2 x^i and (omega | x^i) = beta/2 on the component, read
+        through ``_ad`` and ``_gram``, and omega/2 is an idempotent.  Without
+        a component, the Fischer graph must be connected: the identities are
+        checked on a graph component and need no conjugacy-class check of the
+        table.  A component that is empty, repeats an axis or holds one
+        outside range(n) raises a plain MatsuoError, as no table is at
+        fault."""
         from . import fischer
 
         if component is None:
             if len(groups.closure([0], self.system.neighbors)) != self.n:
                 raise MatsuoError("system is disconnected; pass a component")
             component = range(self.n)
-        k = fischer.valency(self.system, component)
+        comp = list(component)
+        self._require_axes(*comp)
+        if not comp:
+            raise MatsuoError("the component is empty")
+        if len(set(comp)) != len(comp):
+            repeat = next(j for m, j in enumerate(comp) if j in comp[:m])
+            raise MatsuoError(f"the component repeats axis {repeat}")
+        k = fischer.valency(self.system, comp)
         if k * self.alpha + 4 == 0:
             return None
         coeff = Fraction(4) / (k * self.alpha + 4)
@@ -301,7 +317,6 @@ class MatsuoAlgebra:
         p, q = coeff.numerator, coeff.denominator
         unit = q * 4 * self.alpha.denominator
         gram = self._gram
-        comp = list(component)
         member = dict.fromkeys(comp, 1)
         for j in comp:
             s = self._ad(j, member)
@@ -619,18 +634,17 @@ class MatsuoAlgebra:
 
     def _gram_times(self, rows):
         """G R^T for the integer Gram table G and integer rows R, as n tuples
-        of len(rows) entries.  Row i of G is read on its support
-        {j : conj[i][j] != j} u {i}, where ``_gram`` puts its only
-        nonzero entries, with the support split by Gram value, so each entry
-        is a sum of value * (sum of gathered row entries): exact, in
-        O(n k r) for valency k and r rows."""
+        of len(rows) entries.  Each row of ``_gram`` is read on its nonzero
+        entries, split by value, so each entry is a sum of value * (sum of
+        gathered row entries): exact, in O(n k r) for valency k and r rows,
+        and it multiplies by the one form table the other checks read."""
         out = []
-        for i, (perm, g) in enumerate(zip(self.system.conj, self._gram)):
+        for g in self._gram:
             by_value = defaultdict(list)
-            for j, c in enumerate(perm):
-                if c != j or j == i:
-                    by_value[g[j]].append(j)
-            terms = [(value, _gather(js)) for value, js in by_value.items() if value]
+            for j, value in enumerate(g):
+                if value:
+                    by_value[value].append(j)
+            terms = [(value, _gather(js)) for value, js in by_value.items()]
             out.append(tuple(sum([x * sum(at(r)) for x, at in terms]) for r in rows))
         return out
 
@@ -659,10 +673,11 @@ class MatsuoAlgebra:
         which the law makes symmetric, so it also proves form symmetry.
 
         Triple (i, j, k) is invariant when S = G ad(x^i), S[j][k] =
-        (x^j | x^i x^k), has S[j][k] == S[k][j]; ``_asymmetry`` builds and
-        scans S only at the axes whose Miyamoto verdict (``_axis_checks``)
-        fails.  A pass is enough.  With P = conj[i] and N = {k : P(k) != k},
-        column k of S is a*(G[:, i] + G[:, k] - G[:, P(k)]) for k in N,
+        (x^j | x^i x^k), has S[j][k] == S[k][j]; ``_asymmetry`` builds S from
+        ``_ad`` and ``_gram`` and scans it only at the axes whose Miyamoto
+        verdict (``_axis_checks``) fails.  A pass is enough.  With P = conj[i],
+        N = {k : P(k) != k}, a = num(alpha) and unit = 4*den(alpha), ``_ad``
+        makes column k of S a*(G[:, i] + G[:, k] - G[:, P(k)]) for k in N,
         column i gains unit*G[:, i], and the other columns are 0.  With i not
         in N, ``_gram`` makes G[i] the edge value on N and 0 off N u {i}, so,
         G being symmetric, S is symmetric when G[k][P(j)] = G[P(k)][j] for
@@ -685,17 +700,17 @@ class MatsuoAlgebra:
         return None
 
     def _asymmetry(self, i):
-        """The first (j, k) with S[j][k] != S[k][j] for S = G ad(x^i), built
-        in full, or None."""
-        perm = self.system.conj[i]
-        a, unit = self.alpha.numerator, 4 * self.alpha.denominator
-        s = []
-        for g in self._gram:
-            row = [a * (g[i] + g[k] - g[c]) if c != k else 0 for k, c in enumerate(perm)]
-            row[i] += unit * g[i]
-            s.append(row)
+        """The first (j, k) with S[j][k] != S[k][j] for S = G ad(x^i), or
+        None; column k of S is ``_gram`` times ``_ad(i, {k: 1})``."""
+        gram_columns = tuple(zip(*self._gram))
+        s = []  # s[k] is column k of S
+        for k in range(self.n):
+            column = [0] * self.n
+            for t, x in self._ad(i, {k: 1}).items():
+                column = [c + x * g for c, g in zip(column, gram_columns[t])]
+            s.append(column)
         return next(
-            ((j, k) for j, row in enumerate(s) for k, x in enumerate(row) if x != s[k][j]),
+            ((j, k) for j, col in enumerate(s) for k, x in enumerate(col) if x != s[k][j]),
             None,
         )
 
@@ -709,8 +724,8 @@ class MatsuoQuotient:
     By invariance the radical of the form is an ideal, and a symmetric Gram
     matrix is non-degenerate on its pivot rows and columns, so the quotient
     rests on the axioms; when they fail it raises RadicalNotIdealError citing
-    their witness.  The kernel rows are checked exactly against the Gram
-    table (``_gram_times``)."""
+    their witness.  The kernel rows are checked exactly against ``_gram``
+    itself, the form table the axioms read (``_gram_times``)."""
 
     def __init__(self, algebra):
         witness = algebra._axioms_witness

@@ -212,7 +212,9 @@ class TestAnalyze:
 
     def test_failed_spectra_and_unity_still_emit_json(self, capsys, monkeypatch):
         # ad(x^0) gains a unit at x^3 in every column, so the unity identity,
-        # the eigen-equations of axis 0 and hence its Miyamoto map all fail.
+        # the eigen-equations of axis 0 and hence its Miyamoto map all fail,
+        # and so does invariance at axis 0, whose scan applies the same ad;
+        # the quotient, which rests on the axioms, cites their witness.
         _, passing, _ = run(capsys, "analyze", "symmetric:n=4", "--json")
         real = matsuo.MatsuoAlgebra._ad
 
@@ -237,6 +239,13 @@ class TestAnalyze:
             "per_component": [], "verdict": "fail", "reason": eigen,
         }
         expected["matsuo"]["miyamoto"] = {"verdict": "fail", "reason": eigen}
+        invariance = "form is not invariant at triple (0,0,1)"
+        expected["matsuo"]["axioms"] = {"verdict": "fail", "reason": invariance}
+        expected["matsuo"]["quotient"] = {
+            "verdict": "fail",
+            "reason": f"radical is not known to be an ideal: {invariance}",
+        }
+        expected["matsuo"]["quotient_dimension"] = None
         assert json.loads(out) == expected
 
     @pytest.mark.parametrize("check, error, alpha, section", [

@@ -453,19 +453,28 @@ class TestPairType:
             A.pair_type(0, 1)
 
 
-@pytest.mark.parametrize("method, axes", [
-    ("pair_type", (99, 99)),
-    ("miyamoto", (-1,)),
-    ("miyamoto", (6,)),
-    ("adjoint_spectrum", (-1,)),
+@pytest.mark.parametrize("method, args, fault", [
+    ("pair_type", (99, 99), "axis 99 is out of range for n = 6"),
+    ("miyamoto", (-1,), "axis -1 is out of range for n = 6"),
+    ("miyamoto", (6,), "axis 6 is out of range for n = 6"),
+    ("adjoint_spectrum", (-1,), "axis -1 is out of range for n = 6"),
+    ("gram_entry", (-1, 0), "axis -1 is out of range for n = 6"),
+    ("gram_entry", (6, 0), "axis 6 is out of range for n = 6"),
+    ("axis", (-1,), "axis -1 is out of range for n = 6"),
+    ("axis", (6,), "axis 6 is out of range for n = 6"),
+    ("unity", ([-1],), "axis -1 is out of range for n = 6"),
+    ("unity", ([0, 1, 99],), "axis 99 is out of range for n = 6"),
+    ("unity", ([],), "the component is empty"),
+    ("unity", ([0, 0, 1, 2, 3, 4, 5],), "the component repeats axis 0"),
 ])
-def test_axis_indices_are_checked(s4, method, axes):
-    # S4 has 6 axes: an index outside range(6) raises a plain MatsuoError
-    # naming it, not a verdict, a negative-index read or an IndexError.
+def test_axis_indices_are_checked(s4, method, args, fault):
+    # S4 has 6 axes: an index outside range(6), and a unity component that is
+    # empty or repeats an axis, raise a plain MatsuoError naming the fault,
+    # not a verdict, a VerificationError, a negative-index read or an
+    # IndexError.
     A = MatsuoAlgebra(s4, HALF, HALF)
-    message = rf"^axis {axes[0]} is out of range for n = 6$"
-    with pytest.raises(MatsuoError, match=message) as exc:
-        getattr(A, method)(*axes)
+    with pytest.raises(MatsuoError, match=f"^{re.escape(fault)}$") as exc:
+        getattr(A, method)(*args)
     assert type(exc.value) is MatsuoError
 
 

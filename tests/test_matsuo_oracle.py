@@ -615,16 +615,20 @@ def test_checks_agree_with_dense_oracle(
     pytest.param(F(2), F(1, 2), id="2"),
     pytest.param(F(1, 2), F(0), id="1/2,beta=0"),
 ])
+@pytest.mark.parametrize("descriptor", ["symmetric:n=4", "orthogonal-f2:dim=4,eps=+"])
 def test_miyamoto_agrees_on_every_single_entry_corruption(
-    system_factory, with_conj_entry, alpha, beta
+    system_factory, with_conj_entry, descriptor, alpha, beta
 ):
     # The dense oracle keeps the test that the map acts by +1 on the {2, 0}
     # eigenvectors and by -1 on the alpha eigenvectors; A.miyamoto relies on
     # the eigenbasis being built from the same row.  It also keeps the form
     # symmetry and isometry scans, which A reads off the conjugation scans
-    # except for the isometry scan at alpha = 0.  Every changed entry of the
-    # S4 table, on every axis, must give the same verdict and witness.
-    system = system_factory("symmetric:n=4")
+    # except for the isometry scan at alpha = 0, and the invariance scan,
+    # which A runs through ``_ad`` where a Miyamoto verdict fails.  Every
+    # changed entry of the table, on every axis, must give the same verdict
+    # and witness: S4 is connected, and O4+(2), also with 6 axes, has two
+    # components.
+    system = system_factory(descriptor)
     n = system.size
     compared = 0
     for i, j, value in itertools.product(range(n), repeat=3):
