@@ -242,7 +242,7 @@ def _reflect(x, v):
 
 def weyl(kind, rank):
     """ADE Weyl group represented as permutations of its root set."""
-    from .groups import Permutation, closure
+    from .groups import Permutation, permutation_action
 
     kind = kind.upper()
     if kind not in WEYL_RANKS:
@@ -254,20 +254,10 @@ def weyl(kind, rank):
         )
     simple = _simple_roots(kind, rank)
     start = set(simple) | {tuple(-a for a in r) for r in simple}
-    # Each root is reflected by each simple root once, by the closure, and
-    # the generators read those images.
-    images = {}
-
-    def step(x):
-        images[x] = [_reflect(x, v) for v in simple]
-        return images[x]
-
-    roots = sorted(closure(start, step))
-    index = {r: i for i, r in enumerate(roots)}
-    gens = [
-        Permutation(tuple(index[y] for y in column))
-        for column in zip(*(images[x] for x in roots))
-    ]
+    # permutation_action reflects each root by each simple root once, and the
+    # generators are the permutations these reflections make of the roots.
+    _, perms = permutation_action(start, lambda x: [_reflect(x, v) for v in simple])
+    gens = [Permutation(perm) for perm in perms]
     return CatalogEntry("weyl", {"type": kind, "rank": rank}, gens)
 
 

@@ -1,5 +1,6 @@
 """Concrete finite-group engine: permutations, matrices over small prime fields,
-breadth-first closure enumeration, and group orders by Schreier–Sims.
+breadth-first closure enumeration and the permutation action of moves on a
+closure, and group orders by Schreier–Sims.
 
 Composition convention (fixed globally): ``a * b`` means "apply b first, then a".
 """
@@ -417,6 +418,18 @@ def closure(start, step, cap=None):
     return out
 
 
+def permutation_action(start, moves, cap=None):
+    """The sorted points of ``closure(start, moves, cap)`` and, per move, the
+    tuple of the indices of its images of those points, where ``moves(x)``
+    lists the image of x under each move in one fixed order.  The closure
+    calls ``moves`` once per point, so each image is computed once."""
+    images = {}
+    points = sorted(closure(start, lambda x: images.setdefault(x, moves(x)), cap))
+    index = {x: i for i, x in enumerate(points)}
+    perms = [tuple(index[y] for y in column) for column in zip(*map(images.get, points))]
+    return points, perms
+
+
 def _translation(points):
     """``(encode, table, apply)`` with ``apply(encode(a), table(t))`` encoding
     ``tuple(t[x] for x in a)`` for keys a, t over range(points): bytes and one
@@ -548,11 +561,12 @@ def conjugacy_closure(generators, cap=None):
 
     Returns ``(involutions, actions)`` where ``actions[i][j]`` is the index
     of g x_j g for the distinct generator g = x_i: the rows of the
-    conjugation table at the generators, keyed by class index.  Each
-    conjugate is computed once, by the closure, through the carrier's
-    ``key_conj`` kernel, and no generator is inverted.  Encoded keys sort as
-    the keys do, so the class order does not depend on the encoding.  Raises
-    EnumerationCapError as soon as D passes ``cap`` (None: no cap).
+    conjugation table at the generators, keyed by class index.  Both come
+    from ``permutation_action`` with the carrier's ``key_conj`` kernel as the
+    moves, so each conjugate is computed once, by the closure, and no
+    generator is inverted.  Encoded keys sort as the keys do, so the class
+    order does not depend on the encoding.  Raises EnumerationCapError as
+    soon as D passes ``cap`` (None: no cap).
     """
     template = _check_compatible(generators)
     for x in generators:
@@ -560,16 +574,8 @@ def conjugacy_closure(generators, cap=None):
             raise StructuralError(f"generator element is not an involution: {x!r}")
     gens = list(dict.fromkeys(g.key for g in generators))
     encode, decode, conj = template.key_conj(gens)
-    images = {}
-
-    def step(x):
-        images[x] = conj(x)
-        return images[x]
-
-    keys = sorted(closure(map(encode, gens), step, cap))
-    index = {k: i for i, k in enumerate(keys)}
-    columns = zip(*(images[k] for k in keys))
-    actions = {index[encode(g)]: tuple(index[k] for k in col) for g, col in zip(gens, columns)}
+    keys, perms = permutation_action(map(encode, gens), conj, cap)
+    actions = {keys.index(encode(g)): perm for g, perm in zip(gens, perms)}
     return [template.peer(decode(k)) for k in keys], actions
 
 

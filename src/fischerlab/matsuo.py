@@ -284,25 +284,31 @@ class MatsuoAlgebra:
         """The unity-defining vector of a connected component, or None when
         k*alpha + 4 = 0.  The returned vector omega satisfies
         omega x^i = 2 x^i and (omega | x^i) = beta/2 on the component, read
-        through ``_ad`` and ``_gram``, and omega/2 is an idempotent.  Without
-        a component, the Fischer graph must be connected: the identities are
-        checked on a graph component and need no conjugacy-class check of the
-        table.  A component that is empty, repeats an axis or holds one
-        outside range(n) raises a plain MatsuoError, as no table is at
-        fault."""
+        through ``_ad`` and ``_gram``, and omega/2 is an idempotent.  The
+        component (default: all axes) must be the closure of its first axis
+        over ``system.neighbors``, the test of ``fischer.components``, so the
+        identities need no conjugacy-class check of the table.  A component
+        that fails it (naming the least missing or extra axis), is empty,
+        repeats an axis or holds one outside range(n) raises a plain
+        MatsuoError, as no table is at fault."""
         from . import fischer
 
-        if component is None:
-            if len(groups.closure([0], self.system.neighbors)) != self.n:
-                raise MatsuoError("system is disconnected; pass a component")
-            component = range(self.n)
-        comp = list(component)
+        comp = list(range(self.n) if component is None else component)
         self._require_axes(*comp)
         if not comp:
             raise MatsuoError("the component is empty")
         if len(set(comp)) != len(comp):
             repeat = next(j for m, j in enumerate(comp) if j in comp[:m])
             raise MatsuoError(f"the component repeats axis {repeat}")
+        reached = set(groups.closure([comp[0]], self.system.neighbors))
+        if reached != set(comp):
+            if component is None:
+                raise MatsuoError("system is disconnected; pass a component")
+            stray = min(reached ^ set(comp))
+            raise MatsuoError(
+                f"axis {stray} is {'missing' if stray in reached else 'extra'}: the "
+                f"component is not the Fischer-graph component of axis {comp[0]}"
+            )
         k = fischer.valency(self.system, comp)
         if k * self.alpha + 4 == 0:
             return None

@@ -227,6 +227,26 @@ class TestWeyl:
     def test_reflection_count_E7(self, system_factory):
         assert system_factory("weyl:type=E,rank=7").size == 63
 
+    @pytest.mark.parametrize("kind, rank", [
+        (kind, rank) for kind, ranks in catalog.WEYL_RANKS.items() for rank in ranks
+    ])
+    def test_generators_match_images_dict(self, kind, rank):
+        # The generators as weyl built them before permutation_action: the
+        # closure's step fills an images dict, which an index map and a
+        # column transpose turn into one permutation per simple root.
+        simple = catalog._simple_roots(kind, rank)
+        images = {}
+
+        def step(x):
+            images[x] = [catalog._reflect(x, v) for v in simple]
+            return images[x]
+
+        start = set(simple) | {tuple(-a for a in r) for r in simple}
+        roots = sorted(groups.closure(start, step))
+        index = {r: i for i, r in enumerate(roots)}
+        expected = [tuple(index[y] for y in col) for col in zip(*(images[x] for x in roots))]
+        assert [g.images for g in catalog.weyl(kind, rank).generators] == expected
+
     def test_bad_rank(self):
         with pytest.raises(CatalogError):
             catalog.weyl("A", 8)

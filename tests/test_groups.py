@@ -22,6 +22,7 @@ from fischerlab.groups import (
     conjugacy_closure,
     generate,
     group_order,
+    permutation_action,
     permutation_group_order,
     permutation_images,
 )
@@ -207,6 +208,71 @@ class TestClosure:
         with pytest.raises(EnumerationCapError, match="reached 3 elements"):
             closure([1, 2, 3], lambda x: [], cap=2)
         assert closure([1, 2, 3], lambda x: [], cap=3) == [1, 2, 3]
+
+
+# Every descriptor the catalog advertises, read off its bounds.
+CATALOG = (
+    [f"symmetric:n={n}" for n in range(2, catalog.SYMMETRIC_MAX_N + 1)]
+    + [f"symplectic-f2:n={n}" for n in range(1, catalog.SYMPLECTIC_MAX_N + 1)]
+    + [f"orthogonal-f2:dim={d},eps={e}" for d in catalog.ORTHOGONAL_F2_DIMS for e in "+-"]
+    + [f"orthogonal-f3:dim={d},sign={e}" for d in catalog.ORTHOGONAL_F3_DIMS for e in "+-"]
+    + [f"weyl:type={kind},rank={r}" for kind, ranks in catalog.WEYL_RANKS.items()
+       for r in ranks]
+)
+
+
+def reference_conjugacy_closure(generators):
+    """Class keys and generator rows as conjugacy_closure built them before
+    permutation_action: the closure's step fills an images dict, which an
+    index map and a column transpose turn into rows keyed by class index."""
+    gens = list(dict.fromkeys(g.key for g in generators))
+    encode, decode, conj = generators[0].key_conj(gens)
+    images = {}
+
+    def step(x):
+        images[x] = conj(x)
+        return images[x]
+
+    keys = sorted(closure(map(encode, gens), step))
+    index = {k: i for i, k in enumerate(keys)}
+    columns = zip(*(images[k] for k in keys))
+    actions = {index[encode(g)]: tuple(index[k] for k in col) for g, col in zip(gens, columns)}
+    return [decode(k) for k in keys], actions
+
+
+class TestPermutationAction:
+    # x -> 2x and x -> -x mod 7 move 1 through every nonzero residue.
+    @staticmethod
+    def moves(x):
+        return [2 * x % 7, -x % 7]
+
+    def test_points_and_permutations(self):
+        points, perms = permutation_action([1], self.moves)
+        assert points == [1, 2, 3, 4, 5, 6]
+        assert perms == [(1, 3, 5, 0, 2, 4), (5, 4, 3, 2, 1, 0)]
+
+    def test_each_point_is_moved_once(self):
+        calls = []
+        permutation_action([1, 6], lambda x: calls.append(x) or self.moves(x))
+        assert sorted(calls) == [1, 2, 3, 4, 5, 6]
+
+    def test_cap_error_is_the_closures(self):
+        with pytest.raises(EnumerationCapError) as info:
+            permutation_action([1], self.moves, cap=5)
+        with pytest.raises(EnumerationCapError) as expected:
+            closure([1], self.moves, cap=5)
+        assert str(info.value) == str(expected.value) == (
+            "closure exceeded cap 5 (reached 6 elements)"
+        )
+        assert (info.value.cap, info.value.reached) == (5, 6)
+
+    @pytest.mark.parametrize("descriptor", CATALOG)
+    def test_conjugacy_closure_matches_images_dict(self, descriptor):
+        gens = catalog.from_descriptor(descriptor).generators
+        cls, actions = conjugacy_closure(gens)
+        keys, expected = reference_conjugacy_closure(gens)
+        assert [x.key for x in cls] == keys
+        assert list(actions.items()) == list(expected.items())
 
 
 class TestGenerate:

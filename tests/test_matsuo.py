@@ -146,9 +146,23 @@ class TestUnity:
     def test_disconnected_needs_component(self, system_factory):
         sys = system_factory("orthogonal-f3:dim=3")
         A = MatsuoAlgebra(sys, HALF, HALF)
-        with pytest.raises(matsuo.MatsuoError):
+        with pytest.raises(matsuo.MatsuoError,
+                           match=r"^system is disconnected; pass a component$"):
             A.unity()
         assert A.unity([0]) == [Fraction(1), Fraction(0), Fraction(0)]
+
+    def test_union_of_components_is_refused(self, system_factory):
+        # O4+(2) has the components (0, 3, 4) and (1, 2, 5).  Their union is
+        # regular of valency 2, so without the component test it returned
+        # 4/5 on all six axes.
+        A = MatsuoAlgebra(system_factory("orthogonal-f2:dim=4,eps=+"), HALF, HALF)
+        with pytest.raises(MatsuoError, match=(
+            r"^axis 1 is extra: the component is not the Fischer-graph "
+            r"component of axis 0$"
+        )) as exc:
+            A.unity([0, 3, 4, 1, 2, 5])
+        assert type(exc.value) is MatsuoError
+        assert A.unity([1, 2, 5]) == [0, Fraction(4, 5), Fraction(4, 5), 0, 0, Fraction(4, 5)]
 
     def test_degenerate_slope_returns_none(self, s3):
         # k = 2 here, so alpha = -2 kills k*alpha + 4
@@ -466,12 +480,16 @@ class TestPairType:
     ("unity", ([0, 1, 99],), "axis 99 is out of range for n = 6"),
     ("unity", ([],), "the component is empty"),
     ("unity", ([0, 0, 1, 2, 3, 4, 5],), "the component repeats axis 0"),
+    ("unity", ([0, 1],), "axis 2 is missing: the component is not the "
+                         "Fischer-graph component of axis 0"),
+    ("unity", ([0],), "axis 1 is missing: the component is not the "
+                      "Fischer-graph component of axis 0"),
 ])
 def test_axis_indices_are_checked(s4, method, args, fault):
     # S4 has 6 axes: an index outside range(6), and a unity component that is
-    # empty or repeats an axis, raise a plain MatsuoError naming the fault,
-    # not a verdict, a VerificationError, a negative-index read or an
-    # IndexError.
+    # empty, repeats an axis or is not the whole (connected) Fischer graph,
+    # raise a plain MatsuoError naming the fault, not a verdict, a
+    # VerificationError, a negative-index read or an IndexError.
     A = MatsuoAlgebra(s4, HALF, HALF)
     with pytest.raises(MatsuoError, match=f"^{re.escape(fault)}$") as exc:
         getattr(A, method)(*args)

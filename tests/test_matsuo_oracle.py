@@ -400,14 +400,32 @@ class DenseOracle:
         return A.system.conj[i]
 
     def unity(self, component):
-        A = self.A
+        """The unity on the dense tables, after the component test of
+        ``MatsuoAlgebra.unity`` by a breadth-first search over the boolean
+        adjacency matrix: the least axis where the component and the graph
+        component of its first axis differ is named."""
+        A, n, comp = self.A, self.n, list(component)
+        adjacent = np.array(A.system.conj) != np.arange(n)
+        reached, frontier = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+        frontier[comp[0]] = True
+        while frontier.any():
+            reached |= frontier
+            frontier = adjacent[frontier].any(axis=0) & ~reached
+        given = np.zeros(n, dtype=bool)
+        given[comp] = True
+        hit = first(reached != given)
+        if hit is not None:
+            side = "missing" if reached[hit[0]] else "extra"
+            raise MatsuoError(
+                f"axis {hit[0]} is {side}: the component is not the Fischer-graph "
+                f"component of axis {comp[0]}"
+            )
         k = fischer.valency(A.system, component)
         if k * A.alpha + 4 == 0:
             return None
         coeff = F(4) / (k * A.alpha + 4)
         p, q = coeff.numerator, coeff.denominator
         unit = q * 4 * A.alpha.denominator
-        comp = list(component)
         tensor = self.tensor[np.ix_(comp, comp)]
         bound = len(comp) ** 2 * max(absmax(tensor), 1) * max(abs(p), unit)
         (tensor,) = exact(bound, tensor)
@@ -737,6 +755,25 @@ class TestOracleQuotient:
 
 BIG_ALPHA = F(2**25 + 1, 2**26 + 3)
 BIG_BETA = F(2**30 - 5, 2**29 + 7)
+
+
+def test_unity_component_test_agrees_with_dense_oracle(system_factory, with_conj_entry):
+    # O4+(2) has the components (0, 3, 4) and (1, 2, 5).  conj[0][1] = 2 adds
+    # the edge 0 -> 1 across them, so the closure of axis 0 reaches the
+    # other component; that of axis 1 does not reach back.
+    o4 = system_factory("orthogonal-f2:dim=4,eps=+")
+    assert fischer.components(o4) == ((0, 3, 4), (1, 2, 5))
+    cross = with_conj_entry(o4, 0, 1, 2)
+    missing = "axis 1 is missing: the component is not the Fischer-graph component of axis 0"
+    extra = "axis 1 is extra: the component is not the Fischer-graph component of axis 0"
+    for system, comp, expected in [
+        (cross, (0, 3, 4), (MatsuoError, missing)),
+        (cross, (1, 2, 5), ("ok", [0, F(4, 5), F(4, 5), 0, 0, F(4, 5)])),
+        (o4, (0, 3, 4, 1, 2, 5), (MatsuoError, extra)),
+    ]:
+        A = MatsuoAlgebra(system, F(1, 2), F(1, 2))
+        assert verdict(lambda: A.unity(comp)) == expected
+        assert verdict(lambda: DenseOracle(A).unity(comp)) == expected
 
 
 def test_large_rationals_agree_with_dense_oracle(system_factory):
